@@ -39,6 +39,7 @@ output is byte-identical to a fault-free run.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import List, Optional
 
@@ -50,6 +51,7 @@ from repro.analysis import (
     render_table4,
     render_table5,
 )
+from repro.core.parameters import SeerParameters
 from repro.observability import sort_metric_names
 from repro.simulation import SIM_PARAMETERS
 from repro.simulation.live import simulate_live_usage
@@ -522,7 +524,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = commands.add_parser("sweep", help="sweep one SEER parameter")
     _add_machine_arguments(sweep)
-    sweep.add_argument("--parameter", required=True)
+    sweep.add_argument(
+        "--parameter", required=True, metavar="NAME",
+        choices=sorted(field.name
+                       for field in dataclasses.fields(SeerParameters)))
     sweep.add_argument("--values", nargs="+", required=True)
     _add_runner_arguments(sweep)
     sweep.set_defaults(handler=cmd_sweep)

@@ -1,13 +1,14 @@
-"""Columnar neighbor arena: the fused correlator ingest hot path.
+"""Columnar neighbor arena: the correlator's distance and neighbor state.
 
-The reference pipeline walks three object layers per observed pair --
-``LifetimeDistanceCalculator`` emits ``(from, to, distance)`` tuples,
-``NeighborStore.observe`` routes each through a ``NeighborTable``, and
+This module holds SEER's lifetime distances (section 3.1.1, Definition
+3) and bounded neighbor tables (section 3.1.3) for the correlator.
+The paper's direct formulation walks three object layers per observed
+pair -- a per-process calculator emits ``(from, to, distance)``
+tuples, each is routed to the owning file's table, and
 ``DistanceSummary`` objects accumulate the running means.  At
 production rates the attribute lookups, tuple allocation and method
-dispatch dominate the arithmetic by an order of magnitude.
-
-This module re-architects that state as a columnar arena:
+dispatch dominate the arithmetic by an order of magnitude, so the
+state is laid out as a columnar arena instead:
 
 * **Interning.**  Every path is interned once to a dense integer file
   id (fid).  The hot loop compares and hashes small ints, never path
@@ -20,7 +21,7 @@ This module re-architects that state as a columnar arena:
   dict probe returns the mutable entry; an update is five C-level item
   writes with zero allocation.  ``mean_cache`` is ``-1.0`` when stale,
   mirroring the summary's invalidate-on-add caching, so victim scans
-  are bit-identical to the reference path.
+  compare exactly the means a ``DistanceSummary`` would report.
 
 * **Fused scan.**  :class:`ColumnarEngine` folds the per-process
   lifetime-distance scan and the arena update into a single loop: the
@@ -35,13 +36,14 @@ This module re-architects that state as a columnar arena:
 
 Determinism contract (fenced by ``tests/core/test_equivalence.py``):
 for any event stream, the arena reaches *exactly* the state of the
-reference ``NeighborStore`` path -- same entries, same float sums,
-same eviction victims, same recency.  Two properties make this
-possible: within one open every updated row belongs to a distinct
-owner, so fusing cannot reorder updates to a single table; and
-eviction victims are a pure function of table state (no rng -- see
-``NeighborTable._choose_victim``), so batching cannot desynchronize a
-random stream.  Per-pair numpy mutation was measured and rejected:
+paper's per-entry formulation, kept as a test oracle in
+``tests/oracle/`` -- same entries, same float sums, same eviction
+victims, same recency.  Two properties make this possible: within one
+open every updated row belongs to a distinct owner, so fusing cannot
+reorder updates to a single table; and eviction victims are a pure
+function of table state (every tie breaks by path, never by a random
+draw), so batching cannot change which entry is evicted.  Per-pair
+numpy mutation was measured and rejected:
 update batches here are small (tens of entries across distinct rows),
 where ufunc dispatch costs more than the scalar loop it replaces;
 numpy earns its keep on the whole-arena query paths instead.  See
@@ -76,12 +78,12 @@ class NeighborArena:
         self._metrics = metrics
         self._fids: Dict[str, int] = {}
         self._paths: List[str] = []
-        #: fid -> {neighbor fid -> Entry}; insertion order of rows
-        #: matches the reference store's table-creation order.
+        #: fid -> {neighbor fid -> Entry}; rows in creation order.
         self._rows: Dict[int, Dict[int, Entry]] = {}
-        #: Incremental per-row bounds (see NeighborTable): an upper
-        #: bound on the largest mean, a lower bound on the oldest
-        #: last_update.  Only replacement decisions consult them.
+        #: Incremental per-row bounds: an upper bound on the largest
+        #: mean (a mean never exceeds the largest raw observation), a
+        #: lower bound on the oldest last_update.  Only replacement
+        #: decisions consult them, to skip hopeless scans.
         self._bound: Dict[int, float] = {}
         self._oldest: Dict[int, float] = {}
         #: Reverse index: fid -> owner fids whose rows list it.
@@ -141,12 +143,19 @@ class NeighborArena:
     # ------------------------------------------------------------------
     def choose_victim(self, owner: int, row: Dict[int, Entry],
                       candidate_distance: float, now: int) -> Optional[int]:
-        """Three-rule replacement, mirroring ``NeighborTable._choose_victim``.
+        """The three-rule replacement priority of section 3.1.3.
+
+        1. an entry whose file is marked for deletion;
+        2. else the entry with the largest mean, only if it is farther
+           than the candidate;
+        3. else an entry not updated for more than ``aging_threshold``
+           references.
 
         Every choice is a pure function of table state: rule 1 and the
         rule-2 tie both break to the smallest *path* (not fid, so the
         outcome is independent of interning order), rule 3 to the
-        oldest ``(last_update, path)``.
+        oldest ``(last_update, path)``.  ``None`` means the candidate
+        is rejected.
         """
         paths = self._paths
         deletable = self._deletable
@@ -203,7 +212,12 @@ class NeighborArena:
     # ------------------------------------------------------------------
     def update(self, owner: int, neighbor: int, distance: float,
                now: int) -> bool:
-        """Record one observed distance; replicates ``NeighborTable.observe``."""
+        """Record one observed distance from *owner* to *neighbor*.
+
+        Distances beyond the lookback window are recorded as the
+        compensation distance (section 3.1.3).  Returns False if a
+        full row rejected the observation.
+        """
         if distance > self._parameters.lookback_window:
             distance = float(self._parameters.compensation_distance)
             if self._metrics is not None:
@@ -272,7 +286,7 @@ class NeighborArena:
         self._dirty.add(owner)
 
     # ------------------------------------------------------------------
-    # rename / remove (paper section 4.8), mirroring NeighborStore
+    # rename / remove (paper section 4.8)
     # ------------------------------------------------------------------
     def rename_file(self, old: str, new: str) -> None:
         if old == new:
@@ -391,8 +405,7 @@ class NeighborArena:
         """Stale-link filtering as a vectorized mask (section 3.1.3).
 
         Entries not reinforced since *cutoff* are omitted; owners left
-        with no fresh entries are omitted entirely, matching
-        ``NeighborStore.neighbor_lists``.
+        with no fresh entries are omitted entirely.
         """
         columns = self.columnar()
         mask = columns["last_update"] >= cutoff
@@ -436,8 +449,7 @@ class _MarkedSetView(MutableSet[str]):
 
 
 class ArenaTable:
-    """Read/update view of one arena row, API-compatible with
-    :class:`~repro.core.neighbors.NeighborTable`."""
+    """Path-level read/update view of one file's arena row."""
 
     __slots__ = ("_arena", "_fid")
 
@@ -516,8 +528,11 @@ class ArenaTable:
 
 
 class ArenaStore:
-    """Path-level facade over the arena, API-compatible with
-    :class:`~repro.core.neighbors.NeighborStore`."""
+    """Path-level facade over the arena: the correlator's neighbor store.
+
+    Persistence, cluster building and the web-cache extension read the
+    neighbor tables through this API; fids never leave the arena.
+    """
 
     def __init__(self, arena: NeighborArena) -> None:
         self._arena = arena
@@ -620,13 +635,14 @@ class _EngineStream:
 class ColumnarEngine:
     """Fused per-process distance scan + arena update (the hot loop).
 
-    Implements the same narrow interface as the correlator's reference
-    engine: per-pid streams with fork/exit inheritance, open/close/
-    point reference ingestion, rename re-keying and forget.  The open
-    loop is a hand-fused copy of ``LifetimeDistanceCalculator.open``
-    feeding ``NeighborArena.update`` without intermediate tuples; its
-    semantics are pinned entry-for-entry to the reference path by the
-    fast==reference differential suite.
+    The correlator's engine interface: per-pid streams with fork/exit
+    inheritance (section 4.7), open/close/point reference ingestion,
+    rename re-keying and forget (section 4.8).  The open loop computes
+    each lifetime distance (section 3.1.1, Definition 3) and feeds it
+    to the owning row in place, with the logic of
+    :meth:`NeighborArena.update` inlined and no intermediate tuples;
+    its semantics are pinned entry-for-entry to the paper's per-entry
+    formulation by the differential suite against ``tests/oracle/``.
     """
 
     def __init__(self, arena: NeighborArena,
@@ -638,9 +654,6 @@ class ColumnarEngine:
         self._lookback = parameters.lookback_window
         self._compensation = float(parameters.compensation_distance)
         self._cap = parameters.max_neighbors
-        self._prune = parameters.prune_lookback
-        self._compensate = parameters.emit_compensation
-        self._threshold = parameters.aging_threshold
 
     # ------------------------------------------------------------------
     # stream lifecycle
@@ -732,13 +745,10 @@ class ColumnarEngine:
                     # it can never re-enter the window -- and emit its
                     # distance once, which the arena records clamped
                     # to the compensation distance.
-                    if self._prune:
-                        if aged is None:
-                            aged = [other]
-                        else:
-                            aged.append(other)
-                    if not self._compensate:
-                        continue
+                    if aged is None:
+                        aged = [other]
+                    else:
+                        aged.append(other)
                     compensated += 1
                     distance = compensation
                 else:

@@ -28,13 +28,10 @@ sufficiently strong relation can force files into one cluster.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Callable, Dict, FrozenSet, Iterable, List,
-                    Optional, Sequence, Set, Tuple)
+from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
+                    Sequence, Set, Tuple)
 
 from repro.core.parameters import DEFAULT_PARAMETERS, SeerParameters
-
-if TYPE_CHECKING:   # import cycle: neighbors imports clustering
-    from repro.core.neighbors import NeighborStore
 
 
 @dataclass(frozen=True)
@@ -309,16 +306,3 @@ class SharedNeighborClustering:
             result.add_member(cluster_id, file)
         result.deduplicate()
         return result
-
-
-def cluster_neighbor_store(store: "NeighborStore",
-                           parameters: SeerParameters = DEFAULT_PARAMETERS,
-                           relations: Sequence[Relation] = (),
-                           directory_distance: Optional[
-                               Callable[[str, str], float]] = None
-                           ) -> ClusterSet:
-    """Convenience: cluster directly from a
-    :class:`~repro.core.neighbors.NeighborStore`."""
-    return SharedNeighborClustering(
-        store.neighbor_lists(), parameters=parameters, relations=relations,
-        directory_distance=directory_distance).cluster()

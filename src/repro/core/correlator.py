@@ -12,40 +12,34 @@ correlator (paper section 2) maintains:
   identity (section 4.8);
 * recency bookkeeping used by hoard ranking and by the LRU baseline.
 
-The distance/neighbor state lives behind a narrow *engine* interface
-with two implementations selected by ``SeerParameters.columnar_ingest``:
+The distance/neighbor state lives in the interned
+:class:`~repro.core.arena.NeighborArena`, updated by the fused
+:class:`~repro.core.arena.ColumnarEngine` and read through its
+path-level :class:`~repro.core.arena.ArenaStore` (``self.store``).
+The correlator drives the engine through a narrow interface (``ensure``,
+``fork``, ``exit``, ``open``, ``point``, ``close``, ``rename``,
+``forget``); event sequencing, recency, delayed deletion and cluster
+building are implemented here.
 
-* :class:`_ReferenceEngine` (here): one
-  :class:`LifetimeDistanceCalculator` per process feeding a
-  :class:`NeighborStore` of per-entry ``DistanceSummary`` objects --
-  the straightforward transcription of the paper, kept as the oracle;
-* :class:`~repro.core.arena.ColumnarEngine`: the fused hot path over
-  the interned :class:`~repro.core.arena.NeighborArena`.
-
-Both must produce byte-identical state for any event stream; the
-differential property suite in ``tests/core/test_equivalence.py``
-enforces it.  Event sequencing, recency, delayed deletion and cluster
-building are engine-agnostic and implemented once, here.
+A direct transcription of the paper -- per-process lifetime-distance
+calculators feeding per-entry neighbor tables -- lives in
+``tests/oracle/`` and plugs into this class through the same
+interface; ``tests/core/test_equivalence.py`` checks that both reach
+byte-identical state for any event stream.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set
 
 from repro.core.arena import ArenaStore, ColumnarEngine, NeighborArena
 from repro.core.clustering import ClusterSet, Relation, SharedNeighborClustering
-from repro.core.distance import LifetimeDistanceCalculator
-from repro.core.neighbors import NeighborStore
 from repro.core.parameters import DEFAULT_PARAMETERS, SeerParameters
 from repro.core.recluster import IncrementalClusterer
 from repro.fs.paths import directory_distance
 from repro.observability import Metrics
-
-#: Both store implementations expose the same path-level API; consumers
-#: (persistence, hoarding, extensions) treat them interchangeably.
-StoreLike = Union[NeighborStore, ArenaStore]
 
 
 class Action(enum.Enum):
@@ -99,97 +93,16 @@ class _PendingDeletion:
     deletion_number: int
 
 
-class _ReferenceEngine:
-    """The oracle ingest engine: per-pid calculators over a NeighborStore.
-
-    Distances are materialized as ``(from, to, distance)`` tuples and
-    re-dispatched through ``NeighborStore.observe`` one at a time --
-    exactly the paper's formulation, at per-entry object cost.  The
-    columnar engine must match this path's state bit for bit.
-    """
-
-    def __init__(self, store: NeighborStore, parameters: SeerParameters,
-                 metrics: Metrics) -> None:
-        self._store = store
-        self._parameters = parameters
-        self._metrics = metrics
-        self._calculators: Dict[int, LifetimeDistanceCalculator] = {}
-
-    def _new_calculator(self) -> LifetimeDistanceCalculator:
-        return LifetimeDistanceCalculator(
-            lookback_window=self._parameters.lookback_window,
-            prune=self._parameters.prune_lookback,
-            compensate=self._parameters.emit_compensation,
-            metrics=self._metrics)
-
-    def _calculator(self, pid: int) -> LifetimeDistanceCalculator:
-        calculator = self._calculators.get(pid)
-        if calculator is None:
-            calculator = self._calculators[pid] = self._new_calculator()
-        return calculator
-
-    def ensure(self, pid: int) -> None:
-        self._calculator(pid)
-
-    def fork(self, pid: int, ppid: int) -> int:
-        if ppid:
-            calculator = self._calculator(ppid).clone()
-        else:
-            calculator = self._new_calculator()
-        self._calculators[pid] = calculator
-        return calculator.opens_processed
-
-    def exit(self, pid: int, merge_ppid: int, since: int) -> None:
-        calculator = self._calculators.pop(pid, None)
-        if calculator is None or not merge_ppid:
-            return
-        parent = self._calculators.get(merge_ppid)
-        if parent is not None:
-            parent.merge_from(calculator, since=since)
-
-    def open(self, pid: int, path: str, now: int) -> None:
-        self._ingest(self._calculator(pid).open(path), now)
-
-    def point(self, pid: int, path: str, now: int) -> None:
-        self._ingest(self._calculator(pid).point_reference(path), now)
-
-    def close(self, pid: int, path: str) -> None:
-        self._calculator(pid).close(path)
-
-    def rename(self, old: str, new: str) -> None:
-        for calculator in self._calculators.values():
-            calculator.rename(old, new)
-
-    def forget(self, path: str) -> None:
-        for calculator in self._calculators.values():
-            calculator.forget(path)
-
-    def _ingest(self, distances: List[Tuple[str, str, int]], now: int) -> None:
-        if distances:
-            self._metrics.incr("correlator.distances_ingested", len(distances))
-        for from_file, to_file, distance in distances:
-            self._store.observe(from_file, to_file, float(distance), now=now)
-
-
 class Correlator:
     """Consumes :class:`ObservedReference` events, maintains relationships."""
 
     def __init__(self, parameters: SeerParameters = DEFAULT_PARAMETERS,
-                 seed: int = 0, metrics: Optional[Metrics] = None) -> None:
+                 metrics: Optional[Metrics] = None) -> None:
         self._parameters = parameters
         self.metrics = metrics if metrics is not None else Metrics()
-        self.store: StoreLike
-        self._engine: Union[_ReferenceEngine, ColumnarEngine]
-        if parameters.columnar_ingest:
-            arena = NeighborArena(parameters, metrics=self.metrics)
-            self.store = ArenaStore(arena)
-            self._engine = ColumnarEngine(arena, parameters,
-                                          metrics=self.metrics)
-        else:
-            self.store = NeighborStore(parameters, seed=seed,
-                                       metrics=self.metrics)
-            self._engine = _ReferenceEngine(self.store, parameters,
-                                            self.metrics)
+        arena = NeighborArena(parameters, metrics=self.metrics)
+        self.store = ArenaStore(arena)
+        self._engine = ColumnarEngine(arena, parameters, metrics=self.metrics)
         self._clusterer = IncrementalClusterer(parameters, self.metrics)
         self._prev_exclude: FrozenSet[str] = frozenset()
         self._streams: Dict[int, _ProcessStream] = {}
@@ -232,9 +145,8 @@ class Correlator:
         so a shared library cannot act as a bridge that merges all
         projects into one giant cluster.
 
-        With ``parameters.incremental_recluster`` (and no stale-link
-        cutoff, whose effective neighbor sets shift with every
-        reference), builds after the first splice in only the
+        Without a stale-link cutoff (whose effective neighbor sets shift
+        with every reference), builds after the first splice in only the
         neighborhoods dirtied since the previous build instead of
         re-running Jarvis-Patrick over the whole population -- O(dirty)
         between hoard walks, with byte-identical output (see
@@ -253,8 +165,7 @@ class Correlator:
                     file: neighbors - exclude
                     for file, neighbors in neighbor_lists.items()
                     if file not in exclude}
-            if (self._parameters.incremental_recluster
-                    and self._parameters.stale_link_cutoff == 0):
+            if self._parameters.stale_link_cutoff == 0:
                 dirty = self.store.drain_dirty()
                 exclude_set = frozenset(exclude) if exclude else frozenset()
                 if exclude_set != self._prev_exclude:

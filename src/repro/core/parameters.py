@@ -9,8 +9,7 @@ frozen dataclass so experiments and ablations can sweep them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Tuple
+from dataclasses import dataclass, replace
 
 
 @dataclass(frozen=True)
@@ -21,33 +20,13 @@ class SeerParameters:
     max_neighbors: int = 20          # n: distances kept per file
     lookback_window: int = 100       # M: references eligible for update
     compensation_distance: int = 100  # value inserted for distances > M
-    prune_lookback: bool = True      # drop per-stream entries once they
-                                     # age past M, bounding per-open cost
-                                     # by the window instead of by every
-                                     # file ever seen (False reproduces
-                                     # the historical unbounded scan)
-    emit_compensation: bool = True   # emit an over-window distance once
-                                     # at age-out so the neighbor store
-                                     # can record it as M (False silently
-                                     # drops the pair, the historical bug)
     aging_threshold: int = 5000      # references after which an entry may
                                      # be evicted regardless of distance
     stale_link_cutoff: int = 0       # if > 0, neighbor entries not
                                      # reinforced within this many
                                      # references are ignored at
                                      # clustering time (aging, sec 3.1.3)
-    columnar_ingest: bool = True     # fuse the per-process distance scan
-                                     # with the neighbor-arena update
-                                     # (repro.core.arena); False keeps the
-                                     # per-entry dict/object reference
-                                     # path, preserved for equivalence
-                                     # testing and as the seed baseline
-    incremental_recluster: bool = True  # recluster only dirtied
-                                     # neighborhoods between hoard walks
-                                     # (repro.core.recluster); False runs
-                                     # a full Jarvis-Patrick pass per
-                                     # build.  Ignored (full pass) when
-                                     # stale_link_cutoff > 0.
+
     # --- data reduction (section 3.1.2) ---
     use_geometric_mean: bool = True  # False -> arithmetic mean (ablation)
 

@@ -47,9 +47,9 @@ class Seer:
                  control: Optional[ControlConfig] = None,
                  investigators: Sequence["Investigator"] = (),
                  strategy: MeaninglessStrategy = MeaninglessStrategy.THRESHOLD,
-                 seed: int = 0, attach: bool = True) -> None:
+                 attach: bool = True) -> None:
         self.parameters = parameters
-        self.correlator = Correlator(parameters, seed=seed)
+        self.correlator = Correlator(parameters)
         self.miss_log = MissLog()
         self._kernel = kernel
         self._investigators = list(investigators)

@@ -59,6 +59,22 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "best:" in out
 
+    def test_sweep_unknown_parameter_rejected(self, capsys, monkeypatch):
+        # Rejected before any trace is generated, with the valid names.
+        def no_trace(args):
+            raise AssertionError("trace generated for a bad parameter")
+        monkeypatch.setattr("repro.cli._trace_for", no_trace)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "E", "--days", "1",
+                  "--parameter", "no_such_param",
+                  "--values", "1", "2"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no_such_param" in captured.err
+        assert "max_neighbors" in captured.err
+        assert "kf_fraction" in captured.err
+
     def test_figure2_parallel_identical_to_serial(self, capsys):
         assert main(["figure2", "--machines", "E", "--days", "7",
                      "--jobs", "2"]) == 0

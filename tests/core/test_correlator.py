@@ -71,6 +71,32 @@ class TestBasicReferences:
         assert "/a" in correlator.known_files()
 
 
+class TestLifetimeFigure1:
+    """Paper Figure 1 (section 3.1.1) through the shipped engine.
+
+    One process runs {Ao, Bo, Bc, Co, Cc, Ac, Do, Dc}.  A is still
+    open when B and C open, so A->B = A->C = 0; D opens three opens
+    after A, once A has closed, so A->D = 3; likewise B->C = 1,
+    B->D = 2 and C->D = 1.  Distances run forward only.
+    """
+
+    def test_neighbor_tables_hold_figure1_distances(self, correlator,
+                                                    driver):
+        for action, name in [(Action.OPEN, "A"), (Action.OPEN, "B"),
+                             (Action.CLOSE, "B"), (Action.OPEN, "C"),
+                             (Action.CLOSE, "C"), (Action.CLOSE, "A"),
+                             (Action.OPEN, "D"), (Action.CLOSE, "D")]:
+            driver.send(1, action, name)
+        expected = {("A", "B"): 0, ("A", "C"): 0, ("A", "D"): 3,
+                    ("B", "C"): 1, ("B", "D"): 2, ("C", "D"): 1}
+        for (source, target), value in expected.items():
+            assert distance(correlator, source, target) == \
+                pytest.approx(value)
+        # No reverse-direction entry: every table lists later files only.
+        assert correlator.store.neighbor_lists() == {
+            "A": {"B", "C", "D"}, "B": {"C", "D"}, "C": {"D"}}
+
+
 class TestPerProcessStreams:
     def test_interleaved_streams_kept_separate(self, correlator, driver):
         # Section 4.7: two independent processes interleaving must not
@@ -262,17 +288,6 @@ class TestCompensation:
         assert distance(correlator, "/a", "/x3") == pytest.approx(7.0)
         assert correlator.metrics.counter("neighbor.compensations") > 0
         assert correlator.metrics.counter("distance.pruned_entries") > 0
-
-    def test_seed_mode_drops_over_window_pairs(self):
-        correlator = make_correlator(lookback_window=3,
-                                     compensation_distance=7,
-                                     prune_lookback=False,
-                                     emit_compensation=False)
-        driver = Driver(correlator)
-        driver.send(1, Action.POINT, "/a")
-        for index in range(4):
-            driver.send(1, Action.POINT, f"/x{index}")
-        assert distance(correlator, "/a", "/x3") == float("inf")
 
 
 class TestIngestMetrics:

@@ -1,4 +1,11 @@
-"""Tests for semantic distance Definitions 1-3 (paper section 3.1)."""
+"""Tests for semantic distance Definitions 1-3 (paper section 3.1).
+
+Definition 3 (the ``TestLifetime*`` classes) runs against the
+one-stream transcription kept as the test oracle
+(``tests/oracle/distance.py``); the shipped correlator's fused scan is
+pinned to Figure 1 in ``tests/core/test_correlator.py`` and to the
+oracle by ``tests/core/test_equivalence.py``.
+"""
 
 import math
 
@@ -7,13 +14,13 @@ from hypothesis import given, strategies as st
 
 from repro.core.distance import (
     DistanceSummary,
-    LifetimeDistanceCalculator,
     RefKind,
     Reference,
     SequenceDistanceCalculator,
     opens,
     temporal_distances,
 )
+from tests.oracle.distance import LifetimeDistanceCalculator
 
 
 def as_dict(pairs):

@@ -1,13 +1,16 @@
-"""Differential property suite: columnar fast path == reference oracle.
+"""Differential property suite: the shipped engine == the paper oracle.
 
-The correlator has two ingest engines (``SeerParameters.columnar_ingest``):
-the per-entry dict/object reference path -- the paper transcribed
-directly -- and the fused columnar arena of :mod:`repro.core.arena`.
-The optimization is only admissible if it is *invisible*: for any event
-stream the two engines must leave byte-identical persistent state,
-identical neighbor lists (plain and stale-filtered), identical cluster
-sets and hoard selections, and identical scoring-relevant metric
-totals.  Likewise ``incremental_recluster`` must splice to exactly the
+The correlator ships one ingest engine, the fused columnar arena of
+:mod:`repro.core.arena`.  The per-entry dict/object path -- the paper
+transcribed directly -- survives as the test oracle in
+``tests/oracle/`` and plugs into an ordinary correlator through
+:func:`~tests.oracle.engine.oracle_correlator`.  The optimization is
+only admissible if it is *invisible*: for any event stream the two
+engines must leave byte-identical persistent state, identical neighbor
+lists (plain and stale-filtered), identical cluster sets and hoard
+selections, and identical scoring-relevant metric totals.  The oracle
+runs with pruning and compensation on, the shipped semantics.
+Likewise the incremental reclusterer must splice to exactly the
 clusters a full Jarvis-Patrick pass would produce, build after build.
 
 Randomized traces exercise every action kind with tiny tables and
@@ -21,11 +24,18 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.clustering import SharedNeighborClustering
 from repro.core.correlator import Action, Correlator, ObservedReference
 from repro.core.hoard import HoardManager, rank_clusters
 from repro.core.parameters import SeerParameters
-from repro.core.persistence import dump_correlator, load_correlator
+from repro.core.persistence import (
+    dump_correlator,
+    load_correlator,
+    restore_correlator,
+)
+from repro.fs.paths import directory_distance
 from repro.simulation.serde import canonical_bytes, payload_fingerprint
+from tests.oracle.engine import oracle_correlator
 
 PIDS = [1, 2, 3]
 PATHS = ["/p/a", "/p/b", "/p/c", "/q/d", "/q/e", "/r/f"]
@@ -57,7 +67,15 @@ def events(draw):
     return (kind, pid, path, path2, ppid)
 
 
-streams = st.lists(events(), min_size=1, max_size=150)
+#: At least 30 events: hypothesis favours short lists, and with every
+#: stream of a handful of events the tables never fill and no entry
+#: ages out of the window, so eviction and compensation never fire.
+streams = st.lists(events(), min_size=30, max_size=150)
+
+#: Chunks between recluster builds keep the short lower bound: a chunk
+#: of a few events leaves an empty or small dirty set, which is what
+#: exercises the reuse path and partial-region splices.
+recluster_chunks = st.lists(events(), min_size=1, max_size=150)
 
 parameter_sets = st.builds(
     SeerParameters,
@@ -66,8 +84,6 @@ parameter_sets = st.builds(
     compensation_distance=st.integers(min_value=3, max_value=10),
     aging_threshold=st.sampled_from([5, 40, 5000]),
     delete_delay=st.sampled_from([0, 2, 50]),
-    prune_lookback=st.booleans(),
-    emit_compensation=st.booleans(),
 )
 
 
@@ -108,9 +124,9 @@ def assert_same_clusters(ours, theirs):
 
 
 def both_modes(stream, parameters):
-    fast = ingest(stream, parameters.with_changes(columnar_ingest=True))
-    reference = ingest(stream,
-                       parameters.with_changes(columnar_ingest=False))
+    fast = ingest(stream, parameters)
+    reference = ingest(stream, None,
+                       correlator=oracle_correlator(parameters))
     return fast, reference
 
 
@@ -182,9 +198,10 @@ def test_kill_resume_round_trip(stream, split):
 
     Per-process streams are deliberately not persisted, so a resumed
     run is not compared against an uninterrupted one; instead both
-    engines are resumed from the *same* serialized snapshot and must
-    agree with each other from there on -- including on whichever of
-    them produced the snapshot.
+    engines are resumed from the *same* serialized snapshot (the
+    oracle through :func:`restore_correlator`) and must agree with
+    each other from there on -- including on whichever of them
+    produced the snapshot.
     """
     parameters = SeerParameters(
         max_neighbors=3, lookback_window=5, compensation_distance=5,
@@ -192,13 +209,12 @@ def test_kill_resume_round_trip(stream, split):
     cut = max(1, int(len(stream) * split))
     first, second = stream[:cut], stream[cut:]
 
-    fast = ingest(first, parameters.with_changes(columnar_ingest=True))
+    fast = ingest(first, parameters)
     snapshot = json.loads(json.dumps(dump_correlator(fast)))
 
-    resumed_fast = load_correlator(
-        snapshot, parameters=parameters.with_changes(columnar_ingest=True))
-    resumed_reference = load_correlator(
-        snapshot, parameters=parameters.with_changes(columnar_ingest=False))
+    resumed_fast = load_correlator(snapshot, parameters=parameters)
+    resumed_reference = restore_correlator(oracle_correlator(parameters),
+                                           snapshot)
     assert_same_persistent_state(resumed_fast, resumed_reference)
 
     ingest(second, None, correlator=resumed_fast, start_seq=cut)
@@ -211,32 +227,37 @@ def test_kill_resume_round_trip(stream, split):
 
 
 @settings(max_examples=25, deadline=None)
-@given(chunks=st.lists(streams, min_size=2, max_size=4),
+@given(chunks=st.lists(recluster_chunks, min_size=2, max_size=4),
        excludes=st.lists(
            st.frozensets(st.sampled_from(PATHS), max_size=2),
            min_size=4, max_size=4))
 def test_incremental_recluster_matches_full(chunks, excludes):
     """Interleaved builds: splice output == full-pass output, every time.
 
-    The exclude set changes between builds, exercising the
+    Each build is compared with a from-scratch Jarvis-Patrick pass over
+    the same correlator's neighbor lists, filtered by the same exclude
+    set.  The exclude set changes between builds, exercising the
     exclusion-delta dirtying; the streams carry renames and deletes,
     exercising removal/rekey dirtying.
     """
     parameters = SeerParameters(
         max_neighbors=3, lookback_window=6, compensation_distance=6,
         kn=2, kf=1, delete_delay=2)
-    incremental = Correlator(
-        parameters.with_changes(incremental_recluster=True))
-    full = Correlator(
-        parameters.with_changes(incremental_recluster=False))
+    incremental = Correlator(parameters)
     start = 0
     for index, chunk in enumerate(chunks):
         ingest(chunk, None, correlator=incremental, start_seq=start)
-        ingest(chunk, None, correlator=full, start_seq=start)
         start += len(chunk)
-        exclude = set(excludes[index % len(excludes)]) or None
-        assert_same_clusters(incremental.build_clusters(exclude=exclude),
-                             full.build_clusters(exclude=exclude))
+        exclude = set(excludes[index % len(excludes)]) or set()
+        neighbor_lists = {
+            file: neighbors - exclude
+            for file, neighbors in incremental.store.neighbor_lists().items()
+            if file not in exclude}
+        full = SharedNeighborClustering(
+            neighbor_lists, parameters=parameters,
+            directory_distance=directory_distance).cluster()
+        assert_same_clusters(
+            incremental.build_clusters(exclude=exclude or None), full)
     # At least one build after the first should have been a splice.
     if len(chunks) > 1:
         assert incremental.metrics.counter("recluster.incremental_builds") \

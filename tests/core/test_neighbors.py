@@ -1,12 +1,17 @@
-"""Tests for the bounded neighbor tables (paper section 3.1.3)."""
+"""Tests for the bounded neighbor tables (paper section 3.1.3).
+
+They run against the per-entry transcription kept as the test oracle
+(``tests/oracle/neighbors.py``); the shipped arena is held to the same
+behaviour by the differential suite in ``tests/core/test_equivalence.py``.
+"""
 
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.neighbors import NeighborStore, NeighborTable
 from repro.core.parameters import SeerParameters
+from tests.oracle.neighbors import NeighborStore, NeighborTable
 
 
 def params(**overrides):
