@@ -15,6 +15,7 @@ from repro.core.clustering import ClusterSet, Relation
 from repro.core.correlator import Correlator, ObservedReference
 from repro.core.hoard import HoardManager, HoardSelection, MissLog, MissSeverity
 from repro.core.parameters import DEFAULT_PARAMETERS, SeerParameters
+from repro.fs import FileSystemError
 from repro.observer.control_file import ControlConfig
 from repro.observer.filters import MeaninglessStrategy
 from repro.observer.observer import Observer
@@ -175,7 +176,7 @@ class Seer:
             if filesystem is not None:
                 try:
                     node = filesystem.stat(path, follow_symlinks=False)
-                except Exception:
+                except FileSystemError:
                     node = None
                 if node is not None:
                     return 0 if node.kind.takes_no_space else node.size

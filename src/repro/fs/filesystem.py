@@ -109,11 +109,17 @@ class FileSystem:
     All paths passed to methods must be absolute; relative-path
     handling (per-process working directories) lives in the kernel
     layer, mirroring the real division of labour.
+
+    Successful lookups are memoized per ``(path, follow_symlinks)``.
+    Every method that changes the tree's shape (``mkdir``, ``create``,
+    ``unlink``, ``rmdir``, ``rename``) clears the memo; ``write`` edits
+    the inode in place and keeps it.  Failed lookups are not cached.
     """
 
     def __init__(self) -> None:
         self._root = Inode.directory()
         self._clock = 0.0
+        self._resolved: Dict[Tuple[str, bool], Inode] = {}
 
     # ------------------------------------------------------------------
     # time
@@ -125,14 +131,21 @@ class FileSystem:
     # ------------------------------------------------------------------
     # lookup
     # ------------------------------------------------------------------
-    def _lookup(self, path: str, follow_symlinks: bool = True, _depth: int = 0) -> Inode:
-        if _depth > _MAX_SYMLINK_DEPTH:
+    def _lookup(self, path: str, follow_symlinks: bool = True) -> Inode:
+        key = (path, follow_symlinks)
+        node = self._resolved.get(key)
+        if node is None:
+            node = self._resolved[key] = self._resolve(path, follow_symlinks, 0)
+        return node
+
+    def _resolve(self, path: str, follow_symlinks: bool, depth: int) -> Inode:
+        if depth > _MAX_SYMLINK_DEPTH:
             raise SymlinkLoop(path)
         node = self._root
         components = paths.split_components(paths.normalize(path))
         for index, component in enumerate(components):
             if node.kind is FileKind.SYMLINK:
-                node = self._lookup(node.link_target or "/", _depth=_depth + 1)
+                node = self._resolve(node.link_target or "/", True, depth + 1)
             if node.kind is not FileKind.DIRECTORY:
                 raise NotADirectory("/" + "/".join(components[: index + 1]))
             assert node.children is not None
@@ -141,7 +154,7 @@ class FileSystem:
                 raise NotFound("/" + "/".join(components[: index + 1]))
             node = child
         if follow_symlinks and node.kind is FileKind.SYMLINK:
-            return self._lookup(node.link_target or "/", _depth=_depth + 1)
+            return self._resolve(node.link_target or "/", True, depth + 1)
         return node
 
     def _lookup_parent(self, path: str) -> Tuple[Inode, str]:
@@ -196,6 +209,7 @@ class FileSystem:
         if name in parent.children:
             raise AlreadyExists(normalized)
         parent.children[name] = Inode.directory()
+        self._resolved.clear()
 
     def create(self, path: str, size: int = 0, content: Optional[str] = None,
                kind: FileKind = FileKind.REGULAR, link_target: Optional[str] = None,
@@ -221,6 +235,7 @@ class FileSystem:
         if existing is not None:
             node.version = existing.version + 1
         parent.children[name] = node
+        self._resolved.clear()
         return node
 
     def write(self, path: str, size: Optional[int] = None, content: Optional[str] = None) -> None:
@@ -246,6 +261,7 @@ class FileSystem:
         if node.kind is FileKind.DIRECTORY:
             raise IsADirectory(path)
         del parent.children[name]
+        self._resolved.clear()
 
     def rmdir(self, path: str) -> None:
         """Remove an empty directory."""
@@ -259,6 +275,7 @@ class FileSystem:
         if node.children:
             raise FileSystemError(path, f"directory not empty: {path}")
         del parent.children[name]
+        self._resolved.clear()
 
     def rename(self, old_path: str, new_path: str) -> None:
         """Atomically move *old_path* to *new_path* (replacing a file)."""
@@ -274,6 +291,7 @@ class FileSystem:
             raise IsADirectory(new_path)
         del old_parent.children[old_name]
         new_parent.children[new_name] = node
+        self._resolved.clear()
         node.mtime = self._clock
 
     def symlink(self, target: str, link_path: str) -> None:
@@ -298,13 +316,7 @@ class FileSystem:
         symlinks (so it terminates even with cyclic links).
         """
         normalized = paths.normalize(path)
-        node = self._lookup(normalized, follow_symlinks=False)
-        yield normalized, node
-        if node.kind is FileKind.DIRECTORY:
-            assert node.children is not None
-            base = "" if normalized == "/" else normalized
-            for name in sorted(node.children):
-                yield from self.walk(base + "/" + name)
+        yield from _walk(normalized, self._lookup(normalized, follow_symlinks=False))
 
     def iter_files(self, path: str = "/") -> Iterator[Tuple[str, Inode]]:
         """Like :meth:`walk` but restricted to regular files."""
@@ -328,6 +340,16 @@ class FileSystem:
         clone._clock = self._clock
         clone._root = _copy_tree(self._root)
         return clone
+
+
+def _walk(path: str, node: Inode) -> Iterator[Tuple[str, Inode]]:
+    """Depth-first from *node*, reached as *path*, without lookups."""
+    yield path, node
+    if node.kind is FileKind.DIRECTORY:
+        assert node.children is not None
+        base = "" if path == "/" else path
+        for name in sorted(node.children):
+            yield from _walk(base + "/" + name, node.children[name])
 
 
 def _copy_tree(node: Inode) -> Inode:

@@ -12,6 +12,8 @@ from __future__ import annotations
 from typing import List, Tuple
 
 SEPARATOR = "/"
+# A canonical absolute path other than the root ends in none of these.
+_NON_CANONICAL_ENDINGS = ("/", "/.", "/..")
 
 
 def is_absolute(path: str) -> bool:
@@ -34,10 +36,17 @@ def normalize(path: str, cwd: str = SEPARATOR) -> str:
 
     Relative paths are interpreted against *cwd* (itself assumed
     absolute).  ``..`` components are resolved lexically; climbing above
-    the root stays at the root, as on Unix.
+    the root stays at the root, as on Unix.  A path that is already
+    canonical -- almost every path the observer sees -- comes back
+    unchanged after a few substring tests.
     """
     if not is_absolute(path):
         path = cwd.rstrip(SEPARATOR) + SEPARATOR + path
+    if path == SEPARATOR or (
+            path.startswith(SEPARATOR) and "//" not in path
+            and "/./" not in path and "/../" not in path
+            and not path.endswith(_NON_CANONICAL_ENDINGS)):
+        return path
     resolved: List[str] = []
     for part in split_components(path):
         if part == "..":
@@ -92,8 +101,9 @@ def directory_distance(path_a: str, path_b: str) -> int:
     between the two containing directories (the standard tree distance):
     ``/a/b/x`` vs ``/a/b/y`` -> 0, ``/a/b/x`` vs ``/a/c/y`` -> 2.
     """
-    dir_a = split_components(dirname(normalize(path_a)))
-    dir_b = split_components(dirname(normalize(path_b)))
+    # A normalized path splits as ["", dir..., name]; the root as ["", ""].
+    dir_a = normalize(path_a).split(SEPARATOR)[1:-1]
+    dir_b = normalize(path_b).split(SEPARATOR)[1:-1]
     common = 0
     for part_a, part_b in zip(dir_a, dir_b):
         if part_a != part_b:

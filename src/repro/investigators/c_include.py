@@ -16,6 +16,7 @@ import re
 from typing import List, Optional, Sequence
 
 from repro.core.clustering import Relation
+from repro.fs import FileSystemError
 from repro.fs.paths import dirname, join, normalize, split_extension
 from repro.investigators.base import Investigator
 
@@ -52,7 +53,7 @@ class CIncludeInvestigator(Investigator):
     def _includes_of(self, path: str) -> List[str]:
         try:
             node = self.fs.stat(path)
-        except Exception:
+        except FileSystemError:
             return []
         if not node.content:
             return []

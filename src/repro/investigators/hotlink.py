@@ -15,6 +15,7 @@ import re
 from typing import List, Optional
 
 from repro.core.clustering import Relation
+from repro.fs import FileSystemError
 from repro.fs.paths import dirname, join, normalize, split_extension
 from repro.investigators.base import Investigator
 
@@ -44,7 +45,7 @@ class HotLinkInvestigator(Investigator):
     def _links_of(self, path: str) -> List[str]:
         try:
             node = self.fs.stat(path)
-        except Exception:
+        except FileSystemError:
             return []
         if not node.content:
             return []

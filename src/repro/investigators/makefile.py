@@ -15,6 +15,7 @@ import re
 from typing import Dict, List, Set
 
 from repro.core.clustering import Relation
+from repro.fs import FileSystemError
 from repro.fs.paths import basename, dirname, join, normalize
 from repro.investigators.base import Investigator
 
@@ -83,7 +84,7 @@ class MakefileInvestigator(Investigator):
     def _project_members(self, makefile_path: str) -> Set[str]:
         try:
             node = self.fs.stat(makefile_path)
-        except Exception:
+        except FileSystemError:
             return set()
         if not node.content:
             return set()

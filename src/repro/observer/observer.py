@@ -16,13 +16,13 @@ Responsibilities (paper sections 2 and 4):
 
 from __future__ import annotations
 
+import copy
 from collections import Counter
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Set, Tuple
 
 from repro.core.correlator import Action, ObservedReference
 from repro.core.parameters import DEFAULT_PARAMETERS, SeerParameters
-from repro.fs import FileKind, FileSystem
+from repro.fs import FileKind, FileSystem, FileSystemError
 from repro.fs.paths import normalize
 from repro.observer.control_file import ControlConfig
 from repro.observer.filters import (
@@ -51,7 +51,9 @@ class Observer:
                  on_failed_access: Optional[FailedAccessCallback] = None,
                  process_table: Optional["ProcessTable"] = None) -> None:
         self._handler = handler
-        self._control = control if control is not None else ControlConfig()
+        # A private copy: the control file is read once, so a verdict
+        # computed for a path holds for the observer's lifetime.
+        self._control = copy.deepcopy(control) if control is not None else ControlConfig()
         self._parameters = parameters
         self._fs = filesystem
         self._on_failed_access = on_failed_access
@@ -67,6 +69,7 @@ class Observer:
         self.frequent = FrequentFileDetector(parameters)
 
         self._cwd: Dict[int, str] = {}
+        self._verdicts: Dict[str, Tuple[bool, bool, bool]] = {}
         self._forwarded_fds: Dict[Tuple[int, int], str] = {}
         self.critical_seen: Set[str] = set()
         self.nonfiles_seen: Set[str] = set()
@@ -176,10 +179,11 @@ class Observer:
             return
         path = self._absolutize(record.pid, record.path)
         self.meaningless.on_exit(record.pid)   # fresh counters post-exec
-        if self._control.is_transient(path):
+        transient, _, critical = self._control_verdicts(path)
+        if transient:
             self.drops["transient"] += 1
             return
-        if self._control.is_critical(path):
+        if critical:
             self.critical_seen.add(path)
             self.drops["critical"] += 1
             return
@@ -194,7 +198,7 @@ class Observer:
         self.getcwd.on_other_activity(record.pid)
         old = self._absolutize(record.pid, record.path)
         new = self._absolutize(record.pid, record.path2)
-        if self._control.is_transient(old) and self._control.is_transient(new):
+        if self._control_verdicts(old)[0] and self._control_verdicts(new)[0]:
             self.drops["transient"] += 1
             return
         if self._is_filtered_process(record):
@@ -216,14 +220,15 @@ class Observer:
             return None
         path = self._absolutize(record.pid, record.path)
         self.meaningless.on_file_access(record.pid, record.program)
-        if self._control.is_transient(path):
+        transient, ignored, critical = self._control_verdicts(path)
+        if transient:
             self.drops["transient"] += 1
             return None
-        if self._control.is_ignored_object(path):
+        if ignored:
             self.nonfiles_seen.add(path)
             self.drops["ignored-object"] += 1
             return None
-        if self._control.is_critical(path):
+        if critical:
             self.critical_seen.add(path)
             self.drops["critical"] += 1
             return None
@@ -262,12 +267,23 @@ class Observer:
             self._cwd[pid] = cwd
         return normalize(path, cwd=cwd)
 
+    def _control_verdicts(self, path: str) -> Tuple[bool, bool, bool]:
+        """(transient, ignored object, critical) for an absolute *path*,
+        computed once per path against the private control copy."""
+        verdicts = self._verdicts.get(path)
+        if verdicts is None:
+            control = self._control
+            verdicts = self._verdicts[path] = (
+                control.is_transient(path), control.is_ignored_object(path),
+                control.is_critical(path))
+        return verdicts
+
     def _kind_of(self, path: str) -> Optional[FileKind]:
         if self._fs is None:
             return None
         try:
             return self._fs.stat(path, follow_symlinks=False).kind
-        except Exception:
+        except FileSystemError:
             return None
 
     def _forward(self, record: TraceRecord, action: Action,

@@ -258,7 +258,7 @@ class ReplicationSystem(abc.ABC):
     def _server_node(self, path: str):
         try:
             node = self.server.stat(path, follow_symlinks=False)
-        except Exception:
+        except FileSystemError:
             return None
         return node
 

@@ -15,7 +15,7 @@ import enum
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.fs import FileSystem
+from repro.fs import FileSystem, FileSystemError
 from repro.replication.base import ConflictRecord, ReplicationSystem
 
 
@@ -78,7 +78,7 @@ class LittleWork(ReplicationSystem):
         if self.connected:
             try:
                 self.server.unlink(path)
-            except Exception:
+            except FileSystemError:
                 pass
         else:
             self.log.append(LogEntry(

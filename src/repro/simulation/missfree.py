@@ -25,6 +25,7 @@ from repro.baselines.optimal import working_set_size
 from repro.core.hoard import HoardManager
 from repro.core.parameters import SeerParameters
 from repro.core.seer import Seer
+from repro.fs import FileSystemError
 from repro.investigators import (
     CIncludeInvestigator,
     Investigator,
@@ -167,7 +168,7 @@ def _is_relevant_reference(record: TraceRecord, trace: GeneratedTrace,
         return False
     try:
         node = trace.kernel.fs.stat(path, follow_symlinks=False)
-    except Exception:
+    except FileSystemError:
         return True   # deleted since: still a real file reference
     return node.kind.value == "regular"
 

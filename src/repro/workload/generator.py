@@ -18,6 +18,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro.fs import FileSystemError
 from repro.kernel import Kernel
 from repro.kernel.process import Process
 from repro.tracing.events import TraceRecord
@@ -63,7 +64,7 @@ class GeneratedTrace:
     def size_of(self, path: str) -> int:
         try:
             node = self.kernel.fs.stat(path, follow_symlinks=False)
-        except Exception:
+        except FileSystemError:
             return 0
         return 0 if node.kind.takes_no_space else node.size
 

@@ -1,7 +1,7 @@
 """Tests for the in-memory filesystem substrate."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.fs import (
     FileKind,
@@ -212,6 +212,136 @@ class TestSnapshot:
         fs.create("/home/u/a")
         fs.write("/home/u/a", size=5)
         assert fs.snapshot().stat("/home/u/a").version == 1
+
+
+class TestLookupMemo:
+    """Lookups are memoized; every shape change must drop what it stales."""
+
+    def test_unlink_forgets_memoized_path(self, fs):
+        fs.create("/home/u/a")
+        fs.stat("/home/u/a")
+        fs.unlink("/home/u/a")
+        with pytest.raises(NotFound):
+            fs.stat("/home/u/a")
+
+    def test_rename_forgets_memoized_source(self, fs):
+        node = fs.create("/home/u/a", size=5)
+        fs.stat("/home/u/a")
+        fs.rename("/home/u/a", "/tmp/b")
+        with pytest.raises(NotFound):
+            fs.stat("/home/u/a")
+        assert fs.stat("/tmp/b") is node
+
+    def test_rmdir_forgets_memoized_directory(self, fs):
+        fs.mkdir("/home/u/d")
+        fs.stat("/home/u/d")
+        fs.rmdir("/home/u/d")
+        with pytest.raises(NotFound):
+            fs.stat("/home/u/d")
+
+    def test_create_over_memoized_path_returns_new_inode(self, fs):
+        old = fs.create("/home/u/a", size=5)
+        assert fs.stat("/home/u/a") is old
+        new = fs.create("/home/u/a", size=7)
+        assert fs.stat("/home/u/a") is new
+        assert new.version == old.version + 1
+
+    def test_mkdir_over_removed_memoized_directory_returns_new_inode(self, fs):
+        fs.mkdir("/home/u/d")
+        old = fs.stat("/home/u/d")
+        fs.rmdir("/home/u/d")
+        fs.mkdir("/home/u/d")
+        assert fs.stat("/home/u/d") is not old
+
+    def test_write_keeps_memoized_inode(self, fs):
+        node = fs.create("/home/u/a", size=5)
+        fs.stat("/home/u/a")
+        fs.write("/home/u/a", size=9)
+        assert fs.stat("/home/u/a") is node
+        assert (node.size, node.version) == (9, 1)
+
+    def test_snapshot_resolves_its_own_tree(self, fs):
+        original = fs.create("/home/u/a", size=5)
+        fs.stat("/home/u/a")
+        clone = fs.snapshot()
+        assert clone.stat("/home/u/a") is not original
+        assert clone.stat("/home/u/a").size == 5
+
+
+# Random shape changes over a two-name, three-level namespace.  Most
+# steps name a path that exists at that moment, so renames of whole
+# subtrees, re-creations, symlinked directories, dangling links and
+# loops all occur.
+_tree_path = st.lists(st.sampled_from("ab"), min_size=1, max_size=3).map(
+    lambda parts: "/" + "/".join(parts))
+
+
+def _fs_step(existing):
+    path = st.one_of(st.sampled_from(existing), _tree_path) if existing else _tree_path
+    return st.one_of(
+        st.tuples(st.just("mkdir"), path, st.booleans()),
+        st.tuples(st.just("create"), path, st.integers(0, 9)),
+        st.tuples(st.just("write"), path, st.integers(0, 9)),
+        st.tuples(st.just("unlink"), path),
+        st.tuples(st.just("rmdir"), path),
+        st.tuples(st.just("rename"), path, path),
+        st.tuples(st.just("symlink"), path, path),
+    )
+
+
+_STEPS = {
+    "mkdir": lambda fs, path, parents: fs.mkdir(path, parents=parents),
+    "create": lambda fs, path, size: fs.create(path, size=size),
+    "write": lambda fs, path, size: fs.write(path, size=size),
+    "unlink": FileSystem.unlink,
+    "rmdir": FileSystem.rmdir,
+    "rename": FileSystem.rename,
+    "symlink": FileSystem.symlink,
+}
+
+
+def _lookups(fs, path):
+    """Every lookup-backed answer for *path*: an inode as its facts, a
+    failure as its exception type and path."""
+    def facts(node):
+        return node.kind, node.size, node.version, node.link_target
+
+    queries = (
+        lambda: facts(fs.stat(path)),
+        lambda: facts(fs.stat(path, follow_symlinks=False)),
+        lambda: fs.exists(path),
+        lambda: fs.kind_of(path),
+        lambda: fs.is_directory(path),
+    )
+    answers = []
+    for query in queries:
+        try:
+            answers.append(query())
+        except FileSystemError as error:
+            answers.append((type(error), error.path))
+    return answers
+
+
+class TestLookupMemoDifferential:
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_memoized_lookups_match_a_fresh_snapshot(self, data):
+        fs = FileSystem()
+        seen = {"/"}
+        for _ in range(data.draw(st.integers(1, 30))):
+            existing = [path for path, _ in fs.walk()][1:]
+            name, *args = data.draw(_fs_step(existing))
+            try:
+                _STEPS[name](fs, *args)
+            except FileSystemError:
+                pass
+            seen.update(existing)
+            seen.update(arg for arg in args if isinstance(arg, str))
+            fresh = fs.snapshot()
+            for path in sorted(seen):
+                for spelling in (path, path + "/."):
+                    assert _lookups(fs, spelling) == _lookups(fresh, spelling), \
+                        (name, args, spelling)
 
 
 _names = st.lists(

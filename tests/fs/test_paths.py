@@ -3,7 +3,7 @@
 import string
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.fs import paths
 
@@ -123,3 +123,64 @@ class TestPathProperties:
         bc = paths.directory_distance(b, c)
         ac = paths.directory_distance(a, c)
         assert ac <= ab + bc
+
+
+# ----------------------------------------------------------------------
+# the canonical-path fast path against the loop it short-circuits
+# ----------------------------------------------------------------------
+def reference_normalize(path, cwd="/"):
+    """``normalize`` as it was before the canonical fast path: every
+    input goes through the component loop."""
+    if not path.startswith("/"):
+        path = cwd.rstrip("/") + "/" + path
+    resolved = []
+    for part in path.split("/"):
+        if not part or part == ".":
+            continue
+        if part == "..":
+            if resolved:
+                resolved.pop()
+        else:
+            resolved.append(part)
+    return "/" + "/".join(resolved)
+
+
+def reference_directory_distance(path_a, path_b):
+    dir_a = paths.split_components(paths.dirname(reference_normalize(path_a)))
+    dir_b = paths.split_components(paths.dirname(reference_normalize(path_b)))
+    common = 0
+    for part_a, part_b in zip(dir_a, dir_b):
+        if part_a != part_b:
+            break
+        common += 1
+    return (len(dir_a) - common) + (len(dir_b) - common)
+
+
+# Every component shape the fast path has to tell apart: empty (a
+# doubled or trailing separator), ".", "..", and names that merely
+# start or end with a dot.
+_raw_path = st.builds(
+    lambda lead, parts, trail: lead + "/".join(parts) + trail,
+    st.sampled_from(["", "/"]),
+    st.lists(st.sampled_from(["", ".", "..", "a", ".x", "x."]), max_size=8),
+    st.sampled_from(["", "/"]))
+_canonical_cwd = st.lists(st.sampled_from(["a", ".x", "x."]), max_size=4).map(
+    lambda parts: "/" + "/".join(parts))
+
+
+class TestFastPathMatchesLoop:
+    @given(_raw_path, _canonical_cwd)
+    @settings(max_examples=500)
+    def test_normalize(self, path, cwd):
+        assert paths.normalize(path, cwd) == reference_normalize(path, cwd)
+
+    @given(_raw_path, _raw_path)
+    @settings(max_examples=500)
+    def test_directory_distance(self, a, b):
+        assert paths.directory_distance(a, b) == reference_directory_distance(a, b)
+
+    @pytest.mark.parametrize("path", [
+        "/", "/a", "/a/.x/x.", "/..a", "/a../b", "/.../c",
+    ])
+    def test_canonical_path_returned_as_is(self, path):
+        assert paths.normalize(path) is path

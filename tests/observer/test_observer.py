@@ -261,3 +261,29 @@ class TestExecHandling:
         kernel.close(user, fd)
         assert not observer.meaningless.is_meaningless(user.pid, "bash")
         assert observer.meaningless._history("bash").wrote == 1
+
+
+class TestControlReadOnce:
+    def test_later_edits_to_the_callers_config_change_no_verdict(self):
+        kernel = build_kernel()
+        control = ControlConfig()
+        received = []
+        observer = Observer(handler=received.append, control=control,
+                            filesystem=kernel.fs, process_table=kernel.processes)
+        kernel.add_sink(observer.handle_record)
+        user = kernel.processes.spawn(ppid=1, program="bash", uid=1000,
+                                      cwd="/home/u/proj")
+        kernel.stat(user, "/home/u/proj/main.c")    # a verdict computed before...
+        control.transient_dirs.update({"/home/u/proj", "/bin"})
+        kernel.stat(user, "/home/u/proj/main.c")    # ...and after the edit
+        kernel.open(user, "/home/u/proj/util.c")
+        kernel.exec(user, "/bin/cc")
+        kernel.rename(user, "/home/u/proj/util.c", "/home/u/proj/renamed.c")
+        assert observer.drops["transient"] == 0
+        assert actions(received) == [
+            (Action.STAT, "/home/u/proj/main.c"),
+            (Action.STAT, "/home/u/proj/main.c"),
+            (Action.OPEN, "/home/u/proj/util.c"),
+            (Action.EXEC, "/bin/cc"),
+            (Action.RENAME, "/home/u/proj/util.c"),
+        ]
