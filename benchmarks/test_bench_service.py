@@ -81,7 +81,7 @@ def percentile(samples, fraction):
 
 
 def test_bench_service_load(benchmark, output_dir):
-    daemon = HoardDaemon(shards=4)
+    daemon = HoardDaemon()
 
     elapsed, latencies = benchmark.pedantic(
         lambda: asyncio.run(run_load(daemon)), rounds=1, iterations=1)

@@ -355,10 +355,9 @@ def cmd_service(args) -> int:
     from repro.service.daemon import run_service
     counters = asyncio.run(run_service(
         host=args.host, port=args.port, unix_path=args.unix_socket,
-        shards=args.shards, queue_bound=args.queue_bound,
-        checkpoint_dir=args.checkpoint_dir, store_backend=args.store,
-        resume=args.resume, fault_profile=args.fault_profile,
-        fault_seed=args.fault_seed,
+        queue_bound=args.queue_bound, checkpoint_dir=args.checkpoint_dir,
+        store_backend=args.store, resume=args.resume,
+        fault_profile=args.fault_profile, fault_seed=args.fault_seed,
         max_runtime_seconds=args.max_runtime))
     if args.metrics:
         _print_metrics(counters)
@@ -451,9 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "0 picks a free port)")
     service.add_argument("--unix-socket", metavar="PATH", default=None,
                          help="listen on a unix socket instead of TCP")
-    service.add_argument("--shards", type=int, default=4,
-                         help="worker tasks tenants are sharded across "
-                              "(default 4)")
     service.add_argument("--queue-bound", type=int, default=1024,
                          help="per-tenant inbox bound; a full inbox "
                               "backpressures the client's socket "

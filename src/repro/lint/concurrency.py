@@ -123,7 +123,7 @@ def _call_leaf(node: ast.Call) -> Optional[str]:
 class BlockingInEventLoop(ProjectRule):
     """Sync I/O on the event loop stalls every tenant at once.
 
-    The daemon's actors, shard workers and connection handlers all
+    The daemon's actors, drain tasks and connection handlers all
     share one event loop; a single ``StateStore.put`` against a cold
     disk inside a coroutine freezes the whole service for its duration
     (the incident class the IO-executor refactor in
@@ -524,9 +524,9 @@ class OrphanedTask(Rule):
     ``create_task`` result that is neither retained nor awaited can be
     garbage-collected mid-flight, and if it raises, the exception
     surfaces (at best) as a "Task exception was never retrieved" log
-    line long after the cause.  The daemon retains every worker task in
-    ``self._workers`` and every connection task in a set for exactly
-    this reason -- this rule keeps it that way.  TaskGroup-style
+    line long after the cause.  The daemon retains every tenant's drain
+    task in ``self._workers`` and every connection task in a set for
+    exactly this reason -- this rule keeps it that way.  TaskGroup-style
     receivers (``tg``, ``task_group``, ...) supervise their children
     and are exempt.
     """

@@ -21,9 +21,10 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional
 
 from repro.observability.registry import (
+    DERIVED_SUFFIXES,
     UnregisteredMetricError,
     is_registered,
     sort_metric_names,
@@ -158,18 +159,19 @@ class Metrics:
             timer.total_seconds += seconds
             timer.last_seconds = seconds
 
-    def absorb_counters(self, snapshot: Dict[str, float],
-                        skip_suffixes: Tuple[str, ...] = ()) -> None:
+    def absorb_counters(self, snapshot: Dict[str, float]) -> None:
         """Sum another registry's counters into this one.
 
         *snapshot* is a :meth:`snapshot` mapping, possibly produced in
         a different process.  Span and timer derivatives (rates, means)
-        are not meaningful to add, so callers pass their suffixes via
-        *skip_suffixes* and only the plain counters are merged.
+        are not meaningful to add, so keys ending in one of the
+        :data:`~repro.observability.registry.DERIVED_SUFFIXES` that
+        :meth:`snapshot` writes are skipped and only the plain counters
+        are merged.
         """
         with self._lock:
             for name, value in snapshot.items():
-                if any(name.endswith(suffix) for suffix in skip_suffixes):
+                if name.endswith(DERIVED_SUFFIXES):
                     continue
                 if isinstance(value, bool) or \
                         not isinstance(value, (int, float)):

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 __all__ = [
+    "DERIVED_SUFFIXES",
     "MetricSpec",
     "METRICS",
     "UnregisteredMetricError",
@@ -193,7 +194,7 @@ METRICS: Tuple[MetricSpec, ...] = (
 )
 
 #: Suffixes Metrics.snapshot() appends to span/timer base names.
-_DERIVED_SUFFIXES: Tuple[str, ...] = (
+DERIVED_SUFFIXES: Tuple[str, ...] = (
     ".count", ".seconds", ".per_second",
     ".calls", ".total_seconds", ".mean_seconds",
 )
@@ -221,7 +222,7 @@ class UnregisteredMetricError(ValueError):
 
 def _base_name(name: str) -> str:
     """Strip a snapshot-derived suffix, if present."""
-    for suffix in _DERIVED_SUFFIXES:
+    for suffix in DERIVED_SUFFIXES:
         if name.endswith(suffix):
             base = name[: -len(suffix)]
             if base:

@@ -5,8 +5,8 @@ same pipeline runs *online*: a :class:`~repro.service.daemon.HoardDaemon`
 accepts classified trace references from many concurrent clients over
 a newline-delimited-JSON protocol (``docs/service.md``), maintains one
 correlator + clustering state per tenant behind an actor-per-tenant
-model sharded across a bounded worker pool, and answers ``hoard_fill``
-and ``stats`` requests against the live state.
+model with one drain task per tenant, and answers ``hoard_fill`` and
+``stats`` requests against the live state.
 
 The split follows the paper's own architecture: SEER's observer is the
 kernel-resident component on each client machine, while the correlator

@@ -9,10 +9,11 @@ model (docs/service.md):
   of a tenant's work (event batches, ``hoard_fill``, ``stats``,
   ``checkpoint``) flows through that one queue in arrival order, so
   per-tenant processing is strictly serial and needs no locks;
-* **bounded worker pool** -- tenants are sharded by ``crc32(tenant)``
-  onto a fixed set of shard workers.  A tenant is scheduled on its
-  shard's run queue only while its inbox is non-empty and is never on
-  the run queue twice, so exactly one worker ever touches an actor;
+* **one drain task per tenant** -- each actor's inbox is drained by
+  its own task, started when the actor is registered, so exactly one
+  task ever touches an actor.  The task yields to the event loop after
+  every item, so ready tenants take turns one item at a time, and a
+  ``checkpoint``'s disk write holds up only its own tenant;
 * **backpressure** -- when a tenant's inbox is at its bound the
   connection handler blocks in ``put()``, which stops reading that
   client's socket; TCP flow control pushes the stall back to the
@@ -39,7 +40,6 @@ from __future__ import annotations
 import asyncio
 import sys
 import time
-import zlib
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
@@ -62,7 +62,6 @@ from repro.observability import Metrics
 from repro.service import protocol
 from repro.service.tenant import (
     CheckpointRequest,
-    DrainBarrier,
     EventBatch,
     FillRequest,
     InboxItem,
@@ -71,16 +70,8 @@ from repro.service.tenant import (
 )
 from repro.simulation.store import StateStore, open_store
 
-#: Items one worker visit drains from an actor's inbox before yielding
-#: the shard to its next ready tenant.
-MAX_BATCH_PER_VISIT = 256
-
 #: Request latency samples retained for the percentile report.
 LATENCY_SAMPLES = 4096
-
-#: Snapshot suffixes that are not plain counters (runner convention).
-_NON_COUNTER_SUFFIXES = (".count", ".seconds", ".per_second", ".calls",
-                         ".total_seconds", ".mean_seconds")
 
 _T = TypeVar("_T")
 
@@ -98,18 +89,15 @@ class HoardDaemon:
     """The serving layer over per-tenant correlator + clustering state."""
 
     def __init__(self, parameters: SeerParameters = DEFAULT_PARAMETERS,
-                 shards: int = 4, queue_bound: int = 1024,
+                 queue_bound: int = 1024,
                  checkpoint_dir: Optional[str] = None,
                  store_backend: str = "json", resume: bool = True,
                  fault_profile: Union[FaultProfile, str, None] = None,
                  fault_seed: int = 0,
                  metrics: Optional[Metrics] = None) -> None:
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
         if queue_bound < 1:
             raise ValueError("queue_bound must be >= 1")
         self.parameters = parameters
-        self.shards = shards
         self.queue_bound = queue_bound
         self.checkpoint_dir = checkpoint_dir
         self.store_backend = store_backend
@@ -127,7 +115,6 @@ class HoardDaemon:
                                            metrics=self.metrics)
         self._fault_profile = fault_profile
         self._actors: Dict[str, TenantActor] = {}
-        self._run_queues: List["asyncio.Queue[TenantActor]"] = []
         self._workers: List["asyncio.Task[None]"] = []
         self._connections: Set["asyncio.Task[None]"] = set()
         self._server: Optional[asyncio.AbstractServer] = None
@@ -149,12 +136,12 @@ class HoardDaemon:
     # ------------------------------------------------------------------
     async def start(self, host: str = "127.0.0.1", port: int = 0,
                     unix_path: Optional[str] = None) -> None:
-        """Open the checkpoint store, spawn workers, begin listening.
+        """Open the checkpoint store and begin listening.
 
         A failure partway through (store directory unusable, socket
-        already bound) unwinds everything acquired so far -- workers,
-        store, IO thread -- so a caller that catches the error holds a
-        daemon with no live resources and may retry ``start``.
+        already bound) unwinds everything acquired so far -- store, IO
+        thread -- so a caller that catches the error holds a daemon
+        with no live resources and may retry ``start``.
         """
         if self._server is not None:
             raise RuntimeError("daemon already started")
@@ -163,12 +150,6 @@ class HoardDaemon:
         try:
             if self.checkpoint_dir is not None:
                 self._store = await self._store_call(self._open_store)
-            self._run_queues = [asyncio.Queue()
-                                for _ in range(self.shards)]
-            self._workers = [
-                asyncio.get_running_loop().create_task(
-                    self._worker(run_queue), name=f"hoard-shard-{index}")
-                for index, run_queue in enumerate(self._run_queues)]
             if unix_path is not None:
                 self._unix_path = unix_path
                 self._server = await asyncio.start_unix_server(
@@ -179,13 +160,6 @@ class HoardDaemon:
                     self._on_connection, host=host, port=port,
                     limit=protocol.MAX_LINE_BYTES)
         except BaseException:
-            for worker in self._workers:
-                worker.cancel()
-            if self._workers:
-                await asyncio.gather(*self._workers,
-                                     return_exceptions=True)
-            self._workers = []
-            self._run_queues = []
             await self._store_call(self._close_store)
             if self._io is not None:
                 self._io.shutdown(wait=True)
@@ -268,11 +242,8 @@ class HoardDaemon:
         store.close()
 
     # ------------------------------------------------------------------
-    # actors and sharding
+    # actors and their drain tasks
     # ------------------------------------------------------------------
-    def _shard_of(self, tenant: str) -> int:
-        return zlib.crc32(tenant.encode("utf-8")) % self.shards
-
     def _spec_for(self, tenant: str) -> Any:
         """Checkpoint-store key: a service-kind shard spec carrying the
         daemon's complete parameter set, so a restart under different
@@ -294,13 +265,16 @@ class HoardDaemon:
 
     def _register_actor(self, tenant: str,
                         entry: Optional[Any]) -> TenantActor:
-        """Create a tenant's actor, restoring from *entry* if given."""
+        """Create a tenant's actor, restoring from *entry* if given,
+        and start its drain task."""
         actor = TenantActor(tenant, parameters=self.parameters,
                             queue_bound=self.queue_bound)
         if entry is not None:
             actor.load_state(entry.result)
             self.metrics.incr("service.tenants_restored")
         self._actors[tenant] = actor
+        self._workers.append(asyncio.get_running_loop().create_task(
+            self._drain(actor), name=f"hoard-tenant-{tenant}"))
         self.metrics.incr("service.tenants")
         return actor
 
@@ -308,7 +282,8 @@ class HoardDaemon:
         """Get or lazily create (and maybe restore) a tenant's actor.
 
         Synchronous variant for embedders and tests driving the daemon
-        without a running server; request dispatch uses
+        without a running server (it still needs a running event loop,
+        which hosts the actor's drain task); request dispatch uses
         :meth:`_actor_for`, which reads the checkpoint store on the IO
         thread instead of blocking the event loop.
         """
@@ -348,44 +323,22 @@ class HoardDaemon:
             self.metrics.incr("service.queue_high_water",
                               depth - self._queue_high_water)
             self._queue_high_water = depth
-        if not actor.scheduled:
-            actor.scheduled = True
-            self._run_queues[self._shard_of(actor.tenant)].put_nowait(actor)
 
-    async def _worker(self, run_queue: "asyncio.Queue[TenantActor]") -> None:
-        """One shard worker: serve ready tenants, one at a time."""
+    async def _drain(self, actor: TenantActor) -> None:
+        """An actor's drain task: serve its inbox one item per turn."""
         while True:
-            actor = await run_queue.get()
+            item = await actor.inbox.get()
             started = time.perf_counter()
-            for _ in range(MAX_BATCH_PER_VISIT):
-                try:
-                    item = actor.inbox.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                try:
-                    if isinstance(item, CheckpointRequest):
-                        # The only inbox item that touches the store;
-                        # it awaits the IO thread, so it is handled
-                        # here rather than in the sync _process.  The
-                        # actor stays owned by this worker across the
-                        # await (scheduled=True prevents requeueing).
-                        await self._handle_checkpoint(actor, item)
-                    else:
-                        self._process(actor, item)
-                finally:
-                    actor.inbox.task_done()
+            try:
+                await self._process(actor, item)
+            finally:
+                actor.inbox.task_done()
             actor.busy_seconds += time.perf_counter() - started
-            # No await separates the emptiness check from the flag
-            # update, so a producer cannot observe a half-descheduled
-            # actor: it either sees scheduled=True (we requeued) or a
-            # consistent idle actor it may schedule itself.
-            if not actor.inbox.empty():
-                run_queue.put_nowait(actor)
-            else:
-                actor.scheduled = False
+            # get() does not yield while items remain, so without this
+            # one tenant's backlog would run before any other tenant's.
             await asyncio.sleep(0)
 
-    def _process(self, actor: TenantActor, item: InboxItem) -> None:
+    async def _process(self, actor: TenantActor, item: InboxItem) -> None:
         if isinstance(item, EventBatch):
             before = actor.duplicates_dropped
             applied = actor.apply(item)
@@ -400,23 +353,11 @@ class HoardDaemon:
         try:
             if isinstance(item, FillRequest):
                 self.metrics.incr("service.fill_requests")
-                future.set_result(actor.hoard_fill(item))
+                result = actor.hoard_fill(item)
             elif isinstance(item, StatsRequest):
-                future.set_result(actor.stats())
-            elif isinstance(item, DrainBarrier):
-                future.set_result({})
-        except Exception as error:   # surfaced to the requester
-            if not future.done():
-                future.set_exception(error)
-
-    async def _handle_checkpoint(self, actor: TenantActor,
-                                 item: CheckpointRequest) -> None:
-        """Serve one CheckpointRequest via the IO thread."""
-        future = item.future
-        if future.done():
-            return   # requester went away (cancelled connection)
-        try:
-            result = await self._store_call(self._checkpoint, actor)
+                result = actor.stats()
+            else:
+                result = await self._store_call(self._checkpoint, actor)
         except Exception as error:   # surfaced to the requester
             if not future.done():
                 future.set_exception(error)
@@ -531,8 +472,7 @@ class HoardDaemon:
             return protocol.response("pong", message)
         if kind == "hello":
             return protocol.response("welcome", message,
-                                     server="repro-hoard-daemon",
-                                     shards=self.shards)
+                                     server="repro-hoard-daemon")
         tenant = protocol.validate_tenant(message.get("tenant"))
         actor = await self._actor_for(tenant)
         if kind == "events":
@@ -590,12 +530,10 @@ class HoardDaemon:
         while their actors may still be recording.
         """
         merged = Metrics(strict=False)
-        merged.absorb_counters(self.metrics.snapshot(),
-                               skip_suffixes=_NON_COUNTER_SUFFIXES)
+        merged.absorb_counters(self.metrics.snapshot())
         for tenant in sorted(self._actors):
             merged.absorb_counters(
-                self._actors[tenant].pipeline_metrics.snapshot(),
-                skip_suffixes=_NON_COUNTER_SUFFIXES)
+                self._actors[tenant].pipeline_metrics.snapshot())
         return dict(merged.counters)
 
 
@@ -636,7 +574,7 @@ def _optional_sizes(message: Dict[str, Any]) -> Optional[Dict[str, int]]:
 # ----------------------------------------------------------------------
 async def run_service(host: str = "127.0.0.1", port: int = 0,
                       unix_path: Optional[str] = None,
-                      shards: int = 4, queue_bound: int = 1024,
+                      queue_bound: int = 1024,
                       checkpoint_dir: Optional[str] = None,
                       store_backend: str = "json", resume: bool = True,
                       fault_profile: Optional[str] = None,
@@ -649,15 +587,14 @@ async def run_service(host: str = "127.0.0.1", port: int = 0,
     Returns the final combined counter snapshot so the CLI can honour
     ``--metrics`` after the daemon has already shut down.
     """
-    daemon = HoardDaemon(parameters=parameters, shards=shards,
-                         queue_bound=queue_bound,
+    daemon = HoardDaemon(parameters=parameters, queue_bound=queue_bound,
                          checkpoint_dir=checkpoint_dir,
                          store_backend=store_backend, resume=resume,
                          fault_profile=fault_profile,
                          fault_seed=fault_seed)
     await daemon.start(host=host, port=port, unix_path=unix_path)
     print(f"hoard daemon listening on {daemon.address} "
-          f"({shards} shard workers, queue bound {queue_bound})",
+          f"(queue bound {queue_bound})",
           file=sys.stderr)
     loop = asyncio.get_running_loop()
     done = asyncio.Event()

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.clustering import ClusterSet
@@ -134,12 +135,17 @@ def reference_from_wire(data: object) -> ObservedReference:
         raise ProtocolError("bad-event",
                             f"event must be a 7-element array, got {data!r}")
     seq, time, pid, action, path, path2, ppid = data
-    if not isinstance(seq, int) or not isinstance(pid, int) or \
-            not isinstance(ppid, int):
+    # bool is an int subclass, so an exact type test keeps True out.
+    if type(seq) is not int or type(pid) is not int or \
+            type(ppid) is not int:
         raise ProtocolError("bad-event",
                             f"seq/pid/ppid must be integers in {data!r}")
-    if not isinstance(time, (int, float)) or isinstance(time, bool):
-        raise ProtocolError("bad-event", f"time must be a number in {data!r}")
+    # NaN and the infinities, which json.loads accepts, and integers
+    # too large for a float all fail the range test.
+    if not isinstance(time, (int, float)) or isinstance(time, bool) or \
+            not -sys.float_info.max <= time <= sys.float_info.max:
+        raise ProtocolError("bad-event",
+                            f"time must be a finite number in {data!r}")
     if not isinstance(path, str) or not isinstance(path2, str):
         raise ProtocolError("bad-event", f"paths must be strings in {data!r}")
     try:

@@ -3,8 +3,8 @@
 One :class:`TenantActor` owns one tenant's entire pipeline: a
 :class:`~repro.core.correlator.Correlator` (the PR 7 columnar engine
 under default parameters), a :class:`~repro.core.hoard.HoardManager`,
-the at-least-once dedupe cursor, and the inbox queue the daemon's
-worker pool drains.  Actors never share mutable state -- tenant
+the at-least-once dedupe cursor, and the inbox queue the actor's one
+daemon drain task serves.  Actors never share mutable state -- tenant
 isolation is structural, which is what
 ``tests/service/test_concurrency.py`` pins.
 
@@ -124,15 +124,7 @@ class CheckpointRequest:
     future: "asyncio.Future[Dict[str, Any]]"
 
 
-@dataclass
-class DrainBarrier:
-    """Sentinel the daemon enqueues to wait until an inbox is empty."""
-
-    future: "asyncio.Future[Dict[str, Any]]"
-
-
-InboxItem = Union[EventBatch, FillRequest, StatsRequest, CheckpointRequest,
-                  DrainBarrier]
+InboxItem = Union[EventBatch, FillRequest, StatsRequest, CheckpointRequest]
 
 
 # ----------------------------------------------------------------------
@@ -141,10 +133,10 @@ InboxItem = Union[EventBatch, FillRequest, StatsRequest, CheckpointRequest,
 class TenantActor:
     """One tenant's pipeline plus its inbox.
 
-    The daemon guarantees that at most one worker processes an actor's
-    inbox at a time (each tenant hashes to exactly one shard), so the
-    methods below never run concurrently for one tenant and need no
-    internal locking.  The correlator records into a *tenant-local*
+    The daemon serves an actor's inbox from exactly one drain task,
+    one item at a time, so the methods below never run concurrently
+    for one tenant and need no internal locking.  The correlator
+    records into a *tenant-local*
     :class:`~repro.observability.Metrics`; the daemon absorbs those
     counters into its service-wide registry on demand, which is why
     ``Metrics.absorb_counters`` had to become thread/task-safe.
@@ -161,9 +153,6 @@ class TenantActor:
         self.hoard = HoardManager(parameters)
         self.inbox: "asyncio.Queue[InboxItem]" = \
             asyncio.Queue(maxsize=queue_bound)
-        #: Set while the actor sits in (or is being drained from) a
-        #: shard run queue; daemon-side scheduling state.
-        self.scheduled = False
         self.last_seq = 0
         self.events_ingested = 0
         self.duplicates_dropped = 0

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.parameters import SeerParameters
+from repro.observability.registry import DERIVED_SUFFIXES
 from repro.simulation.live import LiveResult, simulate_live_usage
 from repro.simulation.missfree import MissFreeResult, simulate_miss_free
 from repro.workload.generator import GeneratedTrace
@@ -41,12 +42,6 @@ __all__ = [
     "PopulationCellResult",
     "simulate_population_cell",
 ]
-
-#: Snapshot keys with these suffixes come from spans/timers; merging
-#: two passes' snapshots only sums the plain counters (the same rule
-#: the runner applies when absorbing worker snapshots).
-_NON_COUNTER_SUFFIXES = (".count", ".seconds", ".per_second", ".calls",
-                         ".total_seconds", ".mean_seconds")
 
 
 @dataclass(frozen=True)
@@ -110,7 +105,7 @@ def _merged_metrics(miss: MissFreeResult,
     live pass, so ``faults.*`` must survive the merge)."""
     merged: Dict[str, float] = dict(miss.metrics or {})
     for name, value in (live.metrics or {}).items():
-        if name.endswith(_NON_COUNTER_SUFFIXES):
+        if name.endswith(DERIVED_SUFFIXES):
             continue
         merged[name] = merged.get(name, 0.0) + value
     return merged

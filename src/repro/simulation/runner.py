@@ -73,12 +73,6 @@ WEEK = 7 * DAY
 #: round-trips losslessly through JSON (lint rule RL006).
 ParamValue = Union[int, float, str, bool]
 
-#: Snapshot keys with these suffixes come from spans/timers; everything
-#: else in a ``Metrics.snapshot()`` is a plain counter and can be summed
-#: across shards meaningfully.
-_NON_COUNTER_SUFFIXES = (".count", ".seconds", ".per_second", ".calls",
-                         ".total_seconds", ".mean_seconds")
-
 
 @dataclass(frozen=True)
 class ShardSpec:
@@ -377,7 +371,7 @@ def _absorb_shard_metrics(metrics: Metrics, spec: ShardSpec, data: Dict,
     metrics.mark("runner.completions")
     snapshot = data.get("metrics") if isinstance(data, dict) else None
     if isinstance(snapshot, dict):
-        metrics.absorb_counters(snapshot, skip_suffixes=_NON_COUNTER_SUFFIXES)
+        metrics.absorb_counters(snapshot)
 
 
 def run_shards(shards: Sequence[ShardSpec], jobs: int = 1,

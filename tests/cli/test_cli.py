@@ -121,6 +121,19 @@ class TestCommands:
         assert any(row.get("machine") == "E" for row in rows)
         assert "machine" in open(csv_path).readline()
 
+    @pytest.mark.parametrize("extra, status", [
+        ([], 0),
+        (["--shards", "4"], 2),     # the removed option is rejected
+    ])
+    def test_service_serves_then_drains(self, tmp_path, extra, status):
+        argv = ["service", "--unix-socket", str(tmp_path / "s.sock"),
+                "--max-runtime", "0.2"] + extra
+        try:
+            code = main(argv)
+        except SystemExit as exit:
+            code = exit.code
+        assert code == status
+
 
 class TestFaultFlags:
     def test_live_with_fault_profile(self, capsys):

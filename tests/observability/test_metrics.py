@@ -26,6 +26,16 @@ class TestCounters:
         metrics.incr("a", 3)
         assert metrics.snapshot()["a"] == 3
 
+    def test_absorb_snapshot_merges_only_counters(self):
+        source = Metrics(strict=False)
+        source.incr("c", 3)
+        source.mark("s", 2)
+        with source.timed("t"):
+            pass
+        sink = Metrics(strict=False)
+        sink.absorb_counters(source.snapshot())
+        assert sink.counters == {"c": 3}
+
 
 class TestSpans:
     def test_mark_counts_events(self):

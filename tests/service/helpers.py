@@ -1,7 +1,7 @@
 """Shared plumbing for the service test package.
 
-Every test drives a *real* daemon -- asyncio server, sockets, worker
-pool -- inside the test process, over a unix socket in a temp
+Every test drives a *real* daemon -- asyncio server, sockets, drain
+tasks -- inside the test process, over a unix socket in a temp
 directory.  ``run_async`` wraps ``asyncio.run`` so test functions stay
 plain synchronous pytest (pytest-asyncio is deliberately not a
 dependency); ``daemon_on_socket`` handles start/stop so a failing

@@ -90,7 +90,7 @@ def test_close_without_connect_is_a_noop():
 
 async def failed_start_unwinds_and_allows_retry(tmp_path):
     daemon = HoardDaemon(checkpoint_dir=str(tmp_path / "ckpt"),
-                         store_backend="json", shards=2)
+                         store_backend="json")
     missing = os.path.join(str(tmp_path), "no", "such", "dir", "s.sock")
     with pytest.raises(OSError):
         await daemon.start(unix_path=missing)

@@ -1,15 +1,19 @@
-"""Multi-tenant isolation and backpressure.
+"""Multi-tenant isolation, scheduling and backpressure.
 
 Tenant isolation is structural (one actor per tenant, nothing shared),
 and these tests pin it behaviorally: K tenants streaming interleaved
 and concurrently through one daemon must each land on state
 byte-identical to K independent single-tenant batch replays.  The
-backpressure tests pin the bounded-inbox contract: a submission beyond
-the bound blocks (it does not drop, error, or grow the queue) until
-the worker drains, and the stall is counted.
+scheduling tests pin the one-drain-task-per-tenant contract: ready
+tenants take turns one inbox item at a time, and a checkpoint's disk
+write holds up only its own tenant.  The backpressure tests pin the
+bounded-inbox contract: a submission beyond the bound blocks (it does
+not drop, error, or grow the queue) until the drain task frees a slot,
+and the stall is counted.
 """
 
 import asyncio
+import threading
 
 from repro.core.correlator import Action, ObservedReference
 from repro.service.daemon import HoardDaemon
@@ -46,12 +50,12 @@ async def interleaved_session(tmp_path, concurrent):
 
     With ``concurrent=False`` batches are strictly interleaved
     round-robin on one task; with ``concurrent=True`` every tenant
-    runs its own client task flat-out and the daemon's worker pool
-    schedules them.
+    runs its own client task flat-out and the tenants' drain tasks
+    take turns on the daemon's event loop.
     """
     streams = {tenant: stream_for(tenant) for tenant in TENANTS}
     fills = {}
-    async with daemon_on_socket(tmp_path, shards=2) as (daemon, socket_path):
+    async with daemon_on_socket(tmp_path) as (daemon, socket_path):
         clients = {tenant: client_for(tenant, socket_path)
                    for tenant in TENANTS}
         for client in clients.values():
@@ -120,11 +124,11 @@ def _reference(seq):
 
 async def submit_beyond_bound():
     """A submission past the inbox bound blocks until the queue drains."""
-    daemon = HoardDaemon(queue_bound=2, shards=1)
-    # No started server: wire the run queue by hand so no worker drains
-    # the inbox behind our back.
-    daemon._run_queues = [asyncio.Queue()]
+    daemon = HoardDaemon(queue_bound=2)
     actor = daemon.actor_for("t")
+    # No started server: cancel the tenant's drain task so nothing
+    # drains the inbox behind our back.
+    daemon._workers[-1].cancel()
 
     await daemon.submit(actor, EventBatch([_reference(1)]))
     await daemon.submit(actor, EventBatch([_reference(2)]))
@@ -137,29 +141,98 @@ async def submit_beyond_bound():
     assert actor.inbox.qsize() == 2      # ...and nothing was dropped
     assert daemon.metrics.counter("service.queue_full_waits") == 1
 
-    actor.inbox.get_nowait()             # worker frees one slot
+    actor.inbox.get_nowait()             # a drain frees one slot
     actor.inbox.task_done()
     await asyncio.sleep(0.01)
     assert blocked.done()                # the stalled producer resumed
     assert actor.inbox.qsize() == 2
-    # The actor was scheduled exactly once despite three submissions.
-    assert daemon._run_queues[0].qsize() == 1
 
 
 def test_backpressure_blocks_at_queue_bound():
     run_async(submit_beyond_bound())
 
 
+#: Two tenant ids with equal ``zlib.crc32(id) % 4``: a four-worker
+#: shard pool would serve them from one worker.
+SAME_SHARD = ("t0", "t2")
+
+
+async def ready_tenants_take_turns(tmp_path):
+    """Backlogged tenants alternate, one inbox item per turn."""
+    order = []
+    async with daemon_on_socket(tmp_path) as (daemon, _):
+        actors = [daemon.actor_for(tenant) for tenant in SAME_SHARD]
+        for actor in actors:
+            def logged(batch, actor=actor, apply=actor.apply):
+                order.append(actor.tenant)
+                return apply(batch)
+            actor.apply = logged
+        # Below the queue bound submit() never yields, so all six items
+        # are queued before either drain task runs.
+        for actor in actors:
+            for seq in (1, 2, 3):
+                await daemon.submit(actor, EventBatch([_reference(seq)]))
+        for actor in actors:
+            await asyncio.wait_for(actor.inbox.join(), timeout=5)
+    return order
+
+
+def test_ready_tenants_take_turns(tmp_path):
+    assert run_async(ready_tenants_take_turns(tmp_path)) == \
+        ["t0", "t2"] * 3
+
+
+async def checkpoint_io_holds_only_its_tenant(tmp_path):
+    """A tenant's blocked checkpoint write must not stall another."""
+    loop = asyncio.get_running_loop()
+    entered = asyncio.Event()
+    release = threading.Event()
+    async with daemon_on_socket(tmp_path,
+                                checkpoint_dir=str(tmp_path / "ckpt")) \
+            as (daemon, socket_path):
+        first, second = (client_for(tenant, socket_path)
+                         for tenant in SAME_SHARD)
+        try:
+            # One batch each, so both tenants' restore reads are done
+            # and the held IO thread below has nothing else to serve.
+            for client in (first, second):
+                await client.send_events([_reference(1)], stamp=False)
+            checkpoint = daemon._checkpoint
+
+            def held_checkpoint(actor):
+                loop.call_soon_threadsafe(entered.set)
+                release.wait(timeout=10)
+                return checkpoint(actor)
+
+            daemon._checkpoint = held_checkpoint
+            pending = loop.create_task(first.checkpoint())
+            await asyncio.wait_for(entered.wait(), timeout=2)
+            fill = await asyncio.wait_for(second.hoard_fill(BUDGET),
+                                          timeout=2)
+            assert fill["budget"] == BUDGET
+            assert not pending.done()
+            release.set()
+            assert (await pending)["checkpointed"] == "t0"
+        finally:
+            release.set()
+            await first.close()
+            await second.close()
+
+
+def test_checkpoint_io_holds_only_its_tenant(tmp_path):
+    run_async(checkpoint_io_holds_only_its_tenant(tmp_path))
+
+
 async def contended_worker_pool(tmp_path):
-    """Every tenant flat-out through ONE shard worker and tiny inboxes:
-    submissions must backpressure (block), never drop, and every
-    tenant must end exactly convergent with its solo replay.
+    """Every tenant flat-out through tiny inboxes: submissions must
+    backpressure (block), never drop, and every tenant must end
+    exactly convergent with its solo replay.
 
     (Each tenant still has exactly one writer -- the wire contract;
-    the contention here is tenants racing for the single worker.)
+    the contention here is tenants racing for the one event loop.)
     """
     fills = {}
-    async with daemon_on_socket(tmp_path, queue_bound=2, shards=1) \
+    async with daemon_on_socket(tmp_path, queue_bound=2) \
             as (daemon, socket_path):
 
         async def drive(tenant):

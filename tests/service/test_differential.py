@@ -2,7 +2,7 @@
 
 The daemon must be pure plumbing around the correlator pipeline: for
 any event stream, feeding it through a live daemon (real sockets, real
-worker pool, arbitrary wire batching) and asking for a hoard fill must
+drain tasks, arbitrary wire batching) and asking for a hoard fill must
 produce cluster ids and hoard selections *byte-identical* -- under
 :func:`~repro.simulation.serde.canonical_bytes` -- to a batch replay of
 the same stream through the columnar engine.  A second property covers

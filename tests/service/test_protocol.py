@@ -74,6 +74,12 @@ def test_reference_wire_round_trip():
     [1, "t", 1, "open", "/a", "", 0],                # time not number
     [1, 1.0, 1, "meow", "/a", "", 0],                # unknown action
     [1, 1.0, 1, "open", 7, "", 0],                   # path not str
+    [True, 1.0, 1, "open", "/a", "", 0],             # seq a bool
+    [1, 1.0, True, "open", "/a", "", 0],             # pid a bool
+    [1, 1.0, 1, "open", "/a", "", True],             # ppid a bool
+    [1, float("nan"), 1, "open", "/a", "", 0],       # time NaN
+    [1, float("inf"), 1, "open", "/a", "", 0],       # time infinite
+    [1, 10 ** 400, 1, "open", "/a", "", 0],          # time past float range
 ])
 def test_reference_from_wire_rejects_malformed(wire):
     with pytest.raises(protocol.ProtocolError) as excinfo:
