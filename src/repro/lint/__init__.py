@@ -1,12 +1,11 @@
 """``repro.lint`` -- the determinism & invariant analyzer.
 
 Run it with ``python -m repro.lint src/``.  See
-``docs/static-analysis.md`` for the rule catalogue, the suppression and
-baseline workflow, and the motivating incidents.
+``docs/static-analysis.md`` for the rule catalogue, the suppression
+workflow, and the motivating incidents.
 """
 
 from repro.lint.engine import (
-    Baseline,
     Finding,
     LintConfig,
     LintResult,
@@ -24,7 +23,6 @@ from repro.lint.project import PROJECT_RULES
 from repro.lint.rules import FILE_RULES
 
 __all__ = [
-    "Baseline",
     "Cfg",
     "Finding",
     "LintConfig",

@@ -1,7 +1,7 @@
 """Command line for the analyzer: ``python -m repro.lint [paths]``.
 
-Exit status: 0 when no new finding (baselined and suppressed findings
-do not fail the run), 1 when new findings exist, 2 on usage errors.
+Exit status: 0 when no finding survives suppression, 1 when findings
+remain, 2 on usage errors (an unknown path or rule id, a bad --jobs).
 """
 
 from __future__ import annotations
@@ -9,19 +9,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.lint.engine import (
-    Baseline,
-    LintConfig,
-    render_json,
-    render_text,
-    run_lint,
-)
+from repro.lint.engine import LintConfig, render_json, render_text, run_lint
 from repro.lint.project import PROJECT_RULES
 from repro.lint.rules import FILE_RULES
-
-DEFAULT_BASELINE = "lint-baseline.json"
 
 
 def _list_rules() -> str:
@@ -42,14 +34,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "(default: src)")
     parser.add_argument("--format", choices=("text", "json"),
                         default="text", help="output format")
-    parser.add_argument("--baseline", default=None,
-                        help=f"baseline file (default: "
-                             f"./{DEFAULT_BASELINE} when present)")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore any baseline file")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite the baseline from current findings "
-                             "and exit 0")
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for parsing and the "
                              "per-file rules (default: 1; finding "
@@ -60,22 +44,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalogue and exit")
     parser.add_argument("--verbose", action="store_true",
-                        help="also print baselined and suppressed "
-                             "findings")
+                        help="also print suppressed findings")
     args = parser.parse_args(argv)
 
     if args.list_rules:
         print(_list_rules())
         return 0
-
-    baseline_path = args.baseline or DEFAULT_BASELINE
-    baseline = Baseline()
-    if not args.no_baseline and not args.update_baseline:
-        try:
-            baseline = Baseline.load(baseline_path)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
 
     select = None
     if args.select:
@@ -91,14 +65,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.jobs < 1:
         print("error: --jobs must be >= 1", file=sys.stderr)
         return 2
-    result = run_lint(args.paths, config=LintConfig(), baseline=baseline,
-                      select=select, jobs=args.jobs)
-
-    if args.update_baseline:
-        Baseline.from_findings(result.findings).save(baseline_path)
-        print(f"baseline written: {baseline_path} "
-              f"({len(result.findings)} findings grandfathered)")
-        return 0
+    try:
+        result = run_lint(args.paths, config=LintConfig(), select=select,
+                          jobs=args.jobs)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     if args.format == "json":
         print(render_json(result))

@@ -1,21 +1,18 @@
-"""Concurrency & resource-safety rules (RL008-RL012).
+"""Concurrency & resource-safety rules (RL008, RL009, RL011, RL012).
 
-These rules sit on top of :mod:`repro.lint.flow`: the project call
-graph classifies which execution context(s) each function may run
-under, and the per-function CFG (with exception edges) answers
-"does every path pass a close?".  Each rule targets a concrete
-service-layer incident class; docs/static-analysis.md catalogues them
-together with the known over/under-approximations.
+RL008 and RL009 sit on top of :mod:`repro.lint.flow`'s project index:
+the call graph marks the functions that may run on the event loop, and
+the class index records each class's lock attributes.  RL012 walks the
+per-function CFG (with exception edges) to answer "does every path
+pass a close?".  Each rule targets a concrete service-layer incident
+class; docs/static-analysis.md catalogues them together with the known
+over/under-approximations.
 
 * **RL008** -- a blocking call (``time.sleep``, sync socket/file/
   sqlite I/O, any :class:`StateStore` method) reachable from event-loop
   context stalls *every* tenant of the daemon at once.
 * **RL009** -- RacerD-style lock-set race: an attribute mutated under a
-  ``threading.Lock`` at some sites but accessed lock-free at others,
-  while the class is reachable from two or more execution contexts.
-* **RL010** -- ``await`` inside a ``with <threading.Lock>:`` block
-  parks the coroutine while holding an OS lock: any thread (or the
-  loop itself, re-entering) that wants the lock deadlocks.
+  ``threading.Lock`` at some sites but accessed lock-free at others.
 * **RL011** -- a discarded ``create_task``/``ensure_future`` handle:
   asyncio keeps only a weak reference, so the task can be collected
   mid-flight and its exception is never observed.
@@ -27,24 +24,17 @@ together with the known over/under-approximations.
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.lint.engine import (Finding, LintConfig, ModuleInfo,
                                ProjectRule, Rule, _dotted, _from_imports,
                                _import_aliases)
-from repro.lint.flow import (
-    CONTEXT_EVENT_LOOP,
-    Cfg,
-    ClassInfo,
-    FunctionInfo,
-    ProjectFlow,
-    build_cfg,
-)
+from repro.lint.flow import (Cfg, ClassInfo, FunctionInfo, ProjectFlow,
+                             build_cfg)
 
 __all__ = [
     "BlockingInEventLoop",
     "LockSetRaces",
-    "AwaitUnderThreadLock",
     "OrphanedTask",
     "ResourceSafety",
 ]
@@ -146,7 +136,7 @@ class BlockingInEventLoop(ProjectRule):
         flow = flow if flow is not None else ProjectFlow.build(modules)
         alias_cache: Dict[str, Tuple[Dict[str, str], Dict[str, str]]] = {}
         for info in flow.functions.values():
-            if CONTEXT_EVENT_LOOP not in info.contexts:
+            if not info.on_event_loop:
                 continue
             maps = alias_cache.get(info.module.relpath)
             if maps is None:
@@ -235,9 +225,8 @@ class LockSetRaces(ProjectRule):
 
     RacerD's core insight, scaled down: if *any* site mutates
     ``self.x`` under ``with self._lock:`` the author has declared the
-    attribute shared, so every lock-free access in a class reachable
-    from two or more execution contexts (event loop + worker thread,
-    say) is a torn read or lost update waiting for load.  The incident
+    attribute shared, so every lock-free access elsewhere in the class
+    is a torn read or lost update waiting for load.  The incident
     class here is :class:`~repro.observability.Metrics`: shared between
     the daemon's event loop and the store's IO thread, its read-side
     accessors must hold the same lock the writers do.
@@ -246,8 +235,7 @@ class LockSetRaces(ProjectRule):
     id = "RL009"
     name = "lock-set-race"
     description = ("attribute mutated under a threading.Lock at some "
-                   "sites but accessed lock-free at others while the "
-                   "class is reachable from >= 2 execution contexts")
+                   "sites but accessed lock-free at others")
 
     def check_project(self, modules: Dict[str, ModuleInfo],
                       config: LintConfig,
@@ -264,7 +252,6 @@ class LockSetRaces(ProjectRule):
         # (attr, method, node, locked, mutating) for every self.<attr>
         accesses: List[Tuple[str, FunctionInfo, ast.Attribute,
                              bool, bool]] = []
-        attr_contexts: Dict[str, Set[str]] = {}
         for method_name, key in cls.methods.items():
             if method_name in ("__init__", "__post_init__"):
                 continue
@@ -275,16 +262,11 @@ class LockSetRaces(ProjectRule):
             for attr, node, locked in self._attr_accesses(info, cls):
                 mutating = self._is_mutating(node, parents)
                 accesses.append((attr, info, node, locked, mutating))
-                attr_contexts.setdefault(attr, set()).update(
-                    info.contexts)
         protected = {attr for attr, _info, _node, locked, mutating
                      in accesses if locked and mutating}
         seen: Set[Tuple[str, int]] = set()
         for attr, info, node, locked, _mutating in accesses:
             if locked or attr not in protected:
-                continue
-            contexts = attr_contexts.get(attr, set())
-            if len(contexts) < 2:
                 continue
             spot = (info.key, node.lineno)
             if spot in seen:
@@ -294,10 +276,8 @@ class LockSetRaces(ProjectRule):
                 info.module, node,
                 f"`self.{attr}` is mutated under a threading.Lock "
                 f"elsewhere in `{cls.name}` but accessed lock-free in "
-                f"`{info.name}`; the class runs under "
-                f"{len(contexts)} contexts "
-                f"({', '.join(sorted(contexts))}) so this read can "
-                f"tear -- hold the same lock")
+                f"`{info.name}`; the lock declares it shared, so this "
+                f"access can tear -- hold the same lock")
 
     def _attr_accesses(self, info: FunctionInfo, cls: ClassInfo
                        ) -> Iterator[Tuple[str, ast.Attribute, bool]]:
@@ -377,141 +357,6 @@ class LockSetRaces(ProjectRule):
             if isinstance(grand, ast.Call) and grand.func is parent:
                 return True
         return False
-
-
-# ----------------------------------------------------------------------
-# RL010 -- await while holding a threading.Lock
-# ----------------------------------------------------------------------
-class AwaitUnderThreadLock(ProjectRule):
-    """Suspending a coroutine inside an OS-lock critical section.
-
-    ``with self._lock: await ...`` parks the coroutine *while the lock
-    is held*: every thread that wants the lock blocks for the full
-    suspension, and if anything on the same loop needs it the process
-    deadlocks outright.  (The repo narrowly avoided exactly this:
-    had ``Metrics.timed`` held its lock across the yield, the daemon's
-    ``with metrics.timed("service.drain"): await inbox.join()`` drain
-    would deadlock against the IO thread's counter updates.)  Use an
-    ``asyncio.Lock``, or restructure so the await falls outside the
-    critical section.
-    """
-
-    id = "RL010"
-    name = "no-await-under-thread-lock"
-    description = ("await inside a `with <threading.Lock>:` block; the "
-                   "OS lock is held across the suspension (deadlock/"
-                   "atomicity hazard)")
-
-    def check_project(self, modules: Dict[str, ModuleInfo],
-                      config: LintConfig,
-                      flow: Optional[ProjectFlow] = None
-                      ) -> Iterator[Finding]:
-        flow = flow if flow is not None else ProjectFlow.build(modules)
-        for info in flow.functions.values():
-            if not info.is_async:
-                continue
-            local_locks = self._local_lock_names(info.node)
-            yield from self._scan(list(self._body(info.node)), info,
-                                  flow, local_locks, held=None)
-
-    @staticmethod
-    def _body(node: ast.AST) -> List[ast.stmt]:
-        assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        return list(node.body)
-
-    @staticmethod
-    def _local_lock_names(node: ast.AST) -> FrozenSet[str]:
-        names: Set[str] = set()
-        for stmt in ast.walk(node):
-            if isinstance(stmt, ast.Assign) and \
-                    isinstance(stmt.value, ast.Call):
-                head = _dotted(stmt.value.func)
-                if head is None:
-                    continue
-                leaf = head.split(".")[-1]
-                if leaf in ("Lock", "RLock") and \
-                        ("threading" in head or head == leaf):
-                    for target in stmt.targets:
-                        if isinstance(target, ast.Name):
-                            names.add(target.id)
-        return frozenset(names)
-
-    def _scan(self, body: List[ast.stmt], info: FunctionInfo,
-              flow: ProjectFlow, local_locks: FrozenSet[str],
-              held: Optional[str]) -> Iterator[Finding]:
-        for stmt in body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if isinstance(stmt, ast.With):
-                lock_name = held
-                for item in stmt.items:
-                    described = self._lock_description(
-                        item.context_expr, info, flow, local_locks)
-                    if described is not None:
-                        lock_name = described
-                yield from self._scan(stmt.body, info, flow,
-                                      local_locks, lock_name)
-                continue
-            children: List[ast.stmt] = []
-            for _field, value in ast.iter_fields(stmt):
-                if isinstance(value, list) and value and \
-                        isinstance(value[0], ast.stmt):
-                    children.extend(value)
-            if isinstance(stmt, ast.Try):
-                for handler in stmt.handlers:
-                    children.extend(handler.body)
-            if children:
-                yield from self._scan(children, info, flow,
-                                      local_locks, held)
-                # expressions attached to the compound head
-                for _field, value in ast.iter_fields(stmt):
-                    if isinstance(value, ast.expr):
-                        yield from self._awaits_in(value, info, held)
-            else:
-                yield from self._awaits_in(stmt, info, held)
-
-    def _awaits_in(self, root: ast.AST, info: FunctionInfo,
-                   held: Optional[str]) -> Iterator[Finding]:
-        if held is None:
-            return
-        for node in ast.walk(root):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.Lambda)):
-                continue
-            if isinstance(node, ast.Await):
-                yield self.finding(
-                    info.module, node,
-                    f"await while holding `{held}` (a threading lock): "
-                    f"the coroutine suspends with the OS lock held -- "
-                    f"any thread or loop-side waiter deadlocks; use "
-                    f"asyncio.Lock or move the await out")
-
-    def _lock_description(self, expr: ast.expr, info: FunctionInfo,
-                          flow: ProjectFlow,
-                          local_locks: FrozenSet[str]) -> Optional[str]:
-        # with self._lock:
-        if isinstance(expr, ast.Attribute) and \
-                isinstance(expr.value, ast.Name):
-            if expr.value.id == "self" and info.class_name:
-                own = flow.classes.get(info.class_name)
-                if own is not None and expr.attr in own.lock_attrs:
-                    return f"self.{expr.attr}"
-            # with lock: where lock is a known local/param of lock type
-            return None
-        # with self.metrics._lock:  (cross-class lock attribute)
-        if isinstance(expr, ast.Attribute) and \
-                isinstance(expr.value, ast.Attribute) and \
-                isinstance(expr.value.value, ast.Name) and \
-                expr.value.value.id == "self" and info.class_name:
-            own = flow.classes.get(info.class_name)
-            if own is not None:
-                holder = own.attr_types.get(expr.value.attr)
-                if holder and expr.attr in flow.lock_attrs_of(holder):
-                    return f"self.{expr.value.attr}.{expr.attr}"
-            return None
-        if isinstance(expr, ast.Name) and expr.id in local_locks:
-            return expr.id
-        return None
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The analyzer engine: file collection, suppressions, baseline, output.
+"""The analyzer engine: file collection, suppressions, output.
 
 ``repro.lint`` is a purpose-built static analyzer for *this* codebase.
 Generic linters check style; this one checks the three properties
@@ -7,22 +7,20 @@ every PR since the parallel runner has depended on:
 * **bit-determinism** -- the same grid cell must produce the same bytes
   in every process, on every host, at every pool size (rules
   RL001-RL004);
-* **enumerable observability and lossless persistence** -- every metric
-  name is registered and every checkpointed dataclass round-trips
-  exactly (rules RL005-RL006), plus annotation completeness for the
-  strictly-typed core (RL007);
+* **lossless persistence** -- every checkpointed dataclass round-trips
+  exactly (RL006), plus annotation completeness for the strictly-typed
+  core (RL007);
 * **concurrency & resource safety** -- per-function CFGs and a project
   call graph (``repro.lint.flow``) back rules for blocking calls in
-  event-loop context, lock-set-inconsistent shared state, ``await``
-  under a ``threading.Lock``, orphaned tasks, and resources left open
-  on some path (rules RL008-RL012, ``repro.lint.concurrency``).
+  event-loop context, lock-set-inconsistent shared state, orphaned
+  tasks, and resources left open on some path (RL008, RL009, RL011,
+  RL012, ``repro.lint.concurrency``).
 
 The engine parses each file once into a :class:`ModuleInfo`, runs the
 per-file rules (optionally across a process pool, ``--jobs``), then
-the whole-project rules, and finally applies suppression comments and
-the committed baseline.  Findings are sorted so output is identical
-at every job count.  Exit status is zero iff no *new* finding survives
-both filters.
+the whole-project rules, and finally applies suppression comments.
+Findings are sorted so output is identical at every job count.  Exit
+status is zero iff no finding survives suppression.
 
 Suppressions
 ------------
@@ -30,17 +28,8 @@ Suppressions
 flagged line suppresses matching findings on that line; a comment line
 containing nothing else suppresses the following line instead.
 ``# repro-lint: disable-file=RL004`` anywhere in a file suppresses the
-rule for the whole file.
-
-Baseline
---------
-``lint-baseline.json`` maps finding fingerprints (file, rule and the
-normalized source line -- stable across unrelated edits, unlike line
-numbers) to occurrence counts.  Grandfathered findings are reported as
-``baselined`` and do not fail the run; ``--update-baseline`` rewrites
-the file from the current findings.  The shipped baseline is empty:
-every finding the analyzer knew about at introduction time was fixed,
-not grandfathered.
+rule for the whole file.  Suppressions are the only exemption
+mechanism.
 """
 
 from __future__ import annotations
@@ -50,14 +39,13 @@ import json
 import os
 import re
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Dict, FrozenSet, Iterable, Iterator,
-                    List, Optional, Sequence, Set, Tuple)
+from typing import (TYPE_CHECKING, Dict, FrozenSet, Iterator, List,
+                    Optional, Sequence, Set, Tuple)
 
 __all__ = [
     "Finding",
     "LintConfig",
     "ModuleInfo",
-    "Baseline",
     "Rule",
     "ProjectRule",
     "collect_files",
@@ -87,11 +75,6 @@ class Finding:
     message: str
     snippet: str = ""  # the offending source line, stripped
 
-    @property
-    def fingerprint(self) -> str:
-        """Identity that survives unrelated edits (no line number)."""
-        return f"{self.path}::{self.rule}::{self.snippet}"
-
     def to_data(self) -> Dict[str, object]:
         return {
             "rule": self.rule,
@@ -107,12 +90,6 @@ class Finding:
 class LintConfig:
     """Knobs the rules read; tests override paths to point at fixtures."""
 
-    # RL001: repo-relative module paths where wall-clock reads are
-    # legitimate (none in the shipped tree -- duration instrumentation
-    # uses time.perf_counter, which is not banned).
-    wall_clock_allowlist: Tuple[str, ...] = ()
-    # RL005: where the central metric-name registry lives.
-    metrics_registry_path: str = "repro/observability/registry.py"
     # RL006: the serde module and the checkpoint payload roots.
     serde_module_path: str = "repro/simulation/serde.py"
     serde_roots: Tuple[str, ...] = ("ShardSpec", "MissFreeResult",
@@ -298,7 +275,7 @@ def collect_files(paths: Sequence[str]) -> List[Tuple[str, str]]:
 
     ``relpath`` is relative to the named path's base directory so that
     ``repro.lint src/`` yields ``repro/...`` paths -- the shape the
-    config prefixes, allowlists and baseline fingerprints use.
+    config paths and prefixes use.
     """
     out: List[Tuple[str, str]] = []
     seen = set()
@@ -326,68 +303,11 @@ def collect_files(paths: Sequence[str]) -> List[Tuple[str, str]]:
     return out
 
 
-class Baseline:
-    """Grandfathered findings: fingerprint -> occurrence count."""
-
-    VERSION = 1
-
-    def __init__(self, counts: Optional[Dict[str, int]] = None) -> None:
-        self.counts: Dict[str, int] = dict(counts or {})
-
-    @classmethod
-    def load(cls, path: str) -> "Baseline":
-        try:
-            with open(path, "r", encoding="utf-8") as stream:
-                data = json.load(stream)
-        except FileNotFoundError:
-            return cls()
-        if not isinstance(data, dict) or data.get("version") != cls.VERSION:
-            raise ValueError(f"unreadable baseline file: {path}")
-        counts = data.get("findings", {})
-        if not isinstance(counts, dict):
-            raise ValueError(f"unreadable baseline file: {path}")
-        return cls({str(k): int(v) for k, v in counts.items()})
-
-    @classmethod
-    def from_findings(cls, findings: Iterable[Finding]) -> "Baseline":
-        counts: Dict[str, int] = {}
-        for finding in findings:
-            counts[finding.fingerprint] = \
-                counts.get(finding.fingerprint, 0) + 1
-        return cls(counts)
-
-    def save(self, path: str) -> None:
-        data = {
-            "version": self.VERSION,
-            "findings": {key: self.counts[key]
-                         for key in sorted(self.counts)},
-        }
-        with open(path, "w", encoding="utf-8") as stream:
-            json.dump(data, stream, indent=2, sort_keys=True)
-            stream.write("\n")
-
-    def split(self, findings: Sequence[Finding]
-              ) -> Tuple[List[Finding], List[Finding]]:
-        """Partition into (new, grandfathered), honouring counts."""
-        budget = dict(self.counts)
-        new: List[Finding] = []
-        old: List[Finding] = []
-        for finding in findings:
-            remaining = budget.get(finding.fingerprint, 0)
-            if remaining > 0:
-                budget[finding.fingerprint] = remaining - 1
-                old.append(finding)
-            else:
-                new.append(finding)
-        return new, old
-
-
 @dataclass
 class LintResult:
     """Everything one analyzer run produced."""
 
-    findings: List[Finding]          # new findings (fail the run)
-    baselined: List[Finding]
+    findings: List[Finding]          # unsuppressed (fail the run)
     suppressed: List[Finding]
     files_checked: int
     parse_errors: List[Finding]
@@ -427,7 +347,6 @@ def _analyze_one(task: Tuple[str, str, LintConfig,
 
 def run_lint(paths: Sequence[str],
              config: Optional[LintConfig] = None,
-             baseline: Optional[Baseline] = None,
              select: Optional[Sequence[str]] = None,
              jobs: int = 1) -> LintResult:
     """Run every rule over *paths* and return the filtered findings.
@@ -437,12 +356,18 @@ def run_lint(paths: Sequence[str],
     one address space) stay in the parent.  Finding order is
     deterministic at any job count: the per-file results come back in
     submission order and the merged list is sorted before filtering.
+    Raises ValueError if *select* names an id no rule has.
     """
     from repro.lint.project import PROJECT_RULES
+    from repro.lint.rules import FILE_RULES
 
     config = config or LintConfig()
-    baseline = baseline or Baseline()
     wanted = frozenset(select) if select else None
+    known = {rule.id for rule in FILE_RULES + PROJECT_RULES}
+    unknown = sorted((wanted or frozenset()) - known)
+    if unknown:
+        raise ValueError(f"unknown rule id(s): {', '.join(unknown)} "
+                         f"(see --list-rules)")
 
     tasks = [(abspath, relpath, config, wanted)
              for abspath, relpath in collect_files(paths)]
@@ -483,9 +408,8 @@ def run_lint(paths: Sequence[str],
         else:
             live.append(finding)
 
-    new, grandfathered = baseline.split(live)
-    return LintResult(findings=new, baselined=grandfathered,
-                      suppressed=suppressed, files_checked=len(modules),
+    return LintResult(findings=live, suppressed=suppressed,
+                      files_checked=len(modules),
                       parse_errors=parse_errors)
 
 
@@ -500,22 +424,14 @@ def render_text(result: LintResult, verbose: bool = False) -> str:
         if finding.snippet:
             lines.append(f"    {finding.snippet}")
     if verbose:
-        for finding in result.baselined:
-            lines.append(f"{finding.path}:{finding.line}: "
-                         f"{finding.rule} [baselined] {finding.message}")
         for finding in result.suppressed:
             lines.append(f"{finding.path}:{finding.line}: "
                          f"{finding.rule} [suppressed] {finding.message}")
     total = len(result.findings) + len(result.parse_errors)
     summary = (f"{result.files_checked} files checked: "
                f"{total} finding{'s' if total != 1 else ''}")
-    extras = []
-    if result.baselined:
-        extras.append(f"{len(result.baselined)} baselined")
     if result.suppressed:
-        extras.append(f"{len(result.suppressed)} suppressed")
-    if extras:
-        summary += f" ({', '.join(extras)})"
+        summary += f" ({len(result.suppressed)} suppressed)"
     lines.append(summary)
     return "\n".join(lines)
 
@@ -525,7 +441,6 @@ def render_json(result: LintResult) -> str:
         "files_checked": result.files_checked,
         "findings": [f.to_data() for f in result.parse_errors
                      + result.findings],
-        "baselined": [f.to_data() for f in result.baselined],
         "suppressed": [f.to_data() for f in result.suppressed],
         "ok": result.ok,
     }

@@ -1,28 +1,24 @@
-"""Flow analysis for the concurrency rules: CFG, call graph, contexts.
+"""Flow analysis for the concurrency rules: CFG and call graph.
 
 The per-file rules (RL001-RL004) match single statements; the
-concurrency rules (RL008-RL012) need to answer *reachability*
-questions -- "can this blocking call run on the event loop?", "is this
-attribute access reachable from a second execution context?", "does
+concurrency rules RL008 and RL012 need to answer *reachability*
+questions -- "can this blocking call run on the event loop?", "does
 every path out of this ``open()`` pass a ``close()``?".  This module
-builds the two structures those questions need:
+builds the two structures those questions need (RL009 reads the class
+index that comes with the second):
 
 * :func:`build_cfg` -- a statement-level control-flow graph per
   function, with *exception edges*: every statement that may raise gets
   an edge into the enclosing handler chain (or the synthetic
   ``RAISE_EXIT`` node), so RL012 can check cleanup on the unhappy path
   too.
-* :class:`ProjectFlow` -- a project-wide call graph with execution
-  -context classification.  Each function is tagged with the set of
-  contexts it may run under: ``event-loop`` (coroutines and everything
-  they call synchronously), ``thread`` (``threading.Thread`` targets,
-  executor submissions, ``loop.run_in_executor`` callables), ``process``
-  (``multiprocessing`` targets and pool functions) and ``main`` (plain
-  code nobody dispatches).  Classification is a fixpoint over call
-  edges, resolved by name with light receiver typing (``self.attr``
-  annotations, constructor assignments, parameter annotations) -- a
-  deliberate over-approximation: a function called from both a
-  coroutine and a thread carries both tags.
+* :class:`ProjectFlow` -- a project-wide call graph that marks every
+  function that may run on the event loop: the coroutines, and every
+  function reachable from one through call edges.  Calls are resolved
+  by name with light receiver typing (``self.attr`` annotations,
+  constructor assignments, parameter annotations).  A callable that is
+  only *passed* (to ``run_in_executor``, say) gets no call edge, so it
+  stays off the loop.
 
 Everything here is stdlib-only AST work; nothing is imported from the
 analyzed tree.
@@ -32,15 +28,11 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.lint.engine import ModuleInfo
 
 __all__ = [
-    "CONTEXT_EVENT_LOOP",
-    "CONTEXT_MAIN",
-    "CONTEXT_PROCESS",
-    "CONTEXT_THREAD",
     "CfgNode",
     "Cfg",
     "build_cfg",
@@ -48,12 +40,6 @@ __all__ = [
     "ClassInfo",
     "ProjectFlow",
 ]
-
-CONTEXT_MAIN = "main"
-CONTEXT_EVENT_LOOP = "event-loop"
-CONTEXT_THREAD = "thread"
-CONTEXT_PROCESS = "process"
-
 
 # ----------------------------------------------------------------------
 # control-flow graph
@@ -313,7 +299,7 @@ def build_cfg(func: ast.AST) -> Cfg:
 
 
 # ----------------------------------------------------------------------
-# call graph & context classification
+# call graph & event-loop reachability
 # ----------------------------------------------------------------------
 @dataclass
 class CallSite:
@@ -334,11 +320,7 @@ class FunctionInfo:
     class_name: Optional[str]
     is_async: bool
     calls: List[CallSite] = field(default_factory=list)
-    contexts: Set[str] = field(default_factory=set)
-
-    @property
-    def func_node(self) -> ast.AST:
-        return self.node
+    on_event_loop: bool = False   # a coroutine, or reached from one by calls
 
 
 @dataclass
@@ -352,14 +334,6 @@ class ClassInfo:
     methods: Dict[str, str] = field(default_factory=dict)  # name -> key
     attr_types: Dict[str, str] = field(default_factory=dict)
     lock_attrs: Set[str] = field(default_factory=set)
-
-
-_THREAD_CTORS = frozenset({"Thread", "Timer"})
-_PROCESS_CTORS = frozenset({"Process"})
-_POOL_DISPATCH = frozenset({"map", "imap", "imap_unordered", "starmap",
-                            "map_async", "starmap_async", "apply",
-                            "apply_async"})
-_TASK_SPAWNERS = frozenset({"create_task", "ensure_future"})
 
 
 def _annotation_class(annotation: Optional[ast.expr]) -> Optional[str]:
@@ -401,7 +375,7 @@ def _call_head(node: ast.Call) -> Optional[str]:
 
 
 class ProjectFlow:
-    """Call graph + execution contexts over every analyzed module.
+    """Call graph + event-loop reachability over every analyzed module.
 
     Built once per ``run_lint`` invocation and handed to each project
     rule.  Resolution is name-based and intentionally approximate; see
@@ -414,13 +388,6 @@ class ProjectFlow:
         self.classes: Dict[str, ClassInfo] = {}
         # simple name -> keys (for cross-module resolution)
         self.by_name: Dict[str, List[str]] = {}
-        # method name -> keys on any class
-        self.by_method: Dict[str, List[str]] = {}
-        # callers: callee key -> caller keys
-        self.callers: Dict[str, Set[str]] = {}
-        # names of functions that forward a callable parameter into
-        # run_in_executor / executor.submit (dispatcher pattern)
-        self.executor_dispatchers: Dict[str, int] = {}
 
     # -- construction --------------------------------------------------
     @classmethod
@@ -428,9 +395,8 @@ class ProjectFlow:
         flow = cls()
         for module in modules.values():
             flow._index_module(module)
-        flow._resolve_calls(modules)
-        flow._detect_dispatchers()
-        flow._classify_contexts(modules)
+        flow._resolve_calls()
+        flow._mark_event_loop()
         return flow
 
     def _index_module(self, module: ModuleInfo) -> None:
@@ -511,23 +477,19 @@ class ProjectFlow:
             is_async=isinstance(node, ast.AsyncFunctionDef))
         self.functions[key] = info
         self.by_name.setdefault(node.name, []).append(key)
-        if class_name:
-            self.by_method.setdefault(node.name, []).append(key)
         return key
 
     # -- call resolution -----------------------------------------------
-    def _resolve_calls(self, modules: Dict[str, ModuleInfo]) -> None:
+    def _resolve_calls(self) -> None:
         for info in self.functions.values():
-            module = info.module
             own_class = self.classes.get(info.class_name or "")
             for node in ast.walk(info.node):
                 if not isinstance(node, ast.Call):
                     continue
                 callee_key = self._resolve_call(node, info, own_class)
-                if callee_key is None:
-                    continue
-                info.calls.append(CallSite(node=node, callee=callee_key))
-                self.callers.setdefault(callee_key, set()).add(info.key)
+                if callee_key is not None:
+                    info.calls.append(CallSite(node=node,
+                                               callee=callee_key))
 
     def _resolve_call(self, node: ast.Call, caller: FunctionInfo,
                       own_class: Optional[ClassInfo]) -> Optional[str]:
@@ -609,182 +571,21 @@ class ProjectFlow:
                                 return leaf
         return None
 
-    # -- dispatcher detection ------------------------------------------
-    def _detect_dispatchers(self) -> None:
-        """Functions that forward a callable parameter to an executor.
+    # -- event-loop reachability ---------------------------------------
+    def _mark_event_loop(self) -> None:
+        """Mark the coroutines and everything they reach by calls.
 
-        ``async def _store_call(self, fn, *args): ...
-        run_in_executor(self._io, partial(fn, *args))`` makes every
-        callable passed *to* ``_store_call`` a thread root.  We record
-        the parameter position so call sites can be classified.
+        A worklist seeded with every ``async def``: a sync callee of a
+        function on the loop runs on the loop too.
         """
-        for info in self.functions.values():
-            node = info.node
-            assert isinstance(node, (ast.FunctionDef,
-                                     ast.AsyncFunctionDef))
-            params = [a.arg for a in node.args.args]
-            if params and params[0] in ("self", "cls"):
-                params = params[1:]
-                offset = 1
-            else:
-                offset = 0
-            forwarded: Set[str] = set()
-            for call in ast.walk(node):
-                if not isinstance(call, ast.Call):
-                    continue
-                head = _call_head(call)
-                if head is None:
-                    continue
-                leaf = head.split(".")[-1]
-                if leaf not in ("run_in_executor", "submit"):
-                    continue
-                args = call.args[1:] if leaf == "run_in_executor" \
-                    else call.args
-                for arg in args:
-                    for inner in ast.walk(arg):
-                        if isinstance(inner, ast.Name):
-                            forwarded.add(inner.id)
-            for position, name in enumerate(params):
-                if name in forwarded:
-                    self.executor_dispatchers[info.key] = \
-                        position + offset
-                    break
-
-    # -- context classification ----------------------------------------
-    def _classify_contexts(self, modules: Dict[str, ModuleInfo]) -> None:
-        roots_thread: Set[str] = set()
-        roots_process: Set[str] = set()
-        for info in self.functions.values():
-            if info.is_async:
-                info.contexts.add(CONTEXT_EVENT_LOOP)
-        for info in self.functions.values():
-            own_class = self.classes.get(info.class_name or "")
-            for node in ast.walk(info.node):
-                if not isinstance(node, ast.Call):
-                    continue
-                self._collect_roots(node, info, own_class,
-                                    roots_thread, roots_process)
-        for key in sorted(roots_thread):
-            self.functions[key].contexts.add(CONTEXT_THREAD)
-        for key in sorted(roots_process):
-            self.functions[key].contexts.add(CONTEXT_PROCESS)
-
-        # Fixpoint: a sync function inherits every caller context; an
-        # async function stays event-loop regardless of who awaits it.
-        changed = True
-        while changed:
-            changed = False
-            for info in self.functions.values():
-                for call in info.calls:
-                    callee = self.functions.get(call.callee)
-                    if callee is None or callee.is_async:
-                        continue
-                    before = len(callee.contexts)
-                    callee.contexts.update(info.contexts)
-                    if len(callee.contexts) != before:
-                        changed = True
-
-        for info in self.functions.values():
-            if not info.contexts:
-                info.contexts.add(CONTEXT_MAIN)
-
-    def _collect_roots(self, node: ast.Call, caller: FunctionInfo,
-                       own_class: Optional[ClassInfo],
-                       roots_thread: Set[str],
-                       roots_process: Set[str]) -> None:
-        head = _call_head(node)
-        if head is None:
-            return
-        leaf = head.split(".")[-1]
-
-        def resolve_callable(expr: ast.expr) -> Optional[str]:
-            target: ast.expr = expr
-            if isinstance(target, ast.Call):
-                # partial(fn, ...) / functools.partial(fn, ...)
-                inner_head = _call_head(target)
-                if inner_head and \
-                        inner_head.split(".")[-1] == "partial" and \
-                        target.args:
-                    target = target.args[0]
-            if isinstance(target, ast.Attribute) and \
-                    isinstance(target.value, ast.Name) and \
-                    target.value.id == "self" and own_class is not None:
-                return self._method_on(own_class, target.attr)
-            if isinstance(target, ast.Attribute) and \
-                    isinstance(target.value, ast.Attribute) and \
-                    isinstance(target.value.value, ast.Name) and \
-                    target.value.value.id == "self" and \
-                    own_class is not None:
-                attr_type = own_class.attr_types.get(target.value.attr)
-                if attr_type:
-                    cls = self.classes.get(attr_type)
-                    if cls is not None:
-                        return self._method_on(cls, target.attr)
-            if isinstance(target, ast.Name):
-                return self._function_named(target.id, caller.module)
-            return None
-
-        # Thread(target=f) / Process(target=f) / Timer(1, f)
-        if leaf in _THREAD_CTORS or leaf in _PROCESS_CTORS:
-            pool = roots_process if leaf in _PROCESS_CTORS \
-                else roots_thread
-            for kw in node.keywords:
-                if kw.arg == "target":
-                    key = resolve_callable(kw.value)
-                    if key:
-                        pool.add(key)
-            if leaf == "Timer" and len(node.args) >= 2:
-                key = resolve_callable(node.args[1])
-                if key:
-                    roots_thread.add(key)
-            return
-        # executor.submit(f, ...) / loop.run_in_executor(ex, f, ...)
-        if leaf == "submit" and node.args:
-            key = resolve_callable(node.args[0])
-            if key:
-                roots_thread.add(key)
-            return
-        if leaf == "run_in_executor" and len(node.args) >= 2:
-            key = resolve_callable(node.args[1])
-            if key:
-                roots_thread.add(key)
-            return
-        # pool.map(f, ...) and friends -- process context
-        if leaf in _POOL_DISPATCH and node.args:
-            key = resolve_callable(node.args[0])
-            if key:
-                roots_process.add(key)
-            return
-        # dispatcher call: self._store_call(self._store.put, ...)
-        callee_key = self._resolve_call(node, caller, own_class)
-        if callee_key is not None and \
-                callee_key in self.executor_dispatchers:
-            position = self.executor_dispatchers[callee_key]
-            # positional args past self are shifted by one relative to
-            # the parameter index
-            arg_index = position - 1 if isinstance(node.func,
-                                                   ast.Attribute) else \
-                position
-            if 0 <= arg_index < len(node.args):
-                key = resolve_callable(node.args[arg_index])
-                if key:
-                    roots_thread.add(key)
-
-    # -- queries -------------------------------------------------------
-    def contexts_of(self, key: str) -> FrozenSet[str]:
-        info = self.functions.get(key)
-        if info is None:
-            return frozenset()
-        return frozenset(info.contexts)
-
-    def functions_in(self, module: ModuleInfo
-                     ) -> Iterator[FunctionInfo]:
-        for info in self.functions.values():
-            if info.module is module:
-                yield info
-
-    def lock_attrs_of(self, class_name: str) -> FrozenSet[str]:
-        info = self.classes.get(class_name)
-        if info is None:
-            return frozenset()
-        return frozenset(info.lock_attrs)
+        pending = [info for info in self.functions.values()
+                   if info.is_async]
+        for info in pending:
+            info.on_event_loop = True
+        while pending:
+            info = pending.pop()
+            for call in info.calls:
+                callee = self.functions.get(call.callee)
+                if callee is not None and not callee.on_event_loop:
+                    callee.on_event_loop = True
+                    pending.append(callee)

@@ -1,18 +1,17 @@
-"""Whole-project rules: metrics registry (RL005), serde reach (RL006).
+"""Whole-project rule: serde reach (RL006).
 
-Unlike the per-file rules these need to see several modules at once:
-RL005 compares every metric-recording call site against the central
-registry module, and RL006 walks the dataclass graph reachable from the
-checkpoint payload roots and checks each class against the serde
-module.  Both work purely on ASTs -- nothing is imported, so the
-analyzer runs on trees that do not import cleanly.
+Unlike the per-file rules this needs to see several modules at once:
+RL006 walks the dataclass graph reachable from the checkpoint payload
+roots and checks each class against the serde module.  It works purely
+on ASTs -- nothing is imported, so the analyzer runs on trees that do
+not import cleanly.  The concurrency rules RL008 and RL009 are
+registered here too.
 """
 
 from __future__ import annotations
 
 import ast
-import re
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from typing import TYPE_CHECKING
 
@@ -22,11 +21,7 @@ from repro.lint.engine import (Finding, LintConfig, ModuleInfo,
 if TYPE_CHECKING:
     from repro.lint.flow import ProjectFlow
 
-__all__ = ["PROJECT_RULES", "ProjectRule", "MetricsRegistry",
-           "SerdeCompleteness"]
-
-#: method names on Metrics that record under a string name
-_METRIC_METHODS = frozenset({"incr", "mark", "timed", "observe"})
+__all__ = ["PROJECT_RULES", "ProjectRule", "SerdeCompleteness"]
 
 #: the JSON-lossless leaf annotations (RL006)
 _LOSSLESS_LEAVES = frozenset({"int", "float", "str", "bool", "None"})
@@ -34,109 +29,6 @@ _LOSSLESS_LEAVES = frozenset({"int", "float", "str", "bool", "None"})
 _LOSSLESS_CONTAINERS = frozenset({"List", "list", "Tuple", "tuple",
                                   "Sequence", "Optional", "Union",
                                   "Dict", "dict", "Mapping"})
-
-
-# ----------------------------------------------------------------------
-# RL005 -- every metric name is registered
-# ----------------------------------------------------------------------
-class MetricsRegistry(ProjectRule):
-    """Metric names are an interface; undeclared ones are unfindable.
-
-    ``--metrics`` output is only enumerable (and documentable, and
-    sortable -- the registry order drives the report) if every name
-    that can ever appear in a snapshot exists in
-    ``repro/observability/registry.py``.  This rule checks every
-    ``.incr/.mark/.timed/.observe`` call site whose name is a string
-    literal or f-string against the registered names; the runtime
-    strict mode of :class:`~repro.observability.Metrics` covers names
-    built dynamically.
-    """
-
-    id = "RL005"
-    name = "metrics-registry"
-    description = ("metric name recorded somewhere in src/ that is not "
-                   "declared in repro/observability/registry.py")
-
-    def check_project(self, modules: Dict[str, ModuleInfo],
-                      config: LintConfig,
-                      flow: Optional["ProjectFlow"] = None
-                      ) -> Iterator[Finding]:
-        registry = modules.get(config.metrics_registry_path)
-        if registry is None:
-            # Linting a subtree without the registry: nothing to check
-            # against, so stay quiet rather than flagging everything.
-            return
-        exact, patterns = self._registered_names(registry.tree)
-        for module in modules.values():
-            for node in ast.walk(module.tree):
-                candidate = self._call_name(node)
-                if candidate is None:
-                    continue
-                name, is_pattern = candidate
-                if self._matches(name, is_pattern, exact, patterns):
-                    continue
-                kind = "f-string metric pattern" if is_pattern \
-                    else "metric name"
-                yield self.finding(
-                    module, node,
-                    f"{kind} `{name}` is not declared in "
-                    f"{config.metrics_registry_path}; register it so "
-                    f"--metrics output stays enumerable")
-
-    @staticmethod
-    def _registered_names(tree: ast.Module) -> Tuple[FrozenSet[str],
-                                                     FrozenSet[str]]:
-        """Names from ``MetricSpec("...")`` constructor calls."""
-        exact: Set[str] = set()
-        patterns: Set[str] = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and \
-                    isinstance(node.func, ast.Name) and \
-                    node.func.id == "MetricSpec" and node.args and \
-                    isinstance(node.args[0], ast.Constant) and \
-                    isinstance(node.args[0].value, str):
-                name = node.args[0].value
-                (patterns if "*" in name else exact).add(name)
-        return frozenset(exact), frozenset(patterns)
-
-    @staticmethod
-    def _call_name(node: ast.AST) -> Optional[Tuple[str, bool]]:
-        """(name, is_pattern) for a literal-named metric call site."""
-        if not (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _METRIC_METHODS
-                and node.args):
-            return None
-        arg = node.args[0]
-        if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-            return arg.value, False
-        if isinstance(arg, ast.JoinedStr):
-            parts: List[str] = []
-            for value in arg.values:
-                if isinstance(value, ast.Constant) and \
-                        isinstance(value.value, str):
-                    parts.append(value.value)
-                else:
-                    parts.append("*")
-            return "".join(parts), True
-        return None
-
-    @staticmethod
-    def _matches(name: str, is_pattern: bool, exact: FrozenSet[str],
-                 patterns: FrozenSet[str]) -> bool:
-        def glob_match(pattern: str, value: str) -> bool:
-            regex = ".*".join(re.escape(part)
-                              for part in pattern.split("*"))
-            return re.fullmatch(regex, value) is not None
-
-        if not is_pattern:
-            return name in exact or \
-                any(glob_match(p, name) for p in patterns)
-        # An f-string site matches if some registered exact name fits
-        # its shape, or a registered pattern covers the same family.
-        return any(glob_match(name, registered) for registered in exact) \
-            or any(glob_match(name, p) or glob_match(p, name)
-                   for p in patterns)
 
 
 # ----------------------------------------------------------------------
@@ -401,13 +293,11 @@ class SerdeCompleteness(ProjectRule):
 # Imported at the bottom: concurrency.py subclasses ProjectRule (via
 # engine) and registers its whole-project rules here so every entry
 # point sees one complete PROJECT_RULES tuple.
-from repro.lint.concurrency import (AwaitUnderThreadLock,  # noqa: E402
-                                    BlockingInEventLoop, LockSetRaces)
+from repro.lint.concurrency import (BlockingInEventLoop,  # noqa: E402
+                                    LockSetRaces)
 
 PROJECT_RULES: Tuple[ProjectRule, ...] = (
-    MetricsRegistry(),
     SerdeCompleteness(),
     BlockingInEventLoop(),
     LockSetRaces(),
-    AwaitUnderThreadLock(),
 )

@@ -35,8 +35,8 @@ class NoWallClock(Rule):
     id = "RL001"
     name = "no-wall-clock"
     description = ("wall-clock reads (time.time, time.monotonic, "
-                   "datetime.now, ...) outside the allowlist; simulation "
-                   "code must use repro.kernel.clock.VirtualClock")
+                   "datetime.now, ...); simulation code must use "
+                   "repro.kernel.clock.VirtualClock")
 
     #: attribute paths of banned zero-state clock reads
     BANNED_TIME = frozenset({
@@ -50,8 +50,6 @@ class NoWallClock(Rule):
 
     def check_module(self, module: ModuleInfo,
                      config: LintConfig) -> Iterator[Finding]:
-        if module.relpath in config.wall_clock_allowlist:
-            return
         time_aliases = _import_aliases(module.tree, "time")
         datetime_aliases = _import_aliases(module.tree, "datetime")
         from_time = _from_imports(module.tree, "time")

@@ -68,8 +68,8 @@ class Metrics:
     """A small holder of counters, spans and timers.
 
     With ``strict=True`` every recorded name must be declared in
-    :mod:`repro.observability.registry` -- the runtime half of lint
-    rule RL005.  The test suite flips :attr:`strict_default` on
+    :mod:`repro.observability.registry` -- the registry's one
+    enforcement point.  The test suite flips :attr:`strict_default` on
     (``tests/conftest.py``) so any unregistered name used by
     production code fails its test immediately; production runs stay
     permissive so a hot path never pays for a typo with a crash.

@@ -4,15 +4,12 @@
 runs, and alert on it.  That only works if the name space is
 *enumerable* -- every counter, span and timer that can ever appear in a
 :meth:`~repro.observability.Metrics.snapshot` is declared here, with
-its kind and one line of documentation.  Two enforcement layers keep
-the registry honest:
-
-* statically, ``repro.lint`` rule RL005 checks every literal
-  ``.incr/.mark/.timed/.observe`` call site in ``src/`` against this
-  module;
-* at runtime, a strict :class:`~repro.observability.Metrics` (the
-  default under the test suite, see ``tests/conftest.py``) raises
-  :class:`UnregisteredMetricError` for any name not declared here.
+its kind and one line of documentation.  One enforcement point keeps
+the registry honest: a strict :class:`~repro.observability.Metrics`
+(the default under the test suite, see ``tests/conftest.py``) raises
+:class:`UnregisteredMetricError` for any name not declared here, so a
+call site that records an undeclared name fails the first test that
+reaches it -- literal, f-string or computed name alike.
 
 The *order* of :data:`METRICS` is the canonical report order: related
 names stay grouped in ``--metrics`` output and snapshots diff cleanly
@@ -216,7 +213,7 @@ class UnregisteredMetricError(ValueError):
         super().__init__(
             f"metric name {name!r} is not declared in "
             f"repro.observability.registry; add a MetricSpec so "
-            f"--metrics output stays enumerable (rule RL005)")
+            f"--metrics output stays enumerable")
         self.name = name
 
 

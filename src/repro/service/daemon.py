@@ -529,7 +529,7 @@ class HoardDaemon:
         ``Metrics`` rework exists for: tenant registries are absorbed
         while their actors may still be recording.
         """
-        merged = Metrics(strict=False)
+        merged = Metrics()
         merged.absorb_counters(self.metrics.snapshot())
         for tenant in sorted(self._actors):
             merged.absorb_counters(

@@ -4,9 +4,9 @@ Every ``Metrics`` instance created while a test runs is strict by
 default: recording a name that ``repro.observability.registry`` does
 not declare raises ``UnregisteredMetricError``.  Production code paths
 therefore cannot introduce an off-registry metric without a test
-failing (the runtime half of lint rule RL005).  Tests that exercise
-the ``Metrics`` primitive itself with throwaway names opt out with
-``Metrics(strict=False)``.
+failing; this fixture is the metric registry's one enforcement point.
+Tests that exercise the ``Metrics`` primitive itself with throwaway
+names opt out with ``Metrics(strict=False)``.
 """
 
 import pytest

@@ -1,11 +1,11 @@
-"""Engine behaviour: suppressions, baseline round-trip, output."""
+"""Engine behaviour: suppressions, output, rule selection."""
 
 import json
-import textwrap
 
 import pytest
 
-from repro.lint import Baseline, run_lint, render_json, render_text
+from repro.lint import run_lint, render_json, render_text
+from repro.lint.__main__ import main
 
 HASHY = """
     def shard_seed(seed, path):
@@ -59,71 +59,6 @@ class TestSuppressions:
         assert [f.rule for f in result.findings] == ["RL003"]
 
 
-class TestBaseline:
-    def test_round_trip_through_file(self, lint_snippet, tmp_path):
-        first = lint_snippet(HASHY, select=["RL003"])
-        assert len(first.findings) == 1
-
-        baseline_path = tmp_path / "baseline.json"
-        Baseline.from_findings(first.findings).save(str(baseline_path))
-        loaded = Baseline.load(str(baseline_path))
-
-        second = lint_snippet(HASHY, select=["RL003"])
-        new, grandfathered = loaded.split(second.findings)
-        assert new == []
-        assert len(grandfathered) == 1
-
-    def test_fingerprint_survives_line_moves(self, lint_snippet):
-        first = lint_snippet(HASHY, select=["RL003"])
-        baseline = Baseline.from_findings(first.findings)
-
-        shifted = lint_snippet("# leading comment\n# another\n"
-                               + textwrap.dedent(HASHY),
-                               select=["RL003"], name="shifted.py")
-        # Same file name so the path half of the fingerprint matches.
-        refound = [f for f in shifted.findings]
-        assert refound and refound[0].line != first.findings[0].line
-        renamed = [type(f)(rule=f.rule, path="mod.py", line=f.line,
-                           col=f.col, message=f.message, snippet=f.snippet)
-                   for f in refound]
-        new, grandfathered = baseline.split(renamed)
-        assert new == []
-        assert len(grandfathered) == 1
-
-    def test_counts_bound_the_budget(self, lint_snippet):
-        two = lint_snippet("""
-            def seeds(a, b):
-                return hash(a), hash(b)
-        """, select=["RL003"])
-        assert len(two.findings) == 2
-        # Both calls share one source line, hence one fingerprint with
-        # count 2; a baseline built from only one occurrence must let
-        # the second through as new.
-        partial = Baseline.from_findings(two.findings[:1])
-        new, grandfathered = partial.split(two.findings)
-        assert len(new) == 1 and len(grandfathered) == 1
-
-    def test_run_lint_applies_baseline(self, lint_snippet, tmp_path):
-        first = lint_snippet(HASHY, select=["RL003"])
-        baseline = Baseline.from_findings(first.findings)
-        path = tmp_path / "mod.py"
-        result = run_lint([str(path)], baseline=baseline,
-                          select=["RL003"])
-        assert result.findings == []
-        assert len(result.baselined) == 1
-        assert result.ok
-
-    def test_unreadable_baseline_raises(self, tmp_path):
-        bad = tmp_path / "baseline.json"
-        bad.write_text('{"version": 99}')
-        with pytest.raises(ValueError):
-            Baseline.load(str(bad))
-
-    def test_missing_baseline_is_empty(self, tmp_path):
-        baseline = Baseline.load(str(tmp_path / "nope.json"))
-        assert baseline.counts == {}
-
-
 class TestOutput:
     def test_json_output_parses(self, lint_snippet):
         result = lint_snippet(HASHY, select=["RL003"])
@@ -166,3 +101,12 @@ class TestSelect:
         only_hash = lint_snippet(source, select=["RL003"], name="b.py")
         assert {f.rule for f in everything.findings} == {"RL001", "RL003"}
         assert {f.rule for f in only_hash.findings} == {"RL003"}
+
+    def test_unknown_rule_id_is_rejected(self, tmp_path, capsys):
+        # A retired or mistyped id must not run zero rules and pass.
+        path = tmp_path / "mod.py"
+        path.write_text("X = 1\n")
+        with pytest.raises(ValueError, match="RL010"):
+            run_lint([str(path)], select=["RL003", "RL010"])
+        assert main([str(path), "--select", "RL010"]) == 2
+        assert "RL010" in capsys.readouterr().err

@@ -3,23 +3,16 @@
 The CFG promises RL012 relies on are pinned directly against node
 edges: exception edges reach the enclosing handler chain, try/finally
 funnels *both* the happy and the unhappy path through the finally
-body, and catch-all handlers swallow the escape edge.  The context
-classifier promises RL008/RL009 rely on are pinned as context sets
-per dispatch idiom (Thread targets, executor submissions,
-``run_in_executor``, pool maps, and the dispatcher-forwarding
-pattern the service daemon uses).
+body, and catch-all handlers swallow the escape edge.  The event-loop
+marking RL008 relies on is pinned per idiom: coroutines, sync call
+chains below them, and the callable the service daemon hands to its
+executor through ``_store_call``.
 """
 
 import ast
 import textwrap
 
 from repro.lint import ModuleInfo, ProjectFlow, build_cfg
-from repro.lint.flow import (
-    CONTEXT_EVENT_LOOP,
-    CONTEXT_MAIN,
-    CONTEXT_PROCESS,
-    CONTEXT_THREAD,
-)
 
 
 def module_from(source, relpath="mod.py"):
@@ -229,113 +222,39 @@ class TestCfgExceptionEdges:
             cfg, next(iter(handler_stmt.exc_succ)))
 
 
-class TestContextClassification:
-    def test_async_def_is_event_loop(self):
+class TestEventLoopMarking:
+    def test_coroutine_is_on_the_loop(self):
         flow = flow_of("""\
             async def serve():
                 pass
         """)
-        assert CONTEXT_EVENT_LOOP in flow.contexts_of("mod.py::serve")
+        assert flow.functions["mod.py::serve"].on_event_loop
 
-    def test_undispatched_sync_function_is_main(self):
+    def test_uncalled_sync_function_is_off_the_loop(self):
         flow = flow_of("""\
             def helper():
                 pass
         """)
-        assert flow.contexts_of("mod.py::helper") == {CONTEXT_MAIN}
+        assert not flow.functions["mod.py::helper"].on_event_loop
 
-    def test_thread_target_is_thread(self):
+    def test_sync_call_chain_inherits_the_loop(self):
         flow = flow_of("""\
-            import threading
-
-            def job():
+            def leaf():
                 pass
 
-            def launch():
-                threading.Thread(target=job).start()
-        """)
-        assert CONTEXT_THREAD in flow.contexts_of("mod.py::job")
-
-    def test_executor_submit_is_thread(self):
-        flow = flow_of("""\
-            def job():
-                pass
-
-            def launch(pool):
-                pool.submit(job)
-        """)
-        assert CONTEXT_THREAD in flow.contexts_of("mod.py::job")
-
-    def test_run_in_executor_with_partial_is_thread(self):
-        flow = flow_of("""\
-            from functools import partial
-
-            def job(x):
-                pass
-
-            async def launch(loop, ex):
-                await loop.run_in_executor(ex, partial(job, 1))
-        """)
-        assert CONTEXT_THREAD in flow.contexts_of("mod.py::job")
-
-    def test_pool_map_is_process(self):
-        flow = flow_of("""\
-            def shard(spec):
-                pass
-
-            def run(pool, specs):
-                return pool.map(shard, specs)
-        """)
-        assert CONTEXT_PROCESS in flow.contexts_of("mod.py::shard")
-
-    def test_sync_callee_inherits_event_loop(self):
-        flow = flow_of("""\
-            def helper():
-                pass
+            def middle():
+                leaf()
 
             async def serve():
-                helper()
+                middle()
         """)
-        assert CONTEXT_EVENT_LOOP in flow.contexts_of("mod.py::helper")
+        assert flow.functions["mod.py::middle"].on_event_loop
+        assert flow.functions["mod.py::leaf"].on_event_loop
 
-    def test_async_callee_does_not_inherit(self):
-        # Awaiting a coroutine from a thread still runs it on a loop;
-        # coroutine contexts stay fixed at event-loop.
-        flow = flow_of("""\
-            import threading
-
-            async def coro():
-                pass
-
-            def job():
-                run(coro())
-
-            def launch():
-                threading.Thread(target=job).start()
-        """)
-        assert flow.contexts_of("mod.py::coro") == {CONTEXT_EVENT_LOOP}
-
-    def test_both_contexts_accumulate(self):
-        flow = flow_of("""\
-            import threading
-
-            def helper():
-                pass
-
-            async def serve():
-                helper()
-
-            def launch():
-                threading.Thread(target=helper).start()
-        """)
-        contexts = flow.contexts_of("mod.py::helper")
-        assert CONTEXT_EVENT_LOOP in contexts
-        assert CONTEXT_THREAD in contexts
-
-    def test_dispatcher_forwarding_makes_argument_a_thread_root(self):
-        # The service daemon's _store_call idiom: the method forwards
-        # its callable parameter into run_in_executor, so callables
-        # passed at its call sites run on the executor thread.
+    def test_store_call_callable_stays_off_the_loop(self):
+        # The service daemon's _store_call idiom: the callable is
+        # passed to run_in_executor, never called on the loop, so it
+        # gets no call edge from a coroutine.
         flow = flow_of("""\
             import asyncio
             from functools import partial
@@ -352,9 +271,8 @@ class TestContextClassification:
                 async def checkpoint(self):
                     await self._store_call(self._persist)
         """)
-        assert "mod.py::Daemon._store_call" in flow.executor_dispatchers
-        contexts = flow.contexts_of("mod.py::Daemon._persist")
-        assert contexts == {CONTEXT_THREAD}
+        assert flow.functions["mod.py::Daemon._store_call"].on_event_loop
+        assert not flow.functions["mod.py::Daemon._persist"].on_event_loop
 
 
 class TestClassIndexing:
@@ -367,7 +285,7 @@ class TestClassIndexing:
                     self._lock = threading.Lock()
                     self._data = {}
         """)
-        assert flow.lock_attrs_of("Box") == {"_lock"}
+        assert flow.classes["Box"].lock_attrs == {"_lock"}
 
     def test_attr_types_from_annotation(self):
         flow = flow_of("""\

@@ -1,75 +1,8 @@
-"""Whole-project rules: RL005 (metrics registry), RL006 (serde reach)."""
+"""Whole-project rule RL006 (serde reach)."""
 
 from repro.lint import LintConfig
 
 from tests.lint.conftest import rules_of
-
-REGISTRY = """
-    from dataclasses import dataclass
-
-
-    @dataclass(frozen=True)
-    class MetricSpec:
-        name: str
-        kind: str
-        description: str
-
-
-    METRICS = (
-        MetricSpec("ingest.total", "counter", "events ingested"),
-        MetricSpec("machine.*", "timer", "per-machine compute"),
-    )
-"""
-
-RL005_CONFIG = LintConfig(metrics_registry_path="registry.py")
-
-
-class TestMetricsRegistry:
-    def test_unregistered_literal_fires(self, lint_tree):
-        result = lint_tree({
-            "registry.py": REGISTRY,
-            "consumer.py": """
-                def record(metrics):
-                    metrics.incr("typo.total")
-            """,
-        }, select=["RL005"], config=RL005_CONFIG)
-        assert rules_of(result) == ["RL005"]
-        assert "typo.total" in result.findings[0].message
-
-    def test_registered_names_are_clean(self, lint_tree):
-        result = lint_tree({
-            "registry.py": REGISTRY,
-            "consumer.py": """
-                def record(metrics, name):
-                    metrics.incr("ingest.total")
-                    with metrics.timed(f"machine.{name}"):
-                        pass
-            """,
-        }, select=["RL005"], config=RL005_CONFIG)
-        assert result.findings == []
-
-    def test_unregistered_fstring_family_fires(self, lint_tree):
-        result = lint_tree({
-            "registry.py": REGISTRY,
-            "consumer.py": """
-                def record(metrics, name):
-                    metrics.observe(f"rogue.{name}", 1.0)
-            """,
-        }, select=["RL005"], config=RL005_CONFIG)
-        assert rules_of(result) == ["RL005"]
-        assert "f-string" in result.findings[0].message
-
-    def test_without_registry_module_rule_is_silent(self, lint_tree):
-        # Linting a subtree that does not include the registry must not
-        # flag every call site in it.
-        result = lint_tree({
-            "consumer.py": """
-                def record(metrics):
-                    metrics.incr("anything.total")
-            """,
-        }, select=["RL005"], config=RL005_CONFIG)
-        assert result.findings == []
-
 
 RL006_CONFIG = LintConfig(serde_module_path="serde.py",
                           serde_roots=("Root",), asdict_roots=())

@@ -45,16 +45,6 @@ class TestNoWallClock:
         """, select=["RL001"])
         assert result.findings == []
 
-    def test_allowlisted_module_is_exempt(self, lint_snippet):
-        config = LintConfig(wall_clock_allowlist=("clock.py",))
-        result = lint_snippet("""
-            import time
-
-            def stamp():
-                return time.time()
-        """, select=["RL001"], config=config, name="clock.py")
-        assert result.findings == []
-
     def test_unrelated_time_attribute_is_clean(self, lint_snippet):
         result = lint_snippet("""
             import time

@@ -1,12 +1,12 @@
 """The analyzer applied to this repository itself.
 
-Two kinds of promise are pinned here: ``src/`` is clean (the shipped
-baseline is empty, so nothing is grandfathered), and the incidents the
+Two kinds of promise are pinned here: ``src/`` is clean (no finding,
+and inline suppressions are the only exemption), and the incidents the
 rules exist for cannot be silently reintroduced -- for each rule, the
 exact pre-fix pattern from this repo's history is seeded back into the
 real source and the rule must catch it (the RL003 salted-``hash``
-regression set the template; RL008-RL012 pin the PR 10 concurrency
-fixes the same way).
+regression set the template; RL008, RL009, RL011 and RL012 pin the
+service-layer concurrency fixes the same way).
 """
 
 import json
@@ -14,7 +14,7 @@ import os
 import subprocess
 import sys
 
-from repro.lint import Baseline, run_lint
+from repro.lint import run_lint
 
 REPO = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
@@ -53,10 +53,6 @@ class TestSrcIsClean:
         assert data["ok"] is True
         assert data["findings"] == []
 
-    def test_shipped_baseline_is_empty(self):
-        baseline = Baseline.load(os.path.join(REPO, "lint-baseline.json"))
-        assert baseline.counts == {}
-
 
 class TestPR3Regression:
     """Seeding the PR 3 bug back into runner.py must fail lint."""
@@ -93,8 +89,8 @@ class TestPR10Regressions:
     """Each concurrency rule, pinned against the real pre-fix pattern.
 
     The sources linted are the shipped ones with the PR 10 fix edited
-    back out (or, for RL010/RL011 which had no in-tree finding, with
-    the narrowly-avoided pattern seeded in); the rule must fire on the
+    back out (or, for RL011 which had no in-tree finding, with the
+    narrowly-avoided pattern seeded in); the rule must fire on the
     exact incident it was written for.
     """
 
@@ -133,20 +129,6 @@ class TestPR10Regressions:
                     if f.path == "metrics.py"]
         assert {f.rule for f in findings} == {"RL009"}
         assert any("counters" in f.message for f in findings)
-
-    def test_rl010_await_under_metrics_lock(self, tmp_path):
-        # Narrowly avoided: Metrics.timed is carefully written to not
-        # hold _lock across the yield.  Holding it across an await
-        # (every shard worker would serialize on the store flush) must
-        # be caught.
-        source = real_source("observability", "metrics.py")
-        seeded = source + (
-            "\n    async def flush_spans_pr10(self, sink):\n"
-            "        with self._lock:\n"
-            "            await sink.write(self.spans)\n")
-        result = lint_seeded(tmp_path, {"metrics.py": seeded},
-                             select=["RL010"])
-        assert [f.rule for f in result.findings] == ["RL010"]
 
     def test_rl011_unsupervised_connection_task(self, tmp_path):
         # Narrowly avoided: _on_connection keeps every connection task
@@ -189,18 +171,13 @@ class TestJobsDeterminism:
         assert serial.files_checked == parallel.files_checked
         assert serial.parse_errors == parallel.parse_errors
 
-    def test_parallel_run_keeps_suppressions_and_baseline(self,
-                                                          tmp_path):
+    def test_parallel_run_keeps_suppressions(self, tmp_path):
         (tmp_path / "a.py").write_text(
             "def seed(path):\n"
             "    return hash(path)  # repro-lint: disable=RL003\n")
         (tmp_path / "b.py").write_text(
             "def seed(path):\n"
             "    return hash(path)\n")
-        first = run_lint([str(tmp_path)], jobs=2, select=["RL003"])
-        assert [f.path for f in first.findings] == ["b.py"]
-        baseline = Baseline.from_findings(first.findings)
-        second = run_lint([str(tmp_path)], jobs=2, select=["RL003"],
-                          baseline=baseline)
-        assert second.findings == []
-        assert second.ok
+        result = run_lint([str(tmp_path)], jobs=2, select=["RL003"])
+        assert [f.path for f in result.findings] == ["b.py"]
+        assert [f.path for f in result.suppressed] == ["a.py"]

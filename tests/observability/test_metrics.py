@@ -207,3 +207,20 @@ class TestThreadSafety:
             sys.setswitchinterval(previous)
         assert source.counter("events") == 4 * self.ROUNDS
         assert sink.counter("folds") == 4 * (self.ROUNDS // 10)
+
+    def test_recording_inside_timed_block_does_not_block(self):
+        """``timed`` must not hold the (non-reentrant) lock across its
+        yield: the daemon records counters inside timed blocks, and a
+        lock held there would deadlock the first ``incr``."""
+        import threading
+        metrics = Metrics(strict=False)
+
+        def build():
+            with metrics.timed("build"):
+                metrics.incr("inside")
+
+        thread = threading.Thread(target=build, daemon=True)
+        thread.start()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert metrics.counter("inside") == 1

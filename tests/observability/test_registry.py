@@ -73,7 +73,7 @@ class TestStrictMode:
     def test_unregistered_incr_raises(self):
         with pytest.raises(UnregisteredMetricError) as exc:
             Metrics().incr("nope.total")
-        assert "RL005" in str(exc.value)
+        assert "repro.observability.registry" in str(exc.value)
 
     def test_unregistered_mark_timed_observe_raise(self):
         metrics = Metrics()

@@ -218,7 +218,8 @@ class TestSqliteStore:
 
 class TestCompaction:
     def test_json_removes_corrupt_stale_and_temp(self, tmp_path):
-        store = JsonDirStore(str(tmp_path)).open()
+        metrics = Metrics()
+        store = JsonDirStore(str(tmp_path), metrics=metrics).open()
         specs = fill(store, 3)
         stale = spec_for(7)
         store.put(stale, data_for(7), 0.0)
@@ -235,6 +236,8 @@ class TestCompaction:
         assert sorted(os.listdir(tmp_path)) == \
             sorted(s.shard_id + ".json" for s in specs)
         assert store.compacted == stats.removed_total
+        assert metrics.counter("runner.store.compacted") == \
+            stats.removed_total
         # every kept entry still loads
         for i, spec in enumerate(specs):
             assert store.get(spec).result == data_for(i)
