@@ -37,7 +37,6 @@ from repro.core.hoard import (
     rank_clusters,
 )
 from repro.core.parameters import DEFAULT_PARAMETERS, SeerParameters
-from repro.core.recluster import IncrementalClusterer
 from repro.core.seer import Seer
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "ArenaTable",
     "ClusterSet",
     "ColumnarEngine",
-    "IncrementalClusterer",
     "NeighborArena",
     "Correlator",
     "DEFAULT_PARAMETERS",

@@ -89,9 +89,6 @@ class NeighborArena:
         #: Reverse index: fid -> owner fids whose rows list it.
         self._containing: Dict[int, Set[int]] = {}
         self._deletable: Set[int] = set()
-        #: Files whose neighbor *set* changed since the last drain;
-        #: feeds the incremental reclusterer (repro.core.recluster).
-        self._dirty: Set[int] = set()
         self._geometric = parameters.use_geometric_mean
 
     # ------------------------------------------------------------------
@@ -120,7 +117,6 @@ class NeighborArena:
             row = self._rows[fid] = {}
             self._bound[fid] = 0.0
             self._oldest[fid] = math.inf
-            self._dirty.add(fid)   # a new (even empty) clustering key
         return row
 
     def mean_of(self, entry: Entry) -> float:
@@ -241,7 +237,6 @@ class NeighborArena:
                     self._metrics.incr("neighbor.rejections")
                 return False
             self.drop_entry(owner, row, victim)
-            self._dirty.add(victim)
             if self._metrics is not None:
                 self._metrics.incr("neighbor.evictions")
         row[neighbor] = [1.0, math.log1p(distance), distance, nowf,
@@ -255,7 +250,6 @@ class NeighborArena:
             self._bound[owner] = distance
         if nowf < self._oldest[owner]:
             self._oldest[owner] = nowf
-        self._dirty.add(owner)
         return True
 
     def drop_entry(self, owner: int, row: Dict[int, Entry],
@@ -283,7 +277,6 @@ class NeighborArena:
             self._bound[owner] = mean
         if summary.last_update < self._oldest[owner]:
             self._oldest[owner] = float(summary.last_update)
-        self._dirty.add(owner)
 
     # ------------------------------------------------------------------
     # rename / remove (paper section 4.8)
@@ -297,16 +290,12 @@ class NeighborArena:
         new_fid = self.intern(new)
         rows = self._rows
         containing = self._containing
-        dirty = self._dirty
         moved = rows.pop(old_fid, None)
         if moved is not None:
-            dirty.add(old_fid)
-            dirty.add(new_fid)
             displaced = rows.pop(new_fid, None)
             if displaced is not None:
                 # A rename over a live file destroys its identity.
                 for neighbor in displaced:
-                    dirty.add(neighbor)
                     owners = containing.get(neighbor)
                     if owners is not None:
                         owners.discard(new_fid)
@@ -333,8 +322,6 @@ class NeighborArena:
             entry = row.pop(old_fid, None)
             if entry is None:
                 continue
-            dirty.add(owner)
-            dirty.add(old_fid)
             if owner == new_fid:
                 continue   # re-keying would create a self-entry: drop
             if new_fid not in row:
@@ -353,7 +340,6 @@ class NeighborArena:
             self._bound.pop(fid, None)
             self._oldest.pop(fid, None)
             for neighbor in row:
-                self._dirty.add(neighbor)
                 owners = self._containing.get(neighbor)
                 if owners is not None:
                     owners.discard(fid)
@@ -363,8 +349,6 @@ class NeighborArena:
             other = self._rows.get(owner)
             if other is not None:
                 other.pop(fid, None)
-                self._dirty.add(owner)
-        self._dirty.add(fid)
         self._deletable.discard(fid)
 
     # ------------------------------------------------------------------
@@ -523,8 +507,6 @@ class ArenaTable:
         row = self._arena._rows.get(self._fid)
         if row is not None and fid in row:
             self._arena.drop_entry(self._fid, row, fid)
-            self._arena._dirty.add(self._fid)
-            self._arena._dirty.add(fid)
 
 
 class ArenaStore:
@@ -571,13 +553,6 @@ class ArenaStore:
         paths = self._arena._paths
         return [paths[fid] for fid in self._arena._rows]
 
-    def containing(self, file: str) -> Set[str]:
-        fid = self._arena._fids.get(file)
-        if fid is None:
-            return set()
-        paths = self._arena._paths
-        return {paths[owner] for owner in self._arena._containing.get(fid, ())}
-
     def observe(self, from_file: str, to_file: str, distance: float,
                 now: int) -> bool:
         arena = self._arena
@@ -590,17 +565,6 @@ class ArenaStore:
     def remove_file(self, file: str) -> None:
         self._arena.remove_file(file)
 
-    def neighbor_set(self, file: str) -> Set[str]:
-        """One file's current neighbor set (empty if untracked)."""
-        fid = self._arena._fids.get(file)
-        if fid is None:
-            return set()
-        row = self._arena._rows.get(fid)
-        if row is None:
-            return set()
-        paths = self._arena._paths
-        return {paths[nfid] for nfid in row}
-
     def neighbor_lists(self, now: Optional[int] = None,
                        stale_after: Optional[int] = None) -> Dict[str, Set[str]]:
         if now is None or stale_after is None:
@@ -608,14 +572,6 @@ class ArenaStore:
             return {paths[fid]: {paths[nfid] for nfid in row}
                     for fid, row in self._arena._rows.items()}
         return self._arena.fresh_neighbor_lists(now - stale_after)
-
-    def drain_dirty(self) -> Set[str]:
-        """Files whose neighbor sets changed since the last drain."""
-        arena = self._arena
-        paths = arena._paths
-        drained = {paths[fid] for fid in arena._dirty}
-        arena._dirty.clear()
-        return drained
 
     def columnar(self) -> Dict[str, npt.NDArray[np.float64]]:
         return self._arena.columnar()
@@ -721,7 +677,6 @@ class ColumnarEngine:
         bound = arena._bound
         oldest = arena._oldest
         containing = arena._containing
-        dirty = arena._dirty
         log1p = math.log1p
         lookback = self._lookback
         compensation = self._compensation
@@ -780,7 +735,6 @@ class ColumnarEngine:
                     owners.discard(other)
                     if not owners:
                         del containing[victim]
-                dirty.add(victim)
                 evictions += 1
             row[fid] = [1.0, log1p(distance), distance, nowf, _DIRTY_MEAN]
             owners = containing.get(fid)
@@ -792,7 +746,6 @@ class ColumnarEngine:
                 bound[other] = distance
             if nowf < oldest[other]:
                 oldest[other] = nowf
-            dirty.add(other)
 
         if aged is not None:
             for other in aged:

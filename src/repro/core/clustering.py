@@ -23,6 +23,21 @@ directly rather than the semantic distance: directory distance is
 subtracted, investigator strength added.  Investigated relationships
 are tested even for pairs with no stored semantic distance, so a
 sufficiently strong relation can force files into one cluster.
+
+Counts reused across builds
+---------------------------
+
+A pair's effective count is the raw shared count (a function of the two
+neighbor sets), plus the investigator term, minus the directory term (a
+function of the two paths), optionally divided by a denominator (a
+function of the two sets).  Only the investigator term varies between
+builds of one correlator, whose parameters are fixed.  So a build given
+the ``previous`` one reuses each stored count whose pair has no relation
+strength and whose two endpoints' neighbor sets are unchanged; that
+count is bit-identical to a fresh one.  Counts of pairs with relation
+strength are computed fresh every build and never stored, or one would
+outlive its relation.  A file whose list appears, disappears or differs
+counts as changed.
 """
 
 from __future__ import annotations
@@ -145,18 +160,31 @@ class SharedNeighborClustering:
     *examined* when G appears in F's list -- a blank entry in Table 2's
     sense means the pair is never considered, even if they share
     neighbors.  External relations add examined pairs of their own.
+
+    ``previous`` is the last build over the same parameters and
+    directory distance, with no override.  It carries state, not
+    behaviour: :meth:`cluster` returns the same result with or without
+    it, reusing the counts it can (``counts_reused``) and computing the
+    rest (``counts_computed``).
     """
 
     def __init__(self, neighbor_lists: Dict[str, Set[str]],
                  parameters: SeerParameters = DEFAULT_PARAMETERS,
                  relations: Sequence[Relation] = (),
                  directory_distance: Optional[Callable[[str, str], float]] = None,
-                 shared_count_override: Optional[SharedCountFunction] = None) -> None:
+                 shared_count_override: Optional[SharedCountFunction] = None,
+                 previous: Optional["SharedNeighborClustering"] = None) -> None:
         self._neighbors = neighbor_lists
         self._parameters = parameters
         self._relations = list(relations)
         self._directory_distance = directory_distance
         self._override = shared_count_override
+        self._previous = previous
+        #: Relation-free counts of the last :meth:`cluster` call, for
+        #: the next build to reuse.
+        self._counts: Dict[Tuple[str, str], float] = {}
+        self.counts_computed = 0
+        self.counts_reused = 0
         self._relation_strength: Dict[Tuple[str, str], float] = {}
         for relation in self._relations:
             for index, first in enumerate(relation.files):
@@ -219,15 +247,6 @@ class SharedNeighborClustering:
             return count / self._denominator(file_a, file_b)
         return count
 
-    @property
-    def relation_strength(self) -> Dict[Tuple[str, str], float]:
-        """Oriented relation-pair strengths (both orientations present).
-
-        Exposed for the incremental reclusterer, which must replay
-        relation pairs in exactly this structure's order.
-        """
-        return self._relation_strength
-
     def examined_pairs(self) -> List[Tuple[str, str]]:
         """Ordered (from, to) pairs the algorithm will test."""
         pairs: List[Tuple[str, str]] = []
@@ -247,6 +266,38 @@ class SharedNeighborClustering:
                 seen.add((first, second))
                 pairs.append((first, second))
         return pairs
+
+    def _pair_counts(self, pairs: List[Tuple[str, str]]) -> Dict[Tuple[str, str], float]:
+        """Effective counts of *pairs*, reusing the previous build's
+        where they cannot have changed (see the module docstring)."""
+        previous, self._previous = self._previous, None   # keep no chain
+        stored: Dict[Tuple[str, str], float] = {}
+        changed: Set[str] = set()
+        if previous is not None:
+            stored = previous._counts
+            old, new = previous._neighbors, self._neighbors
+            changed = {file for file in old.keys() | new.keys()
+                       if old.get(file) != new.get(file)}
+        relation_strength = self._relation_strength
+        counts: Dict[Tuple[str, str], float] = {}
+        self._counts = {}
+        computed = reused = 0
+        for pair in pairs:
+            if pair in relation_strength:
+                counts[pair] = self.effective_count(*pair)
+                computed += 1
+                continue
+            count: Optional[float] = None
+            if pair[0] not in changed and pair[1] not in changed:
+                count = stored.get(pair)
+            if count is None:
+                count = self.effective_count(*pair)
+                computed += 1
+            else:
+                reused += 1
+            counts[pair] = self._counts[pair] = count
+        self.counts_computed, self.counts_reused = computed, reused
+        return counts
 
     # ------------------------------------------------------------------
     # the two phases
@@ -271,7 +322,7 @@ class SharedNeighborClustering:
                 parent[root_b] = root_a
 
         pairs = self.examined_pairs()
-        counts = {pair: self.effective_count(*pair) for pair in pairs}
+        counts = self._pair_counts(pairs)
         if self._parameters.normalize_shared_counts:
             near = self._parameters.kn_fraction
             far = self._parameters.kf_fraction

@@ -19,7 +19,9 @@ path-level :class:`~repro.core.arena.ArenaStore` (``self.store``).
 The correlator drives the engine through a narrow interface (``ensure``,
 ``fork``, ``exit``, ``open``, ``point``, ``close``, ``rename``,
 ``forget``); event sequencing, recency, delayed deletion and cluster
-building are implemented here.
+building are implemented here.  Each cluster build hands the previous
+one to :class:`~repro.core.clustering.SharedNeighborClustering`, which
+reuses the pair counts that cannot have changed since.
 
 A direct transcription of the paper -- per-process lifetime-distance
 calculators feeding per-entry neighbor tables -- lives in
@@ -32,12 +34,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.core.arena import ArenaStore, ColumnarEngine, NeighborArena
 from repro.core.clustering import ClusterSet, Relation, SharedNeighborClustering
 from repro.core.parameters import DEFAULT_PARAMETERS, SeerParameters
-from repro.core.recluster import IncrementalClusterer
 from repro.fs.paths import directory_distance
 from repro.observability import Metrics
 
@@ -103,8 +104,7 @@ class Correlator:
         arena = NeighborArena(parameters, metrics=self.metrics)
         self.store = ArenaStore(arena)
         self._engine = ColumnarEngine(arena, parameters, metrics=self.metrics)
-        self._clusterer = IncrementalClusterer(parameters, self.metrics)
-        self._prev_exclude: FrozenSet[str] = frozenset()
+        self._last_build: Optional[SharedNeighborClustering] = None
         self._streams: Dict[int, _ProcessStream] = {}
         self._recency: Dict[str, int] = {}
         self._recency_time: Dict[str, float] = {}
@@ -136,7 +136,6 @@ class Correlator:
         return self._recency.get(path)
 
     def build_clusters(self, relations: Sequence[Relation] = (),
-                       use_directory_distance: bool = True,
                        exclude: Optional[Set[str]] = None) -> ClusterSet:
         """Run the clustering algorithm over the current neighbor tables.
 
@@ -145,15 +144,11 @@ class Correlator:
         so a shared library cannot act as a bridge that merges all
         projects into one giant cluster.
 
-        Without a stale-link cutoff (whose effective neighbor sets shift
-        with every reference), builds after the first splice in only the
-        neighborhoods dirtied since the previous build instead of
-        re-running Jarvis-Patrick over the whole population -- O(dirty)
-        between hoard walks, with byte-identical output (see
-        :mod:`repro.core.recluster` for the replay argument).
+        The pass reuses each pair count of the previous build whose
+        pair has no relation strength and whose two filtered neighbor
+        sets are unchanged (see :mod:`repro.core.clustering`).
         """
         with self.metrics.timed("correlator.cluster_build"):
-            distance_fn = directory_distance if use_directory_distance else None
             if self._parameters.stale_link_cutoff > 0:
                 neighbor_lists = self.store.neighbor_lists(
                     now=self._reference_counter,
@@ -165,31 +160,15 @@ class Correlator:
                     file: neighbors - exclude
                     for file, neighbors in neighbor_lists.items()
                     if file not in exclude}
-            if self._parameters.stale_link_cutoff == 0:
-                dirty = self.store.drain_dirty()
-                exclude_set = frozenset(exclude) if exclude else frozenset()
-                if exclude_set != self._prev_exclude:
-                    # Exclusion changes rewrite filtered lists without
-                    # touching the store: fold the delta into the dirty
-                    # set so the splice reprocesses affected files.  A
-                    # toggled file's neighbors are affected too -- their
-                    # very membership in the clustering universe can
-                    # hinge on the toggled file's list being visible.
-                    for file in exclude_set ^ self._prev_exclude:
-                        dirty.add(file)
-                        dirty |= self.store.containing(file)
-                        dirty |= self.store.neighbor_set(file)
-                    self._prev_exclude = exclude_set
-                return self._clusterer.build(
-                    neighbor_lists, dirty,
-                    parameters=self._parameters, relations=relations,
-                    directory_distance=distance_fn,
-                    owners_of=self.store.containing)
-            self.store.drain_dirty()   # keep the dirty set bounded
-            algorithm = SharedNeighborClustering(
+            build = SharedNeighborClustering(
                 neighbor_lists, parameters=self._parameters,
-                relations=relations, directory_distance=distance_fn)
-            return algorithm.cluster()
+                relations=relations, directory_distance=directory_distance,
+                previous=self._last_build)
+            clusters = build.cluster()
+            self._last_build = build
+            self.metrics.incr("cluster.counts_computed", build.counts_computed)
+            self.metrics.incr("cluster.counts_reused", build.counts_reused)
+            return clusters
 
     # ------------------------------------------------------------------
     # event handling

@@ -8,8 +8,10 @@ computes clusters and fills the hoard through a replication substrate.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
+                    Sequence, Set)
 
 from repro.core.clustering import ClusterSet, Relation
 from repro.core.correlator import Correlator, ObservedReference
@@ -27,6 +29,18 @@ if TYPE_CHECKING:   # heavy/cyclic imports used only in annotations
     from repro.replication.base import ReplicationSystem
 
 SizeFunction = Callable[[str], int]
+
+
+def _weak(method: Callable[..., None]) -> Callable[..., None]:
+    """Call bound *method* while its object is alive, without keeping
+    the object alive."""
+    reference = weakref.WeakMethod(method)
+
+    def call(*args: Any) -> None:
+        bound = reference()
+        if bound is not None:
+            bound(*args)
+    return call
 
 
 class Seer:
@@ -66,10 +80,14 @@ class Seer:
         self.refills_performed = 0
         filesystem = kernel.fs if kernel is not None else None
         process_table = kernel.processes if kernel is not None else None
+        # The observer calls back through weak references, so no cycle
+        # holds a finished Seer (and its correlator) until a cyclic
+        # collection: reference counting frees it at once.
         self.observer = Observer(
-            handler=self._handle_reference, control=control,
+            handler=_weak(self._handle_reference), control=control,
             parameters=parameters, filesystem=filesystem, strategy=strategy,
-            on_failed_access=self._failed_access, process_table=process_table)
+            on_failed_access=_weak(self._failed_access),
+            process_table=process_table)
         if kernel is not None and attach:
             kernel.add_sink(self.observer.handle_record)
 
@@ -153,12 +171,11 @@ class Seer:
             relations.extend(investigator.investigate())
         return relations
 
-    def build_clusters(self, use_directory_distance: bool = True) -> ClusterSet:
+    def build_clusters(self) -> ClusterSet:
         # Frequently-referenced files are eliminated from relationship
         # calculation (section 4.2); they are hoarded unconditionally.
         return self.correlator.build_clusters(
             relations=self.investigate(),
-            use_directory_distance=use_directory_distance,
             exclude=self.observer.frequent.frequent_files())
 
     def always_hoard_paths(self) -> Set[str]:

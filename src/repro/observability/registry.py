@@ -66,13 +66,11 @@ METRICS: Tuple[MetricSpec, ...] = (
                "neighbors evicted to respect the table size cap"),
     MetricSpec("neighbor.bound_skips", "counter",
                "observations skipped by the incremental bound check"),
-    # -- incremental reclustering (repro.core.recluster) ---------------
-    MetricSpec("recluster.full_builds", "counter",
-               "cluster builds that ran the full Jarvis-Patrick pass"),
-    MetricSpec("recluster.incremental_builds", "counter",
-               "cluster builds satisfied by a dirty-region splice"),
-    MetricSpec("recluster.region_files", "counter",
-               "files swept into splice regions, summed over builds"),
+    # -- clustering (repro.core.clustering) ----------------------------
+    MetricSpec("cluster.counts_computed", "counter",
+               "examined-pair shared-neighbor counts computed afresh"),
+    MetricSpec("cluster.counts_reused", "counter",
+               "examined-pair counts reused from the previous build"),
     # -- parallel experiment runner ------------------------------------
     MetricSpec("runner.shards_total", "counter",
                "grid cells requested for the sweep"),

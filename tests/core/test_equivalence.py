@@ -10,8 +10,9 @@ engines must leave byte-identical persistent state, identical neighbor
 lists (plain and stale-filtered), identical cluster sets and hoard
 selections, and identical scoring-relevant metric totals.  The oracle
 runs with pruning and compensation on, the shipped semantics.
-Likewise the incremental reclusterer must splice to exactly the
-clusters a full Jarvis-Patrick pass would produce, build after build.
+Likewise a cluster build that reuses the previous build's pair counts
+must produce exactly the clusters a fresh Jarvis-Patrick pass would,
+build after build.
 
 Randomized traces exercise every action kind with tiny tables and
 windows so eviction, compensation, pruning, fork/exit merging, delayed
@@ -21,10 +22,10 @@ divergence here is a latent scoring bug in one of the engines.
 
 import json
 
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.clustering import SharedNeighborClustering
+from repro.core.clustering import Relation, SharedNeighborClustering
 from repro.core.correlator import Action, Correlator, ObservedReference
 from repro.core.hoard import HoardManager, rank_clusters
 from repro.core.parameters import SeerParameters
@@ -72,10 +73,19 @@ def events(draw):
 #: ages out of the window, so eviction and compensation never fire.
 streams = st.lists(events(), min_size=30, max_size=150)
 
-#: Chunks between recluster builds keep the short lower bound: a chunk
-#: of a few events leaves an empty or small dirty set, which is what
-#: exercises the reuse path and partial-region splices.
+#: Chunks between cluster builds keep the short lower bound: a chunk of
+#: a few events changes few neighbor lists, which is what exercises
+#: count reuse.
 recluster_chunks = st.lists(events(), min_size=1, max_size=150)
+
+#: Investigator relations for one build; drawn per build, so a relation
+#: can appear in one build and vanish in the next.
+relation_sets = st.lists(
+    st.builds(Relation,
+              files=st.lists(st.sampled_from(PATHS), min_size=2,
+                             max_size=3, unique=True).map(tuple),
+              strength=st.sampled_from([1.0, 2.0])),
+    max_size=2)
 
 parameter_sets = st.builds(
     SeerParameters,
@@ -226,40 +236,66 @@ def test_kill_resume_round_trip(stream, split):
                          resumed_reference.build_clusters())
 
 
-@settings(max_examples=25, deadline=None)
+NO_EXCLUDES = [frozenset()] * 4
+
+
+@settings(max_examples=100, deadline=None)
 @given(chunks=st.lists(recluster_chunks, min_size=2, max_size=4),
        excludes=st.lists(
            st.frozensets(st.sampled_from(PATHS), max_size=2),
-           min_size=4, max_size=4))
-def test_incremental_recluster_matches_full(chunks, excludes):
-    """Interleaved builds: splice output == full-pass output, every time.
+           min_size=4, max_size=4),
+       relations=st.lists(relation_sets, min_size=4, max_size=4),
+       cutoff=st.one_of(st.just(0), st.integers(min_value=1, max_value=30)))
+# A relation vanishes while both its files' lists stay unchanged: the
+# count stored for the pair must not carry the relation term.
+@example(chunks=[[("point", 1, "/q/d", "", 0), ("open", 1, "/p/a", "", 0)],
+                 [("close", 1, "/p/a", "", 0)]],
+         excludes=NO_EXCLUDES,
+         relations=[[Relation(("/q/d", "/p/a"), strength=2.0)], [], [], []],
+         cutoff=0)
+# /p/c's entries go stale, so it drops out of the lists while /p/a's
+# unchanged list still names it: the dropped file counts as changed.
+@example(chunks=[[("point", 2, "/p/c", "", 0), ("point", 1, "/p/b", "", 0),
+                  ("open", 2, "/p/a", "", 0), ("open", 2, "/p/c", "", 0)],
+                 [("point", 1, "/q/d", "", 0)]],
+         excludes=NO_EXCLUDES, relations=[[], [], [], []], cutoff=2)
+def test_incremental_recluster_matches_full(chunks, excludes, relations,
+                                            cutoff):
+    """Interleaved builds: count reuse == a fresh pass, every time.
 
-    Each build is compared with a from-scratch Jarvis-Patrick pass over
-    the same correlator's neighbor lists, filtered by the same exclude
-    set.  The exclude set changes between builds, exercising the
-    exclusion-delta dirtying; the streams carry renames and deletes,
-    exercising removal/rekey dirtying.
+    Each build is compared with a fresh Jarvis-Patrick pass over the
+    same correlator's neighbor lists (stale-filtered under a cutoff),
+    filtered by the same exclude set, with the same relations.  The
+    exclude set and the relations change between builds, and under a
+    cutoff files drop out of the lists as their entries go stale; the
+    streams carry renames and deletes.
     """
     parameters = SeerParameters(
         max_neighbors=3, lookback_window=6, compensation_distance=6,
-        kn=2, kf=1, delete_delay=2)
-    incremental = Correlator(parameters)
+        kn=2, kf=1, delete_delay=2, stale_link_cutoff=cutoff)
+    correlator = Correlator(parameters)
     start = 0
+    examined = 0
     for index, chunk in enumerate(chunks):
-        ingest(chunk, None, correlator=incremental, start_seq=start)
+        ingest(chunk, None, correlator=correlator, start_seq=start)
         start += len(chunk)
-        exclude = set(excludes[index % len(excludes)]) or set()
+        exclude = set(excludes[index])
         neighbor_lists = {
             file: neighbors - exclude
-            for file, neighbors in incremental.store.neighbor_lists().items()
+            for file, neighbors in correlator.store.neighbor_lists(
+                now=correlator._reference_counter,
+                stale_after=cutoff or None).items()
             if file not in exclude}
-        full = SharedNeighborClustering(
+        fresh = SharedNeighborClustering(
             neighbor_lists, parameters=parameters,
-            directory_distance=directory_distance).cluster()
+            relations=relations[index],
+            directory_distance=directory_distance)
+        examined += len(fresh.examined_pairs())
         assert_same_clusters(
-            incremental.build_clusters(exclude=exclude or None), full)
-    # At least one build after the first should have been a splice.
-    if len(chunks) > 1:
-        assert incremental.metrics.counter("recluster.incremental_builds") \
-            + incremental.metrics.counter("recluster.full_builds") == \
-            len(chunks)
+            correlator.build_clusters(relations=relations[index],
+                                      exclude=exclude or None),
+            fresh.cluster())
+    reused = correlator.metrics.counter("cluster.counts_reused")
+    assert reused + correlator.metrics.counter("cluster.counts_computed") \
+        == examined
+    event("reuses a count" if reused else "reuses no count")

@@ -1,10 +1,15 @@
 """Integration tests for the Seer facade: kernel -> hoard."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core import MissSeverity, Relation, Seer, SeerParameters
 from repro.fs import FileKind
 from repro.kernel import Kernel
+from repro.simulation import simulate_live_usage, simulate_miss_free
+from repro.workload import generate_machine_trace, machine_profile
 
 
 def small_params(**overrides):
@@ -205,3 +210,35 @@ class TestPeriodicRefill:
         import pytest as _pytest
         with _pytest.raises(ValueError):
             seer.enable_periodic_refill(interval_seconds=0, budget=1)
+
+
+class TestFinishedReplayFreesSeer:
+    """A replay's SEER state goes when the replay returns, by reference
+    counting alone: nothing waits for a cyclic collection."""
+
+    @pytest.mark.parametrize("simulate", [
+        lambda trace: simulate_miss_free(trace, 86400.0),
+        lambda trace: simulate_live_usage(trace),
+    ], ids=["missfree", "live"])
+    def test_seer_and_correlator_freed_with_gc_disabled(self, monkeypatch,
+                                                        simulate):
+        trace = generate_machine_trace(machine_profile("C"), seed=1, days=7)
+        built = []
+        original_init = Seer.__init__
+
+        def recording_init(seer, *args, **kwargs):
+            original_init(seer, *args, **kwargs)
+            built.append((weakref.ref(seer), weakref.ref(seer.correlator)))
+
+        monkeypatch.setattr(Seer, "__init__", recording_init)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            simulate(trace)
+            # Read before re-enabling: the first allocation after that
+            # may run a collection that frees a cycle too.
+            freed = [ref() is None for refs in built for ref in refs]
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert freed == [True, True]   # the one Seer and its correlator

@@ -55,7 +55,6 @@ class NeighborTable:
                  rng: Optional[random.Random] = None,
                  owner: Optional[str] = None,
                  index: Optional[Dict[str, Set[str]]] = None,
-                 dirty: Optional[Set[str]] = None,
                  metrics: Optional[Metrics] = None) -> None:
         self._parameters = parameters
         self._entries: Dict[str, DistanceSummary] = {}
@@ -71,11 +70,6 @@ class NeighborTable:
         self._oldest_update = float("inf")
         self._owner = owner
         self._index = index
-        # Shared with the owning store: files whose neighbor *set*
-        # changed since the incremental reclusterer last drained it.
-        # Mean updates to an existing entry do not dirty anything --
-        # clustering consumes only the sets.
-        self._dirty = dirty
         self._metrics = metrics
 
     def __len__(self) -> int:
@@ -120,9 +114,6 @@ class NeighborTable:
     def remove(self, neighbor: str) -> None:
         if self._entries.pop(neighbor, None) is not None:
             self._deregister(neighbor)
-            self._mark_dirty(neighbor)
-            if self._owner is not None:
-                self._mark_dirty(self._owner)
 
     # ------------------------------------------------------------------
     # reverse-index bookkeeping (owned by NeighborStore)
@@ -138,10 +129,6 @@ class NeighborTable:
                 owners.discard(self._owner)
                 if not owners:
                     del self._index[neighbor]
-
-    def _mark_dirty(self, file: str) -> None:
-        if self._dirty is not None:
-            self._dirty.add(file)
 
     def observe(self, neighbor: str, distance: float, now: int,
                 deletable: Optional[Set[str]] = None) -> bool:
@@ -169,8 +156,6 @@ class NeighborTable:
             fresh.add(distance, now=now)
             self._entries[neighbor] = fresh
             self._register(neighbor)
-            if self._owner is not None:
-                self._mark_dirty(self._owner)
             if distance > self._worst_bound:
                 self._worst_bound = distance
             if now < self._oldest_update:
@@ -183,9 +168,6 @@ class NeighborTable:
             return False
         del self._entries[victim]
         self._deregister(victim)
-        self._mark_dirty(victim)
-        if self._owner is not None:
-            self._mark_dirty(self._owner)
         fresh = DistanceSummary()
         fresh.add(distance, now=now)
         self._entries[neighbor] = fresh
@@ -250,8 +232,6 @@ class NeighborTable:
         if neighbor not in self._entries:
             self._register(neighbor)
         self._entries[neighbor] = summary
-        if self._owner is not None:
-            self._mark_dirty(self._owner)
         mean = summary.mean(geometric=self._parameters.use_geometric_mean)
         if mean > self._worst_bound:
             self._worst_bound = mean
@@ -272,9 +252,6 @@ class NeighborStore:
         # Reverse index: file -> owners whose tables list it as a
         # neighbor.  Renames and removals touch only those tables.
         self._containing: Dict[str, Set[str]] = {}
-        # Files whose neighbor sets changed since the last drain; the
-        # incremental reclusterer's work queue (repro.core.recluster).
-        self._dirty: Set[str] = set()
 
     def __len__(self) -> int:
         return len(self._tables)
@@ -288,10 +265,8 @@ class NeighborStore:
             existing = NeighborTable(self._parameters,
                                      rng=random.Random(self._rng.random()),
                                      owner=file, index=self._containing,
-                                     dirty=self._dirty,
                                      metrics=self._metrics)
             self._tables[file] = existing
-            self._dirty.add(file)   # a new (even empty) clustering key
         return existing
 
     def get(self, file: str) -> Optional[NeighborTable]:
@@ -325,13 +300,10 @@ class NeighborStore:
             return
         moved = self._tables.pop(old, None)
         if moved is not None:
-            self._dirty.add(old)
-            self._dirty.add(new)
             displaced = self._tables.pop(new, None)
             if displaced is not None:
                 for neighbor in displaced.neighbors():
                     displaced._deregister(neighbor)
-                    self._dirty.add(neighbor)
             for neighbor in moved.neighbors():
                 moved._deregister(neighbor)
             # The moved table must not list its own new name.
@@ -348,8 +320,6 @@ class NeighborStore:
             entry = table._entries.pop(old, None)
             if entry is None:
                 continue
-            self._dirty.add(owner)
-            self._dirty.add(old)
             if owner == new:
                 continue   # re-keying would create a self-entry: drop
             if new not in table._entries:
@@ -365,25 +335,11 @@ class NeighborStore:
         if table is not None:
             for neighbor in table.neighbors():
                 table._deregister(neighbor)
-                self._dirty.add(neighbor)
         for owner in self._containing.pop(file, set()):
             other = self._tables.get(owner)
             if other is not None:
                 other._entries.pop(file, None)
-                self._dirty.add(owner)
-        self._dirty.add(file)
         self.marked_for_deletion.discard(file)
-
-    def neighbor_set(self, file: str) -> Set[str]:
-        """One file's current neighbor set (empty if untracked)."""
-        table = self._tables.get(file)
-        return table.neighbors() if table is not None else set()
-
-    def drain_dirty(self) -> Set[str]:
-        """Files whose neighbor sets changed since the last drain."""
-        drained = set(self._dirty)
-        self._dirty.clear()
-        return drained
 
     def neighbor_lists(self, now: Optional[int] = None,
                        stale_after: Optional[int] = None) -> Dict[str, Set[str]]:
