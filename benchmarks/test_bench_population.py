@@ -44,8 +44,7 @@ def test_population_sweep_throughput(benchmark, output_dir):
         def sweep():
             return run_shards(grid, jobs=JOBS,
                               checkpoint_dir=checkpoint_dir,
-                              store="sqlite", stats=stats,
-                              consume=aggregate.consume)
+                              stats=stats, consume=aggregate.consume)
 
         start = time.perf_counter()
         returned = benchmark.pedantic(sweep, rounds=1, iterations=1)

@@ -1,11 +1,10 @@
-"""Checkpoint store throughput: json-dir vs sqlite/WAL.
+"""Checkpoint store throughput.
 
-The json backend pays a file create + atomic rename per cell; the
-sqlite backend amortizes one fsync over a whole batch.  This benchmark
-pushes an N-cell synthetic grid through both backends, records write
-and restore throughput as ``BENCH_store_*.json`` for the trajectory
-gate, and pins the structural claim that motivated the sqlite backend:
-O(1) files on disk regardless of grid size.
+The sqlite store commits a whole batch of cells in one transaction.
+This benchmark pushes an N-cell synthetic grid through it, records
+write, restore and compaction cost as ``BENCH_store_*.json`` for the
+trajectory gate, and pins the structural claim behind the store: O(1)
+files on disk regardless of grid size.
 
 ``REPRO_BENCH_SMOKE=1`` shrinks N for CI smoke runs.
 """
@@ -15,16 +14,14 @@ import shutil
 import tempfile
 import time
 
-import pytest
-
 from benchmarks.conftest import DAY
 from benchmarks.perf_record import write_record
 from repro.simulation.runner import ShardSpec
-from repro.simulation.store import open_store
+from repro.simulation.store import SqliteStore
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 
-#: Cells pushed through each backend.  The payload is synthetic (the
+#: Cells pushed through the store.  The payload is synthetic (the
 #: store never looks inside the result dict), so the grid can be far
 #: larger than any simulation benchmark could afford.
 N_CELLS = 400 if SMOKE else 4000
@@ -40,13 +37,12 @@ def payload(seed):
             "windows": [{"seed": seed, "seer": 1.0 + seed, "lru": 2.0}]}
 
 
-@pytest.mark.parametrize("backend", ["json", "sqlite"])
-def test_store_write_throughput(benchmark, output_dir, backend):
+def test_store_write_throughput(benchmark, output_dir):
     specs = grid()
-    root = tempfile.mkdtemp(prefix=f"bench-store-{backend}-")
+    root = tempfile.mkdtemp(prefix="bench-store-")
     try:
         def write_all():
-            with open_store(backend, root) as store:
+            with SqliteStore(root) as store:
                 for seed, spec in enumerate(specs):
                     store.put(spec, payload(seed), elapsed_seconds=0.0)
                 return store.bytes_on_disk()
@@ -58,32 +54,28 @@ def test_store_write_throughput(benchmark, output_dir, backend):
 
         files = len(os.listdir(root))
         record = write_record(
-            output_dir, f"store_write_{backend}", elapsed, N_CELLS,
+            output_dir, "store_write_sqlite", elapsed, N_CELLS,
             extra={"files_on_disk": files, "bytes_on_disk": bytes_on_disk})
-        print(f"store_write_{backend}: "
+        print(f"store_write_sqlite: "
               f"{record['throughput_per_second']:,.0f} cells/s, "
               f"{files} files, {bytes_on_disk:,d} bytes")
 
-        # The structural claim: one file per cell vs O(1) files.
-        if backend == "json":
-            assert files == N_CELLS
-        else:
-            assert files == 1
+        # The structural claim: O(1) files, not one per cell.
+        assert files == 1
     finally:
         shutil.rmtree(root, ignore_errors=True)
 
 
-@pytest.mark.parametrize("backend", ["json", "sqlite"])
-def test_store_restore_throughput(benchmark, output_dir, backend):
+def test_store_restore_throughput(benchmark, output_dir):
     specs = grid()
-    root = tempfile.mkdtemp(prefix=f"bench-store-{backend}-")
+    root = tempfile.mkdtemp(prefix="bench-store-")
     try:
-        with open_store(backend, root) as store:
+        with SqliteStore(root) as store:
             for seed, spec in enumerate(specs):
                 store.put(spec, payload(seed), elapsed_seconds=0.0)
 
         def restore_all():
-            with open_store(backend, root) as store:
+            with SqliteStore(root) as store:
                 restored = sum(1 for spec in specs
                                if store.get(spec) is not None)
                 assert store.corrupt_discarded == 0
@@ -94,25 +86,25 @@ def test_store_restore_throughput(benchmark, output_dir, backend):
         elapsed = time.perf_counter() - start
         assert restored == N_CELLS
 
-        record = write_record(output_dir, f"store_restore_{backend}",
+        record = write_record(output_dir, "store_restore_sqlite",
                               elapsed, N_CELLS)
-        print(f"store_restore_{backend}: "
+        print(f"store_restore_sqlite: "
               f"{record['throughput_per_second']:,.0f} cells/s")
     finally:
         shutil.rmtree(root, ignore_errors=True)
 
 
 def test_store_compaction_reclaims(benchmark, output_dir):
-    """Superseding every cell once, then compacting, halves the rows
-    and must not grow the file."""
+    """Compacting a 2N-cell store down to an N-cell grid halves the
+    rows and must not grow the file."""
     specs = grid()
+    stale = [ShardSpec("missfree", "E", seed, 5.0, window_seconds=2 * DAY)
+             for seed in range(N_CELLS)]
     root = tempfile.mkdtemp(prefix="bench-store-compact-")
     try:
-        with open_store("sqlite", root) as store:
-            for seed, spec in enumerate(specs):
+        with SqliteStore(root) as store:
+            for seed, spec in enumerate(specs + stale):
                 store.put(spec, payload(seed), elapsed_seconds=0.0)
-            for seed, spec in enumerate(specs):
-                store.put(spec, payload(seed + 1), elapsed_seconds=0.0)
 
             start = time.perf_counter()
             stats = benchmark.pedantic(
@@ -120,7 +112,7 @@ def test_store_compaction_reclaims(benchmark, output_dir):
                 rounds=1, iterations=1)
             elapsed = time.perf_counter() - start
 
-        assert stats.removed_superseded == N_CELLS
+        assert stats.removed_stale == N_CELLS
         assert stats.bytes_after <= stats.bytes_before
         write_record(output_dir, "store_compact_sqlite", elapsed, N_CELLS,
                      extra={"bytes_before": stats.bytes_before,

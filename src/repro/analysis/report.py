@@ -108,17 +108,15 @@ def run_reproduction(machines: Sequence[str] = ("C", "D", "F"),
                      resume: bool = False,
                      metrics=None,
                      fault_profile: Optional[str] = None,
-                     fault_seed: int = 0,
-                     store: str = "json") -> ReproductionReport:
+                     fault_seed: int = 0) -> ReproductionReport:
     """Run the evaluation for *machines* and return the report.
 
     The (machine x period x simulator) grid runs on the parallel
-    experiment runner: *jobs* worker processes, checkpoints under
-    *checkpoint_dir* through the *store* backend (``"json"`` per-cell
-    files or ``"sqlite"`` single-file WAL, docs/state-store.md), and
+    experiment runner: *jobs* worker processes, checkpoints in the
+    sqlite store under *checkpoint_dir* (docs/state-store.md), and
     *resume* to restart an interrupted study recomputing only the
-    missing cells.  Results are identical for every *jobs* value and
-    every backend (see docs/parallel-runner.md).  Outcomes stream into
+    missing cells.  Results are identical for every *jobs* value (see
+    docs/parallel-runner.md).  Outcomes stream into
     the report at join -- with a checkpoint store the runner holds one
     cell in memory at a time, so a fleet-scale grid aggregates in
     O(machines) memory, not O(cells).  *fault_profile*/*fault_seed*
@@ -142,6 +140,6 @@ def run_reproduction(machines: Sequence[str] = ("C", "D", "F"),
 
     run_shards(shards, jobs=jobs, checkpoint_dir=checkpoint_dir,
                resume=resume, metrics=metrics, progress=progress,
-               store=store, consume=consume)
+               consume=consume)
     report.elapsed_seconds = time.perf_counter() - start
     return report

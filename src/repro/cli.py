@@ -21,12 +21,10 @@ profiles sampled from Table 3's distributions.
 their experiment grids on the parallel runner
 (docs/parallel-runner.md): ``--jobs N``
 shards the grid across N worker processes, ``--checkpoint-dir DIR``
-persists completed cells through the checkpoint state store
-(docs/state-store.md) -- ``--store json`` writes one file per cell,
-``--store sqlite`` a single WAL-mode database suited to fleet-scale
-grids -- and ``--resume`` restarts an interrupted study recomputing
-only the missing cells.  Output is identical for every ``--jobs``
-value and every ``--store`` backend.
+persists completed cells in the checkpoint store, one WAL-mode sqlite
+database (docs/state-store.md), and ``--resume`` restarts an
+interrupted study recomputing only the missing cells.  Output is
+identical for every ``--jobs`` value.
 
 ``live`` and ``report`` accept ``--fault-profile``/``--fault-seed``
 (docs/fault-injection.md): deterministic injection of surprise
@@ -83,13 +81,6 @@ def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
                         help="persist completed grid cells into DIR "
                              "through the checkpoint state store "
                              "(docs/state-store.md)")
-    parser.add_argument("--store", choices=("json", "sqlite"),
-                        default="json",
-                        help="checkpoint backend under --checkpoint-dir: "
-                             "'json' writes one file per cell (default, "
-                             "PR 3-compatible), 'sqlite' one WAL-mode "
-                             "database file with batched transactional "
-                             "writes for fleet-scale grids")
     parser.add_argument("--resume", action="store_true",
                         help="reload completed cells from "
                              "--checkpoint-dir and run only the missing "
@@ -178,14 +169,14 @@ def cmd_missfree(args) -> int:
 def cmd_live(args) -> int:
     if args.checkpoint_dir:
         # Run the single live cell through the parallel runner so it is
-        # checkpointed (and resumable) under the selected store backend.
+        # checkpointed (and resumable).
         from repro.simulation.runner import ShardSpec, run_shards
         spec = ShardSpec("live", args.machine, args.seed, args.days,
                          fault_profile=args.fault_profile,
                          fault_seed=args.fault_seed)
         (outcome,) = run_shards([spec], jobs=args.jobs,
                                 checkpoint_dir=args.checkpoint_dir,
-                                resume=args.resume, store=args.store)
+                                resume=args.resume)
         result = outcome.result
     else:
         trace = _trace_for(args)
@@ -214,7 +205,6 @@ def cmd_figure2(args) -> int:
     outcomes = run_shards(shards, jobs=args.jobs,
                           checkpoint_dir=args.checkpoint_dir,
                           resume=args.resume, metrics=metrics,
-                          store=args.store,
                           progress=lambda msg: print(msg, file=sys.stderr))
     print(render_figure2([o.result for o in outcomes], show_ci=False))
     if args.metrics:
@@ -231,7 +221,6 @@ def cmd_report(args) -> int:
                               resume=args.resume, metrics=metrics,
                               fault_profile=args.fault_profile,
                               fault_seed=args.fault_seed,
-                              store=args.store,
                               progress=lambda msg: print(msg, file=sys.stderr))
     print(report.render())
     if args.metrics:
@@ -305,7 +294,7 @@ def cmd_population(args) -> int:
     progress = (lambda msg: print(msg, file=sys.stderr)) \
         if args.progress else None
     run_shards(grid, jobs=args.jobs, checkpoint_dir=args.checkpoint_dir,
-               resume=args.resume, metrics=metrics, store=args.store,
+               resume=args.resume, metrics=metrics,
                consume=aggregate.consume, progress=progress)
     metrics.incr("population.machines", aggregate.machines)
     metrics.incr("population.machines_zero_disconnections",
@@ -338,7 +327,7 @@ def cmd_sweep(args) -> int:
     points = sweep_parameter(SIM_PARAMETERS, args.parameter, values, [trace],
                              jobs=args.jobs,
                              checkpoint_dir=args.checkpoint_dir,
-                             resume=args.resume, store=args.store)
+                             resume=args.resume)
     print(f"sweep of {args.parameter} on machine {args.machine} "
           f"(objective: mean hoard overhead, lower is better)")
     for point in points:
@@ -356,7 +345,7 @@ def cmd_service(args) -> int:
     counters = asyncio.run(run_service(
         host=args.host, port=args.port, unix_path=args.unix_socket,
         queue_bound=args.queue_bound, checkpoint_dir=args.checkpoint_dir,
-        store_backend=args.store, resume=args.resume,
+        resume=args.resume,
         fault_profile=args.fault_profile, fault_seed=args.fault_seed,
         max_runtime_seconds=args.max_runtime))
     if args.metrics:
@@ -457,9 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
     service.add_argument("--checkpoint-dir", metavar="DIR",
                          help="persist tenant state into DIR through the "
                               "checkpoint state store (docs/state-store.md)")
-    service.add_argument("--store", choices=("json", "sqlite"),
-                         default="json",
-                         help="checkpoint backend under --checkpoint-dir")
     service.add_argument("--no-resume", dest="resume", action="store_false",
                          help="ignore existing checkpoints instead of "
                               "restoring tenants from them")

@@ -28,12 +28,6 @@ state is laid out as a columnar arena instead:
   distance of each emitted pair is consumed in place instead of being
   materialized as a tuple list and re-dispatched.
 
-* **Columnar snapshots.**  :meth:`NeighborArena.columnar` flattens the
-  arena into parallel numpy arrays (owner fid, neighbor fid, count,
-  log sum, linear sum, last update) for whole-store queries; the
-  stale-link filter used by clustering is a single vectorized mask
-  over the ``last_update`` column instead of a per-entry Python scan.
-
 Determinism contract (fenced by ``tests/core/test_equivalence.py``):
 for any event stream, the arena reaches *exactly* the state of the
 paper's per-entry formulation, kept as a test oracle in
@@ -42,11 +36,7 @@ victims, same recency.  Two properties make this possible: within one
 open every updated row belongs to a distinct owner, so fusing cannot
 reorder updates to a single table; and eviction victims are a pure
 function of table state (every tie breaks by path, never by a random
-draw), so batching cannot change which entry is evicted.  Per-pair
-numpy mutation was measured and rejected:
-update batches here are small (tens of entries across distinct rows),
-where ufunc dispatch costs more than the scalar loop it replaces;
-numpy earns its keep on the whole-arena query paths instead.  See
+draw), so batching cannot change which entry is evicted.  See
 ``docs/hot-path.md`` for layout diagrams and measurements.
 """
 
@@ -54,9 +44,6 @@ from __future__ import annotations
 
 import math
 from typing import Dict, Iterator, List, MutableSet, Optional, Set, Tuple
-
-import numpy as np
-import numpy.typing as npt
 
 from repro.core.distance import DistanceSummary
 from repro.core.parameters import DEFAULT_PARAMETERS, SeerParameters
@@ -101,12 +88,6 @@ class NeighborArena:
             self._fids[path] = fid
             self._paths.append(path)
         return fid
-
-    def fid_of(self, path: str) -> Optional[int]:
-        return self._fids.get(path)
-
-    def path_of(self, fid: int) -> str:
-        return self._paths[fid]
 
     # ------------------------------------------------------------------
     # row access
@@ -202,66 +183,6 @@ class NeighborArena:
                 return aged_fid
         return None
 
-    # ------------------------------------------------------------------
-    # single-pair update (the non-fused API path; the fused loop in
-    # ColumnarEngine.open inlines exactly this logic)
-    # ------------------------------------------------------------------
-    def update(self, owner: int, neighbor: int, distance: float,
-               now: int) -> bool:
-        """Record one observed distance from *owner* to *neighbor*.
-
-        Distances beyond the lookback window are recorded as the
-        compensation distance (section 3.1.3).  Returns False if a
-        full row rejected the observation.
-        """
-        if distance > self._parameters.lookback_window:
-            distance = float(self._parameters.compensation_distance)
-            if self._metrics is not None:
-                self._metrics.incr("neighbor.compensations")
-        row = self.ensure_row(owner)
-        nowf = float(now)
-        entry = row.get(neighbor)
-        if entry is not None:
-            entry[0] += 1.0
-            entry[1] += math.log1p(distance)
-            entry[2] += distance
-            entry[3] = nowf
-            entry[4] = _DIRTY_MEAN
-            if distance > self._bound[owner]:
-                self._bound[owner] = distance
-            return True
-        if len(row) >= self._parameters.max_neighbors:
-            victim = self.choose_victim(owner, row, distance, now)
-            if victim is None:
-                if self._metrics is not None:
-                    self._metrics.incr("neighbor.rejections")
-                return False
-            self.drop_entry(owner, row, victim)
-            if self._metrics is not None:
-                self._metrics.incr("neighbor.evictions")
-        row[neighbor] = [1.0, math.log1p(distance), distance, nowf,
-                         _DIRTY_MEAN]
-        owners = self._containing.get(neighbor)
-        if owners is None:
-            self._containing[neighbor] = {owner}
-        else:
-            owners.add(owner)
-        if distance > self._bound[owner]:
-            self._bound[owner] = distance
-        if nowf < self._oldest[owner]:
-            self._oldest[owner] = nowf
-        return True
-
-    def drop_entry(self, owner: int, row: Dict[int, Entry],
-                   neighbor: int) -> None:
-        """Remove one entry, keeping the reverse index consistent."""
-        del row[neighbor]
-        owners = self._containing.get(neighbor)
-        if owners is not None:
-            owners.discard(owner)
-            if not owners:
-                del self._containing[neighbor]
-
     def load_entry(self, owner: int, neighbor: int,
                    summary: DistanceSummary) -> None:
         """Install a deserialized entry (persistence restore path)."""
@@ -351,57 +272,6 @@ class NeighborArena:
                 other.pop(fid, None)
         self._deletable.discard(fid)
 
-    # ------------------------------------------------------------------
-    # columnar snapshots (the numpy query layer)
-    # ------------------------------------------------------------------
-    def columnar(self) -> Dict[str, npt.NDArray[np.float64]]:
-        """Flatten the arena into parallel arrays, one slot per entry.
-
-        Columns: ``owner``, ``neighbor`` (fids), ``count``,
-        ``log_sum``, ``linear_sum``, ``last_update``.  All float64 so
-        one allocation pattern serves every column; counts and fids
-        are integral-valued.  This is the bulk-query surface: staleness
-        masks, persistence export and analysis scans operate on these
-        arrays instead of per-entry Python objects.
-        """
-        total = sum(len(row) for row in self._rows.values())
-        owner = np.empty(total, dtype=np.float64)
-        neighbor = np.empty(total, dtype=np.float64)
-        count = np.empty(total, dtype=np.float64)
-        log_sum = np.empty(total, dtype=np.float64)
-        linear_sum = np.empty(total, dtype=np.float64)
-        last_update = np.empty(total, dtype=np.float64)
-        slot = 0
-        for fid, row in self._rows.items():
-            for nfid, entry in row.items():
-                owner[slot] = fid
-                neighbor[slot] = nfid
-                count[slot] = entry[0]
-                log_sum[slot] = entry[1]
-                linear_sum[slot] = entry[2]
-                last_update[slot] = entry[3]
-                slot += 1
-        return {"owner": owner, "neighbor": neighbor, "count": count,
-                "log_sum": log_sum, "linear_sum": linear_sum,
-                "last_update": last_update}
-
-    def fresh_neighbor_lists(self, cutoff: int) -> Dict[str, Set[str]]:
-        """Stale-link filtering as a vectorized mask (section 3.1.3).
-
-        Entries not reinforced since *cutoff* are omitted; owners left
-        with no fresh entries are omitted entirely.
-        """
-        columns = self.columnar()
-        mask = columns["last_update"] >= cutoff
-        owners = columns["owner"][mask].astype(np.int64)
-        neighbors = columns["neighbor"][mask].astype(np.int64)
-        paths = self._paths
-        lists: Dict[str, Set[str]] = {}
-        for fid, nfid in zip(owners.tolist(), neighbors.tolist()):
-            lists.setdefault(paths[fid], set()).add(paths[nfid])
-        return lists
-
-
 class _MarkedSetView(MutableSet[str]):
     """Path-level live view of the arena's marked-for-deletion fids."""
 
@@ -433,7 +303,7 @@ class _MarkedSetView(MutableSet[str]):
 
 
 class ArenaTable:
-    """Path-level read/update view of one file's arena row."""
+    """Path-level view of one file's arena row: reads and restore."""
 
     __slots__ = ("_arena", "_fid")
 
@@ -475,16 +345,6 @@ class ArenaTable:
             return math.inf
         return self._arena.mean_of(entry)
 
-    def items(self) -> Iterator[Tuple[str, float]]:
-        arena = self._arena
-        paths = arena._paths
-        for fid, entry in self._row().items():
-            yield paths[fid], arena.mean_of(entry)
-
-    def nearest(self, count: Optional[int] = None) -> List[Tuple[str, float]]:
-        ranked = sorted(self.items(), key=lambda item: (item[1], item[0]))
-        return ranked if count is None else ranked[:count]
-
     def entries(self) -> Iterator[Tuple[str, DistanceSummary]]:
         paths = self._arena._paths
         for fid, entry in self._row().items():
@@ -492,21 +352,9 @@ class ArenaTable:
                 count=int(entry[0]), log_sum=entry[1], linear_sum=entry[2],
                 last_update=int(entry[3]))
 
-    def observe(self, neighbor: str, distance: float, now: int) -> bool:
-        return self._arena.update(self._fid, self._arena.intern(neighbor),
-                                  distance, now)
-
     def load_entry(self, neighbor: str, summary: DistanceSummary) -> None:
         self._arena.load_entry(self._fid, self._arena.intern(neighbor),
                                summary)
-
-    def remove(self, neighbor: str) -> None:
-        fid = self._arena._fids.get(neighbor)
-        if fid is None:
-            return
-        row = self._arena._rows.get(self._fid)
-        if row is not None and fid in row:
-            self._arena.drop_entry(self._fid, row, fid)
 
 
 class ArenaStore:
@@ -553,12 +401,6 @@ class ArenaStore:
         paths = self._arena._paths
         return [paths[fid] for fid in self._arena._rows]
 
-    def observe(self, from_file: str, to_file: str, distance: float,
-                now: int) -> bool:
-        arena = self._arena
-        return arena.update(arena.intern(from_file), arena.intern(to_file),
-                            distance, now)
-
     def rename_file(self, old: str, new: str) -> None:
         self._arena.rename_file(old, new)
 
@@ -567,14 +409,26 @@ class ArenaStore:
 
     def neighbor_lists(self, now: Optional[int] = None,
                        stale_after: Optional[int] = None) -> Dict[str, Set[str]]:
-        if now is None or stale_after is None:
-            paths = self._arena._paths
-            return {paths[fid]: {paths[nfid] for nfid in row}
-                    for fid, row in self._arena._rows.items()}
-        return self._arena.fresh_neighbor_lists(now - stale_after)
+        """Every file's neighbor paths, in row creation order.
 
-    def columnar(self) -> Dict[str, npt.NDArray[np.float64]]:
-        return self._arena.columnar()
+        With *now* and *stale_after*, stale-link filtering (section
+        3.1.3): entries not reinforced since ``now - stale_after`` are
+        omitted, and owners left with no fresh entry are omitted
+        entirely.
+        """
+        paths = self._arena._paths
+        rows = self._arena._rows
+        if now is None or stale_after is None:
+            return {paths[fid]: {paths[nfid] for nfid in row}
+                    for fid, row in rows.items()}
+        cutoff = now - stale_after
+        lists: Dict[str, Set[str]] = {}
+        for fid, row in rows.items():
+            fresh = {paths[nfid] for nfid, entry in row.items()
+                     if entry[3] >= cutoff}
+            if fresh:
+                lists[paths[fid]] = fresh
+        return lists
 
 
 class _EngineStream:
@@ -595,9 +449,8 @@ class ColumnarEngine:
     inheritance (section 4.7), open/close/point reference ingestion,
     rename re-keying and forget (section 4.8).  The open loop computes
     each lifetime distance (section 3.1.1, Definition 3) and feeds it
-    to the owning row in place, with the logic of
-    :meth:`NeighborArena.update` inlined and no intermediate tuples;
-    its semantics are pinned entry-for-entry to the paper's per-entry
+    to the owning row in place, with no intermediate tuples; its
+    semantics are pinned entry-for-entry to the paper's per-entry
     formulation by the differential suite against ``tests/oracle/``.
     """
 

@@ -9,7 +9,7 @@ class; docs/static-analysis.md catalogues them together with the known
 over/under-approximations.
 
 * **RL008** -- a blocking call (``time.sleep``, sync socket/file/
-  sqlite I/O, any :class:`StateStore` method) reachable from event-loop
+  sqlite I/O, any :class:`SqliteStore` method) reachable from event-loop
   context stalls *every* tenant of the daemon at once.
 * **RL009** -- RacerD-style lock-set race: an attribute mutated under a
   ``threading.Lock`` at some sites but accessed lock-free at others.
@@ -39,13 +39,11 @@ __all__ = [
     "ResourceSafety",
 ]
 
-#: classes whose instances are the checkpoint store (all synchronous)
-STORE_CLASSES = frozenset({"StateStore", "JsonDirStore", "SqliteStore"})
-#: StateStore methods -- every one does filesystem or sqlite work
+#: the checkpoint store's class (synchronous)
+STORE_CLASSES = frozenset({"SqliteStore"})
+#: store methods -- every one does filesystem or sqlite work
 STORE_METHODS = frozenset({"open", "put", "get", "flush", "close",
                            "compact", "iter_completed"})
-#: module-level functions that open a store (blocking + a resource)
-OPENER_FUNCTIONS = frozenset({"open_store"})
 
 #: canonical dotted names of calls that block the calling thread
 BLOCKING_DOTTED = frozenset({
@@ -114,7 +112,7 @@ class BlockingInEventLoop(ProjectRule):
     """Sync I/O on the event loop stalls every tenant at once.
 
     The daemon's actors, drain tasks and connection handlers all
-    share one event loop; a single ``StateStore.put`` against a cold
+    share one event loop; a single ``SqliteStore.put`` against a cold
     disk inside a coroutine freezes the whole service for its duration
     (the incident class the IO-executor refactor in
     ``repro/service/daemon.py`` removes).  A function is "event-loop
@@ -126,7 +124,7 @@ class BlockingInEventLoop(ProjectRule):
     id = "RL008"
     name = "no-blocking-on-event-loop"
     description = ("blocking call (time.sleep, sync socket/file/sqlite "
-                   "I/O, StateStore methods) reachable from event-loop "
+                   "I/O, SqliteStore methods) reachable from event-loop "
                    "context; hand it to run_in_executor")
 
     def check_project(self, modules: Dict[str, ModuleInfo],
@@ -182,8 +180,6 @@ class BlockingInEventLoop(ProjectRule):
             canonical = from_names.get(dotted)
             if canonical in BLOCKING_DOTTED:
                 return f"blocking call `{dotted}()` ({canonical})"
-            if dotted in OPENER_FUNCTIONS:
-                return f"blocking store open `{dotted}()`"
             if dotted == "open":
                 return "blocking file open `open()`"
         if isinstance(node.func, ast.Attribute) and \
@@ -427,8 +423,8 @@ class OrphanedTask(Rule):
 class ResourceSafety(Rule):
     """Every opened store/socket/writer must close on every path.
 
-    The incident class: ``write_checkpoint`` opened a
-    ``JsonDirStore`` in a call chain and dropped the handle, and
+    The incident class: a since-deleted checkpoint helper opened a
+    store in a call chain and dropped the handle, and
     ``ServiceClient.connect`` left a live stream writer behind when the
     handshake failed after the TCP connect succeeded.  The rule walks
     the function's CFG -- exception edges included -- from each open
@@ -463,8 +459,6 @@ class ResourceSafety(Rule):
         dotted = _dotted(call.func)
         if dotted is not None:
             leaf = dotted.split(".")[-1]
-            if dotted in OPENER_FUNCTIONS:
-                return f"store from `{dotted}()`"
             if leaf in _OPEN_LEAVES:
                 return f"connection/server from `{dotted}()`"
             if dotted in _OPEN_DOTTED:

@@ -102,12 +102,12 @@ METRICS: Tuple[MetricSpec, ...] = (
     MetricSpec("runner.store.writes", "counter",
                "checkpoint payloads written through the state store"),
     MetricSpec("runner.store.batched_txns", "counter",
-               "transactional batch commits (sqlite backend)"),
+               "transactional batch commits"),
     MetricSpec("runner.store.corrupt_discarded", "counter",
                "checkpoints discarded as corrupt, torn or stale instead "
                "of being silently reused"),
     MetricSpec("runner.store.compacted", "counter",
-               "superseded/corrupt/stale entries removed by compact()"),
+               "corrupt/stale entries removed by compact()"),
     MetricSpec("runner.store.bytes_on_disk", "counter",
                "bytes the checkpoint store occupies after the sweep"),
     # -- population studies (repro.workload.population) ----------------

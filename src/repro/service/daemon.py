@@ -20,11 +20,13 @@ model (docs/service.md):
   producer.  Stalls are counted (``service.queue_full_waits``).
 
 Durability: with a checkpoint directory the daemon persists each
-tenant's correlator state through the PR 6
-:class:`~repro.simulation.store.StateStore` (json or sqlite backend)
--- explicitly on a ``checkpoint`` request and for every tenant during
-the graceful drain that ``stop()`` performs.  A restarted daemon
-restores tenants lazily on first contact.
+tenant's correlator state in the runner's
+:class:`~repro.simulation.store.SqliteStore` -- explicitly on a
+``checkpoint`` request, committed before the reply, and for every
+tenant during the graceful drain that ``stop()`` performs.  A store
+failure on a ``checkpoint`` request is answered with a
+``checkpoint-failed`` error; the connection stays open.  A restarted
+daemon restores tenants lazily on first contact.
 
 Fault injection: a non-inert :class:`~repro.faults.FaultProfile`
 drives server-side adversity -- connections dropped mid-stream (after
@@ -38,6 +40,7 @@ identical to a build without injection.
 from __future__ import annotations
 
 import asyncio
+import sqlite3
 import sys
 import time
 from collections import deque
@@ -68,7 +71,7 @@ from repro.service.tenant import (
     StatsRequest,
     TenantActor,
 )
-from repro.simulation.store import StateStore, open_store
+from repro.simulation.store import SqliteStore
 
 #: Request latency samples retained for the percentile report.
 LATENCY_SAMPLES = 4096
@@ -91,7 +94,7 @@ class HoardDaemon:
     def __init__(self, parameters: SeerParameters = DEFAULT_PARAMETERS,
                  queue_bound: int = 1024,
                  checkpoint_dir: Optional[str] = None,
-                 store_backend: str = "json", resume: bool = True,
+                 resume: bool = True,
                  fault_profile: Union[FaultProfile, str, None] = None,
                  fault_seed: int = 0,
                  metrics: Optional[Metrics] = None) -> None:
@@ -100,7 +103,6 @@ class HoardDaemon:
         self.parameters = parameters
         self.queue_bound = queue_bound
         self.checkpoint_dir = checkpoint_dir
-        self.store_backend = store_backend
         self.resume = resume
         self.metrics = metrics if metrics is not None else Metrics()
         if isinstance(fault_profile, str):
@@ -119,13 +121,12 @@ class HoardDaemon:
         self._connections: Set["asyncio.Task[None]"] = set()
         self._server: Optional[asyncio.AbstractServer] = None
         self._unix_path: Optional[str] = None
-        self._store: Optional[StateStore] = None
+        self._store: Optional[SqliteStore] = None
         # Single-thread executor for every blocking store touch: the
-        # sqlite backend's connection has thread affinity
-        # (check_same_thread) and both backends do real disk IO, so one
-        # dedicated thread keeps the event loop responsive while still
-        # serializing store access.  Lint rule RL008 enforces the
-        # routing.
+        # sqlite connection has thread affinity (check_same_thread) and
+        # does real disk IO, so one dedicated thread keeps the event
+        # loop responsive while still serializing store access.  Lint
+        # rule RL008 enforces the routing.
         self._io: Optional[ThreadPoolExecutor] = None
         self._latencies: Deque[float] = deque(maxlen=LATENCY_SAMPLES)
         self._queue_high_water = 0
@@ -149,7 +150,8 @@ class HoardDaemon:
                                       thread_name_prefix="hoard-io")
         try:
             if self.checkpoint_dir is not None:
-                self._store = await self._store_call(self._open_store)
+                store = SqliteStore(self.checkpoint_dir, metrics=self.metrics)
+                self._store = await self._store_call(store.open)
             if unix_path is not None:
                 self._unix_path = unix_path
                 self._server = await asyncio.start_unix_server(
@@ -226,19 +228,12 @@ class HoardDaemon:
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(self._io, partial(fn, *args))
 
-    def _open_store(self) -> StateStore:
-        """Blocking open of the checkpoint store (IO thread only)."""
-        assert self.checkpoint_dir is not None
-        return open_store(self.store_backend, self.checkpoint_dir,
-                          metrics=self.metrics)
-
     def _close_store(self) -> None:
         """Blocking flush+close of the store (IO thread only)."""
-        store: Optional[StateStore] = self._store
+        store: Optional[SqliteStore] = self._store
         if store is None:
             return
         self._store = None
-        store.flush()
         store.close()
 
     # ------------------------------------------------------------------
@@ -357,7 +352,8 @@ class HoardDaemon:
             elif isinstance(item, StatsRequest):
                 result = actor.stats()
             else:
-                result = await self._store_call(self._checkpoint, actor)
+                result = await self._store_call(self._checkpoint_request,
+                                                actor)
         except Exception as error:   # surfaced to the requester
             if not future.done():
                 future.set_exception(error)
@@ -369,15 +365,31 @@ class HoardDaemon:
     # checkpointing
     # ------------------------------------------------------------------
     def _checkpoint(self, actor: TenantActor) -> Dict[str, Any]:
-        """Blocking persist of one actor (IO thread when serving)."""
+        """Blocking put of one actor's state into the store (IO thread
+        when serving); it is on disk after the store's next flush."""
         if self._store is None:
             raise protocol.ProtocolError(
                 "no-store", "daemon runs without a checkpoint store "
                 "(start it with --checkpoint-dir)")
         self._store.put(self._spec_for(actor.tenant), actor.dump_state(),
                         actor.busy_seconds)
-        self.metrics.incr("service.checkpoints")
         return {"checkpointed": actor.tenant, "last_seq": actor.last_seq}
+
+    def _checkpoint_request(self, actor: TenantActor) -> Dict[str, Any]:
+        """Serve a ``checkpoint`` request (IO thread): persist the
+        tenant and commit it, so the reply means the entry is on disk.
+        A store failure becomes a ``checkpoint-failed`` error reply."""
+        try:
+            reply = self._checkpoint(actor)
+            if self._store is not None:   # _checkpoint raised otherwise
+                self._store.flush()
+        except (OSError, sqlite3.Error) as error:
+            raise protocol.ProtocolError(
+                "checkpoint-failed",
+                f"checkpoint of tenant {actor.tenant!r} failed: "
+                f"{error}") from error
+        self.metrics.incr("service.checkpoints")
+        return reply
 
     def checkpoint_all(self) -> int:
         """Persist every live tenant (the drain path); returns a count.
@@ -385,11 +397,12 @@ class HoardDaemon:
         Blocking; ``stop`` runs it through :meth:`_store_call`.  Safe
         to call directly on a never-started daemon (no store: no-op).
         """
-        if self._store is None:
+        if self._store is None or not self._actors:
             return 0
         for tenant in sorted(self._actors):
             self._checkpoint(self._actors[tenant])
         self._store.flush()
+        self.metrics.incr("service.checkpoints", len(self._actors))
         return len(self._actors)
 
     # ------------------------------------------------------------------
@@ -576,7 +589,7 @@ async def run_service(host: str = "127.0.0.1", port: int = 0,
                       unix_path: Optional[str] = None,
                       queue_bound: int = 1024,
                       checkpoint_dir: Optional[str] = None,
-                      store_backend: str = "json", resume: bool = True,
+                      resume: bool = True,
                       fault_profile: Optional[str] = None,
                       fault_seed: int = 0,
                       parameters: SeerParameters = DEFAULT_PARAMETERS,
@@ -588,8 +601,7 @@ async def run_service(host: str = "127.0.0.1", port: int = 0,
     ``--metrics`` after the daemon has already shut down.
     """
     daemon = HoardDaemon(parameters=parameters, queue_bound=queue_bound,
-                         checkpoint_dir=checkpoint_dir,
-                         store_backend=store_backend, resume=resume,
+                         checkpoint_dir=checkpoint_dir, resume=resume,
                          fault_profile=fault_profile,
                          fault_seed=fault_seed)
     await daemon.start(host=host, port=port, unix_path=unix_path)

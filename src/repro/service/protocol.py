@@ -45,9 +45,8 @@ PROTOCOL_VERSION = 1
 #: that a stuck or hostile client cannot balloon daemon memory.
 MAX_LINE_BYTES = 16 * 1024 * 1024
 
-#: Tenant ids key actor state and checkpoint shard ids (filesystem
-#: paths under the json store backend), so they are restricted to a
-#: filesystem-safe alphabet.
+#: Tenant ids key actor state and checkpoint shard ids, so they are
+#: restricted to a short, filesystem-safe alphabet.
 _TENANT_RE = re.compile(r"^[A-Za-z0-9._-]{1,64}$")
 
 #: Request types the daemon understands.

@@ -49,10 +49,7 @@ from repro.simulation.runner import (
 from repro.simulation.store import (
     CheckpointEntry,
     CompactionStats,
-    JsonDirStore,
     SqliteStore,
-    StateStore,
-    open_store,
 )
 
 SIM_PARAMETERS = SeerParameters(
@@ -80,7 +77,6 @@ __all__ = [
     "CheckpointEntry",
     "CompactionStats",
     "DisconnectionOutcome",
-    "JsonDirStore",
     "LiveResult",
     "MissFreeResult",
     "PopulationCellResult",
@@ -89,13 +85,11 @@ __all__ = [
     "ShardOutcome",
     "ShardSpec",
     "SqliteStore",
-    "StateStore",
     "SummaryStatistics",
     "WindowResult",
     "ci99_halfwidth",
     "execute_shard",
     "figure2_grid",
-    "open_store",
     "population_grid",
     "reproduction_grid",
     "run_shards",

@@ -13,13 +13,10 @@ organize everything:
   reproducible regardless of scheduling, pool size or which process
   ran it.
 
-* **Pluggable checkpointing.**  With a ``checkpoint_dir``, every
-  completed cell is persisted through a
-  :class:`repro.simulation.store.StateStore` backend -- per-cell JSON
-  files (``store="json"``, the PR 3-compatible default) or a single
-  WAL-mode sqlite database with batched transactional writes
-  (``store="sqlite"``, for fleet-scale grids).  A crash can lose at
-  most cells that had not been made durable.
+* **Checkpointing.**  With a ``checkpoint_dir``, every completed cell
+  is committed to a :class:`repro.simulation.store.SqliteStore` -- one
+  WAL-mode sqlite database -- as soon as it finishes.  A crash loses
+  at most the cells still running.
 
 * **Resume.**  With ``resume=True`` the runner reloads every valid
   checkpoint and runs only the missing cells.  Corrupt or truncated
@@ -35,7 +32,7 @@ organize everything:
 
 Results always travel through the JSON serde -- even with ``jobs=1``
 and no checkpoint directory -- so serial, parallel and resumed sweeps
-are cell-for-cell identical, under either backend
+are cell-for-cell identical
 (``tests/simulation/test_store_differential.py``).
 """
 
@@ -44,7 +41,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import multiprocessing
-import os
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -53,13 +49,7 @@ from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
 
 from repro.observability import Metrics
 from repro.simulation.serde import ShardResult, result_from_data, result_to_data
-from repro.simulation.store import (
-    SCHEMA_VERSION as CHECKPOINT_FORMAT,
-    JsonDirStore,
-    StateStore,
-    open_store,
-    spec_to_data as _spec_to_data,
-)
+from repro.simulation.store import SqliteStore
 
 if TYPE_CHECKING:   # workers import these lazily; annotations only here
     from repro.core.parameters import SeerParameters
@@ -290,46 +280,6 @@ def _run_shard(spec: ShardSpec) -> Tuple[str, Dict, float]:
 
 
 # ----------------------------------------------------------------------
-# checkpointing (PR 3-compatible convenience wrappers)
-# ----------------------------------------------------------------------
-# The pluggable storage layer lives in repro.simulation.store; these
-# wrappers keep the original one-JSON-file-per-cell helpers working for
-# callers (and result directories) that predate it.
-def checkpoint_path(checkpoint_dir: str, spec: ShardSpec) -> str:
-    return os.path.join(checkpoint_dir, spec.shard_id + ".json")
-
-
-def write_checkpoint(checkpoint_dir: str, spec: ShardSpec, data: Dict,
-                     elapsed_seconds: float) -> str:
-    """Atomically persist one completed cell as ``<shard_id>.json``."""
-    store = JsonDirStore(checkpoint_dir).open()
-    try:
-        store.put(spec, data, elapsed_seconds)
-    finally:
-        store.close()
-    return checkpoint_path(checkpoint_dir, spec)
-
-
-def load_checkpoint(checkpoint_dir: str, spec: ShardSpec) -> Optional[Dict]:
-    """Reload one cell's payload dict, or None if missing or unusable.
-
-    A checkpoint is only trusted when it parses, carries the current
-    format, and records exactly the spec being asked for -- a stale
-    file from a differently-shaped grid is recomputed, not reused.
-    """
-    entry = JsonDirStore(checkpoint_dir).get(spec)
-    if entry is None:
-        return None
-    return {
-        "format": entry.schema_version,
-        "shard_id": entry.shard_id,
-        "spec": entry.spec_data,
-        "elapsed_seconds": entry.elapsed_seconds,
-        "result": entry.result,
-    }
-
-
-# ----------------------------------------------------------------------
 # the runner
 # ----------------------------------------------------------------------
 @dataclass
@@ -379,7 +329,7 @@ def run_shards(shards: Sequence[ShardSpec], jobs: int = 1,
                metrics: Optional[Metrics] = None,
                progress: Optional[Callable[[str], None]] = None,
                stats: Optional[RunStats] = None,
-               store: Union[str, StateStore] = "json",
+               store: str = "sqlite",
                consume: Optional[Callable[[ShardOutcome], None]] = None,
                compact: bool = False) -> List[ShardOutcome]:
     """Run every cell of *shards*, in parallel when ``jobs > 1``.
@@ -391,12 +341,11 @@ def run_shards(shards: Sequence[ShardSpec], jobs: int = 1,
     ``runner.store.*`` storage counters and pool utilization;
     ``stats`` (a :class:`RunStats`) receives the sweep-shape summary.
 
-    *store* selects the checkpoint backend (``"json"`` or
-    ``"sqlite"``, see :mod:`repro.simulation.store`) used under
-    *checkpoint_dir*; an already-open :class:`StateStore` is also
-    accepted and is left open for the caller.  *compact* garbage
-    collects superseded, corrupt and stale entries after a successful
-    sweep, keeping exactly this grid's cells.
+    With a *checkpoint_dir*, completed cells are persisted in a
+    :class:`~repro.simulation.store.SqliteStore` there, each committed
+    as soon as it finishes.  *store* names that store and accepts only
+    ``"sqlite"``.  *compact* garbage collects corrupt and stale entries
+    after a successful sweep, keeping exactly this grid's cells.
 
     With *consume*, each :class:`ShardOutcome` is streamed to the
     callback in grid order and an empty list is returned: combined
@@ -410,6 +359,9 @@ def run_shards(shards: Sequence[ShardSpec], jobs: int = 1,
         raise ValueError(f"duplicate shard ids in grid: {duplicates}")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
+    if store != "sqlite":
+        raise ValueError(f"unknown checkpoint store {store!r}; "
+                         f"expected 'sqlite'")
     if stats is None:
         stats = RunStats()
     stats.shards_total = len(shards)
@@ -419,13 +371,9 @@ def run_shards(shards: Sequence[ShardSpec], jobs: int = 1,
         metrics.incr("runner.jobs", jobs)
 
     start = time.perf_counter()
-    state: Optional[StateStore] = None
-    owns_store = False
-    if isinstance(store, StateStore):
-        state = store
-    elif checkpoint_dir:
-        state = open_store(store, checkpoint_dir, metrics=metrics)
-        owns_store = True
+    state: Optional[SqliteStore] = None
+    if checkpoint_dir:
+        state = SqliteStore(checkpoint_dir, metrics=metrics).open()
 
     try:
         # With both a store and a consumer the results stay on disk
@@ -454,7 +402,9 @@ def run_shards(shards: Sequence[ShardSpec], jobs: int = 1,
         def finish(shard_id: str, data: Dict, elapsed: float) -> None:
             spec = by_id[shard_id]
             if state is not None:
+                # Committed now: a sweep killed later keeps this cell.
                 state.put(spec, data, elapsed)
+                state.flush()
             buffered[shard_id] = (None if streaming else data,
                                   elapsed, False)
             stats.shards_run += 1
@@ -476,8 +426,6 @@ def run_shards(shards: Sequence[ShardSpec], jobs: int = 1,
                             _run_shard, pending):
                         finish(shard_id, data, elapsed)
 
-        if state is not None:
-            state.flush()
         if compact and state is not None:
             state.compact(keep=ids)
 
@@ -502,7 +450,7 @@ def run_shards(shards: Sequence[ShardSpec], jobs: int = 1,
                 if entry is None:   # store damaged between put and join
                     raise RuntimeError(
                         f"checkpoint for {spec.shard_id} vanished from "
-                        f"the {state.backend} store before the join")
+                        f"the store before the join")
                 data = entry.result
             outcome = ShardOutcome(
                 spec=spec, result=result_from_data(data),
@@ -513,5 +461,5 @@ def run_shards(shards: Sequence[ShardSpec], jobs: int = 1,
                 outcomes.append(outcome)
         return outcomes
     finally:
-        if owns_store and state is not None:
+        if state is not None:
             state.close()

@@ -16,8 +16,8 @@ results directory.
 Persistence itself lives one layer up, in
 :mod:`repro.simulation.store`: this module only defines the payload
 dictionaries and their canonical byte form
-(:func:`canonical_bytes`/:func:`payload_fingerprint`), which every
-storage backend uses to detect corrupt or torn checkpoints.
+(:func:`canonical_bytes`/:func:`payload_fingerprint`), which the
+checkpoint store uses to detect corrupt or torn checkpoints.
 """
 
 from __future__ import annotations
@@ -45,9 +45,9 @@ def canonical_bytes(data: Dict) -> bytes:
 
     Key order and whitespace are normalized (sorted keys, compact
     separators) so two payloads that parse equal serialize to the same
-    bytes regardless of which backend -- or which process -- produced
-    them.  Cross-backend equivalence tests and checkpoint fingerprints
-    both compare these bytes.
+    bytes regardless of which process produced them.  Restore
+    equivalence tests and checkpoint fingerprints both compare these
+    bytes.
     """
     return json.dumps(data, sort_keys=True,
                       separators=(",", ":")).encode("utf-8")
@@ -56,8 +56,8 @@ def canonical_bytes(data: Dict) -> bytes:
 def payload_fingerprint(data: Dict) -> str:
     """Stable 8-hex-digit digest of a payload (crc32 of canonical bytes).
 
-    Storage backends record this next to each checkpoint and verify it
-    on read, so a torn write or bit rot is *detected* and the cell
+    The checkpoint store records this next to each checkpoint and
+    verifies it on read, so a torn write or bit rot is *detected* and the cell
     recomputed instead of silently poisoning a resumed sweep.  crc32
     (not the builtin ``hash``) keeps the digest identical across
     processes -- the RL003 incident class.

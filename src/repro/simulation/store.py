@@ -1,35 +1,22 @@
-"""Pluggable checkpoint state stores for the experiment runner.
+"""The checkpoint store of the experiment runner and the hoard daemon.
 
-The PR 3 runner persisted one JSON file per grid cell.  That layout is
-ideal for a handful of cells (human-inspectable, trivially atomic) and
-wrong for fleet-scale grids -- a (10^4 users x seeds x periods) sweep
-would create tens of thousands of files and pay a directory operation
-per cell.  This module separates the *stable store interface* from the
-interchangeable *persistence mechanisms* behind it:
+Every completed grid cell, and every checkpointed daemon tenant, is
+persisted in one ``checkpoints.sqlite`` file keyed by
+:attr:`ShardSpec.shard_id`: WAL mode, transactional writes, one row
+per shard id, O(1) files on disk for any grid size.  A kill
+mid-transaction rolls back cleanly on the next open, and a torn or
+truncated database file is quarantined and rebuilt instead of
+crashing the sweep.
 
-* :class:`StateStore` -- the abstract interface: ``open`` / ``put`` /
-  ``get`` / ``iter_completed`` / ``compact`` / ``close``, keyed by
-  :attr:`ShardSpec.shard_id`.  Every entry carries a schema version and
-  a payload fingerprint (:func:`repro.simulation.serde.payload_fingerprint`)
-  so corruption is detected, counted and recomputed -- never silently
-  reused.
-* :class:`JsonDirStore` -- one ``<shard_id>.json`` per cell, written
-  atomically (temp file + ``os.replace``).  Byte-compatible with the
-  PR 3 layout: checkpoints written before this module existed resume
-  cleanly, and files it writes are identical to the old ones.
-* :class:`SqliteStore` -- a single ``checkpoints.sqlite`` file in WAL
-  mode with batched transactional writes.  O(1) files on disk for any
-  grid size, crash-safe (a kill mid-transaction rolls back cleanly on
-  the next open), and a torn/truncated database file is quarantined
-  and rebuilt instead of crashing the sweep.
-
-Both backends maintain the same counters (``writes``,
-``batched_txns``, ``corrupt_discarded``, ``compacted``) and mirror
-them into the ``runner.store.*`` metric family when given a
+Every entry carries a schema version and a payload fingerprint
+(:func:`repro.simulation.serde.payload_fingerprint`), so corruption is
+detected, counted and recomputed -- never silently reused.  The store
+keeps four counters (``writes``, ``batched_txns``,
+``corrupt_discarded``, ``compacted``) and mirrors them into the
+``runner.store.*`` metric family when given a
 :class:`~repro.observability.Metrics`.  ``docs/state-store.md`` holds
-the backend matrix and the crash-safety guarantees;
-``tests/simulation/test_store_differential.py`` proves the backends
-byte-equivalent on randomized grids.
+the crash-safety guarantees; ``tests/simulation/test_store_properties.py``
+exercises them.
 """
 
 from __future__ import annotations
@@ -38,10 +25,9 @@ import dataclasses
 import json
 import os
 import sqlite3
-import tempfile
-from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, ClassVar, Dict, Iterable, Iterator, List,
-                    Optional, Set, Tuple)
+from dataclasses import dataclass
+from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
+                    Tuple)
 
 from repro.observability import Metrics
 from repro.simulation.serde import payload_fingerprint
@@ -54,8 +40,9 @@ if TYPE_CHECKING:
 #: as stale and recomputed, never reinterpreted.
 SCHEMA_VERSION = 1
 
-#: Backend names accepted by :func:`open_store` and ``--store``.
-BACKENDS: Tuple[str, ...] = ("json", "sqlite")
+#: Entries ``put`` buffers before it commits them in one transaction
+#: itself; callers that need an entry durable sooner call ``flush``.
+BATCH_SIZE = 32
 
 
 def spec_to_data(spec: "ShardSpec") -> Dict:
@@ -68,21 +55,20 @@ def spec_to_data(spec: "ShardSpec") -> Dict:
 
 @dataclass
 class CheckpointEntry:
-    """One validated checkpoint, as a backend hands it back."""
+    """One validated checkpoint, as the store hands it back."""
 
     shard_id: str
     spec_data: Dict
     result: Dict
     elapsed_seconds: float
-    schema_version: int = SCHEMA_VERSION
-    fingerprint: str = ""
+    schema_version: int
+    fingerprint: str
 
 
 @dataclass
 class CompactionStats:
-    """What one :meth:`StateStore.compact` pass removed."""
+    """What one :meth:`SqliteStore.compact` pass removed."""
 
-    removed_superseded: int = 0
     removed_corrupt: int = 0
     removed_stale: int = 0
     bytes_before: int = 0
@@ -90,285 +76,34 @@ class CompactionStats:
 
     @property
     def removed_total(self) -> int:
-        return (self.removed_superseded + self.removed_corrupt +
-                self.removed_stale)
+        return self.removed_corrupt + self.removed_stale
 
 
-class StateStore:
-    """Abstract checkpoint store, keyed by ``ShardSpec.shard_id``.
-
-    Subclasses implement the persistence mechanism; this base class
-    owns the counters and their mirror into the ``runner.store.*``
-    metric family, so every backend reports identically under
-    ``--metrics``.
-    """
-
-    backend: ClassVar[str] = "abstract"
-
-    def __init__(self, metrics: Optional[Metrics] = None) -> None:
-        self.metrics = metrics
-        self.writes = 0
-        self.batched_txns = 0
-        self.corrupt_discarded = 0
-        self.compacted = 0
-
-    # -- lifecycle -----------------------------------------------------
-    def open(self) -> "StateStore":
-        raise NotImplementedError
-
-    def close(self) -> None:
-        raise NotImplementedError
-
-    def __enter__(self) -> "StateStore":
-        return self.open()
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-    # -- the stable interface ------------------------------------------
-    def put(self, spec: "ShardSpec", result_data: Dict,
-            elapsed_seconds: float) -> None:
-        """Persist one completed cell (replacing any earlier entry)."""
-        raise NotImplementedError
-
-    def get(self, spec: "ShardSpec") -> Optional[CheckpointEntry]:
-        """Reload one cell, or None if missing or unusable.
-
-        An entry is trusted only when it parses, carries the current
-        :data:`SCHEMA_VERSION`, matches its recorded payload
-        fingerprint, and records exactly the spec being asked for.
-        Anything present but unusable counts toward
-        :attr:`corrupt_discarded` -- a resumed sweep reports how many
-        checkpoints it threw away instead of dropping them silently.
-        """
-        raise NotImplementedError
-
-    def iter_completed(self) -> Iterator[CheckpointEntry]:
-        """Every valid entry in the store, in shard-id order."""
-        raise NotImplementedError
-
-    def compact(self,
-                keep: Optional[Iterable[str]] = None) -> CompactionStats:
-        """Garbage-collect superseded, corrupt and stale entries.
-
-        *keep*, when given, is the set of shard ids the current grid
-        still wants; entries outside it are stale leftovers from a
-        differently-shaped sweep and are removed.  After compaction
-        every kept entry still loads -- ``--resume`` restores exactly
-        the same cells, from less disk.
-        """
-        raise NotImplementedError
-
-    def flush(self) -> None:
-        """Make every buffered write durable (no-op unless batching)."""
-
-    def bytes_on_disk(self) -> int:
-        """Bytes the store currently occupies on disk."""
-        raise NotImplementedError
-
-    # -- shared accounting ---------------------------------------------
-    def _count_write(self) -> None:
-        self.writes += 1
-        if self.metrics is not None:
-            self.metrics.incr("runner.store.writes")
-
-    def _count_txn(self) -> None:
-        self.batched_txns += 1
-        if self.metrics is not None:
-            self.metrics.incr("runner.store.batched_txns")
-
-    def _count_corrupt(self, discarded: int = 1) -> None:
-        self.corrupt_discarded += discarded
-        if self.metrics is not None:
-            self.metrics.incr("runner.store.corrupt_discarded", discarded)
-
-    def _count_compacted(self, removed: int) -> None:
-        self.compacted += removed
-        if self.metrics is not None:
-            self.metrics.incr("runner.store.compacted", removed)
-
-    def _validate(self, entry: CheckpointEntry,
-                  spec: Optional["ShardSpec"]) -> bool:
-        """Shared trust checks; counts (but does not raise on) failures."""
-        if entry.schema_version != SCHEMA_VERSION:
-            self._count_corrupt()
-            return False
-        if not isinstance(entry.result, dict):
-            self._count_corrupt()
-            return False
-        if entry.fingerprint and \
-                payload_fingerprint(entry.result) != entry.fingerprint:
-            self._count_corrupt()
-            return False
-        if spec is not None and entry.spec_data != spec_to_data(spec):
-            self._count_corrupt()
-            return False
-        return True
-
-
-# ----------------------------------------------------------------------
-# JSON directory backend (PR 3 byte-compatible)
-# ----------------------------------------------------------------------
-class JsonDirStore(StateStore):
-    """One atomically-written ``<shard_id>.json`` file per cell.
-
-    The on-disk bytes are identical to the PR 3 runner's checkpoints
-    (same payload keys, same ``json.dump`` formatting), so old result
-    directories resume under this store and new ones resume under old
-    code.  The payload therefore carries no stored fingerprint; the
-    parse + format + spec-match checks stand in for it, exactly as
-    before -- except that discards are now *counted*.
-    """
-
-    backend = "json"
-
-    def __init__(self, root: str,
-                 metrics: Optional[Metrics] = None) -> None:
-        super().__init__(metrics)
-        self.root = root
-
-    def open(self) -> "JsonDirStore":
-        os.makedirs(self.root, exist_ok=True)
-        return self
-
-    def close(self) -> None:
-        pass
-
-    def path_for(self, shard_id: str) -> str:
-        return os.path.join(self.root, shard_id + ".json")
-
-    def put(self, spec: "ShardSpec", result_data: Dict,
-            elapsed_seconds: float) -> None:
-        payload = {
-            "format": SCHEMA_VERSION,
-            "shard_id": spec.shard_id,
-            "spec": spec_to_data(spec),
-            "elapsed_seconds": elapsed_seconds,
-            "result": result_data,
-        }
-        handle, temp = tempfile.mkstemp(dir=self.root,
-                                        prefix=spec.shard_id + ".",
-                                        suffix=".tmp")
-        try:
-            with os.fdopen(handle, "w", encoding="utf-8") as stream:
-                json.dump(payload, stream)
-            os.replace(temp, self.path_for(spec.shard_id))
-        except BaseException:
-            if os.path.exists(temp):
-                os.unlink(temp)
-            raise
-        self._count_write()
-
-    def _read(self, path: str) -> Optional[CheckpointEntry]:
-        """Parse one file; None (counted) when present but unusable."""
-        try:
-            with open(path, "r", encoding="utf-8") as stream:
-                payload = json.load(stream)
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError):
-            self._count_corrupt()
-            return None
-        if not isinstance(payload, dict) or \
-                not isinstance(payload.get("result"), dict):
-            self._count_corrupt()
-            return None
-        version = payload.get("format")
-        return CheckpointEntry(
-            shard_id=str(payload.get("shard_id",
-                                     os.path.basename(path)[:-5])),
-            spec_data=payload.get("spec") or {},
-            result=payload["result"],
-            elapsed_seconds=float(payload.get("elapsed_seconds", 0.0)),
-            schema_version=version if isinstance(version, int) else -1,
-        )
-
-    def get(self, spec: "ShardSpec") -> Optional[CheckpointEntry]:
-        entry = self._read(self.path_for(spec.shard_id))
-        if entry is None or not self._validate(entry, spec):
-            return None
-        return entry
-
-    def iter_completed(self) -> Iterator[CheckpointEntry]:
-        try:
-            names = sorted(os.listdir(self.root))
-        except OSError:
-            return
-        for name in names:
-            if not name.endswith(".json"):
-                continue
-            entry = self._read(os.path.join(self.root, name))
-            if entry is not None and self._validate(entry, None):
-                yield entry
-
-    def compact(self,
-                keep: Optional[Iterable[str]] = None) -> CompactionStats:
-        stats = CompactionStats(bytes_before=self.bytes_on_disk())
-        wanted = None if keep is None else set(keep)
-        try:
-            names = sorted(os.listdir(self.root))
-        except OSError:
-            names = []
-        for name in names:
-            path = os.path.join(self.root, name)
-            if name.endswith(".tmp"):
-                # Leftover from a kill mid-write: superseded by the
-                # atomic-replace protocol, never referenced again.
-                os.unlink(path)
-                stats.removed_superseded += 1
-                continue
-            if not name.endswith(".json"):
-                continue
-            entry = self._read(path)
-            if entry is None or not self._validate(entry, None):
-                os.unlink(path)
-                stats.removed_corrupt += 1
-            elif wanted is not None and entry.shard_id not in wanted:
-                os.unlink(path)
-                stats.removed_stale += 1
-        stats.bytes_after = self.bytes_on_disk()
-        self._count_compacted(stats.removed_total)
-        return stats
-
-    def bytes_on_disk(self) -> int:
-        total = 0
-        try:
-            names = sorted(os.listdir(self.root))
-        except OSError:
-            return 0
-        for name in names:
-            try:
-                total += os.path.getsize(os.path.join(self.root, name))
-            except OSError:
-                continue
-        return total
-
-
-# ----------------------------------------------------------------------
-# sqlite backend (single file, WAL, batched transactions)
-# ----------------------------------------------------------------------
-class SqliteStore(StateStore):
+class SqliteStore:
     """All checkpoints in one ``checkpoints.sqlite`` file.
 
     * **WAL mode** -- readers never block the writer, and a kill mid
       transaction is rolled back by sqlite's recovery on the next
       open, so the database is never torn by a crash *it* caused.
-    * **Batched transactional writes** -- ``put`` buffers entries and
-      commits them ``batch_size`` at a time in one transaction (one
-      fsync per batch, not per cell).  A crash loses at most the
-      unflushed batch; those cells are simply recomputed on resume.
-    * **Generational rows** -- a re-run cell inserts a new generation
-      instead of updating in place; ``get`` reads the latest.
-      :meth:`compact` deletes superseded generations, corrupt rows and
-      stale shard ids, then truncates the WAL and VACUUMs.
+    * **Transactional writes** -- ``put`` buffers an entry and
+      :meth:`flush` commits everything buffered in one transaction
+      (``put`` flushes by itself every :data:`BATCH_SIZE` entries).
+      The runner flushes after every cell and the daemon before it
+      acknowledges a ``checkpoint``; under ``synchronous=NORMAL`` a
+      WAL commit does not fsync.  A crash loses at most what was put
+      but not flushed; those cells are simply recomputed on resume,
+      and a failed commit is dropped the same way.
+    * **One row per shard id** -- a rewritten entry is inserted as
+      the next generation and the older generations are deleted in
+      the same transaction, so the file holds only what ``get`` can
+      return.  :meth:`compact` deletes corrupt rows and stale shard
+      ids, then truncates the WAL and VACUUMs.
     * **Torn-file recovery** -- a database file truncated or
       overwritten by outside forces (the torn-write fixture in
       ``tests/simulation/test_store_properties.py``) is quarantined as
       ``<name>.corrupt`` and a fresh store is created: the sweep
       recomputes instead of crashing.
     """
-
-    backend = "sqlite"
 
     FILENAME = "checkpoints.sqlite"
 
@@ -385,26 +120,23 @@ class SqliteStore(StateStore):
         )
     """
 
-    #: Latest generation per shard id.
-    _LATEST = ("SELECT shard_id, generation, schema_version, fingerprint,"
-               " spec, elapsed_seconds, result FROM checkpoints"
-               " WHERE (shard_id, generation) IN"
-               " (SELECT shard_id, MAX(generation) FROM checkpoints"
-               "  GROUP BY shard_id)")
+    _SELECT = ("SELECT shard_id, generation, schema_version, fingerprint,"
+               " spec, elapsed_seconds, result FROM checkpoints")
 
-    def __init__(self, root: str, metrics: Optional[Metrics] = None,
-                 batch_size: int = 32) -> None:
-        super().__init__(metrics)
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+    def __init__(self, root: str, metrics: Optional[Metrics] = None) -> None:
         self.root = root
         self.path = os.path.join(root, self.FILENAME)
-        self.batch_size = batch_size
+        self.metrics = metrics
+        self.writes = 0
+        self.batched_txns = 0
+        self.corrupt_discarded = 0
+        self.compacted = 0
         self._conn: Optional[sqlite3.Connection] = None
         self._pending: List[Tuple[str, str, str, float, str]] = []
 
     # -- lifecycle -----------------------------------------------------
     def open(self) -> "SqliteStore":
+        """Open the database under *root*, creating both if needed."""
         os.makedirs(self.root, exist_ok=True)
         try:
             self._connect()
@@ -412,6 +144,12 @@ class SqliteStore(StateStore):
             self._quarantine()
             self._connect()
         return self
+
+    def __enter__(self) -> "SqliteStore":
+        return self.open()
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
 
     def _connect(self) -> None:
         conn = sqlite3.connect(self.path)
@@ -443,18 +181,43 @@ class SqliteStore(StateStore):
 
     def close(self) -> None:
         if self._conn is not None:
-            self.flush()
-            self._conn.close()
-            self._conn = None
+            try:
+                self.flush()
+            finally:
+                self._conn.close()
+                self._conn = None
 
     def _connection(self) -> sqlite3.Connection:
         if self._conn is None:
             raise RuntimeError("SqliteStore is not open")
         return self._conn
 
+    # -- accounting ----------------------------------------------------
+    def _count_write(self) -> None:
+        self.writes += 1
+        if self.metrics is not None:
+            self.metrics.incr("runner.store.writes")
+
+    def _count_txn(self) -> None:
+        self.batched_txns += 1
+        if self.metrics is not None:
+            self.metrics.incr("runner.store.batched_txns")
+
+    def _count_corrupt(self, discarded: int = 1) -> None:
+        self.corrupt_discarded += discarded
+        if self.metrics is not None:
+            self.metrics.incr("runner.store.corrupt_discarded", discarded)
+
+    def _count_compacted(self, removed: int) -> None:
+        self.compacted += removed
+        if self.metrics is not None:
+            self.metrics.incr("runner.store.compacted", removed)
+
     # -- writes --------------------------------------------------------
     def put(self, spec: "ShardSpec", result_data: Dict,
             elapsed_seconds: float) -> None:
+        """Buffer one completed cell (superseding any earlier entry);
+        it is durable after the next :meth:`flush`."""
         self._pending.append((
             spec.shard_id,
             payload_fingerprint(result_data),
@@ -463,25 +226,39 @@ class SqliteStore(StateStore):
             json.dumps(result_data),
         ))
         self._count_write()
-        if len(self._pending) >= self.batch_size:
+        if len(self._pending) >= BATCH_SIZE:
             self.flush()
 
     def flush(self) -> None:
+        """Commit every buffered entry in one transaction.
+
+        The buffer is emptied even when the commit fails: a failed
+        batch is lost like one a crash interrupted, and the error
+        reaches this caller only, not every later read.
+        """
         if not self._pending:
             return
         conn = self._connection()
-        with conn:   # one transaction per batch
-            for shard_id, fingerprint, spec_json, elapsed, result in \
-                    self._pending:
-                conn.execute(
-                    "INSERT INTO checkpoints (shard_id, generation,"
-                    " schema_version, fingerprint, spec, elapsed_seconds,"
-                    " result) VALUES (?, COALESCE((SELECT MAX(generation)"
-                    " FROM checkpoints WHERE shard_id = ?), 0) + 1,"
-                    " ?, ?, ?, ?, ?)",
-                    (shard_id, shard_id, SCHEMA_VERSION, fingerprint,
-                     spec_json, elapsed, result))
-        self._pending.clear()
+        try:
+            with conn:   # one transaction per batch
+                for shard_id, fingerprint, spec_json, elapsed, result in \
+                        self._pending:
+                    conn.execute(
+                        "INSERT INTO checkpoints (shard_id, generation,"
+                        " schema_version, fingerprint, spec,"
+                        " elapsed_seconds, result)"
+                        " VALUES (?, COALESCE((SELECT MAX(generation)"
+                        " FROM checkpoints WHERE shard_id = ?), 0) + 1,"
+                        " ?, ?, ?, ?, ?)",
+                        (shard_id, shard_id, SCHEMA_VERSION, fingerprint,
+                         spec_json, elapsed, result))
+                    conn.execute(
+                        "DELETE FROM checkpoints WHERE shard_id = ?"
+                        " AND generation < (SELECT MAX(generation)"
+                        " FROM checkpoints WHERE shard_id = ?)",
+                        (shard_id, shard_id))
+        finally:
+            self._pending.clear()
         self._count_txn()
 
     # -- reads ---------------------------------------------------------
@@ -499,11 +276,36 @@ class SqliteStore(StateStore):
             elapsed_seconds=elapsed, schema_version=version,
             fingerprint=fingerprint)
 
+    @staticmethod
+    def _trusted(entry: CheckpointEntry,
+                 spec: Optional["ShardSpec"]) -> bool:
+        """Current schema, payload matching its fingerprint and, when
+        *spec* is given, exactly the spec being asked for."""
+        return (entry.schema_version == SCHEMA_VERSION
+                and isinstance(entry.result, dict)
+                and payload_fingerprint(entry.result) == entry.fingerprint
+                and (spec is None or entry.spec_data == spec_to_data(spec)))
+
+    def _validate(self, entry: CheckpointEntry,
+                  spec: Optional["ShardSpec"]) -> bool:
+        """:meth:`_trusted`, counting (not raising on) a failure."""
+        if self._trusted(entry, spec):
+            return True
+        self._count_corrupt()
+        return False
+
     def get(self, spec: "ShardSpec") -> Optional[CheckpointEntry]:
+        """Reload one cell, or None if missing or unusable.
+
+        Anything present but unusable counts toward
+        :attr:`corrupt_discarded` -- a resumed sweep reports how many
+        checkpoints it threw away instead of dropping them silently.
+        """
         self.flush()
         try:
             row = self._connection().execute(
-                self._LATEST + " AND shard_id = ?",
+                self._SELECT + " WHERE shard_id = ?"
+                " ORDER BY generation DESC LIMIT 1",
                 (spec.shard_id,)).fetchone()
         except sqlite3.DatabaseError:
             self._quarantine()
@@ -517,10 +319,11 @@ class SqliteStore(StateStore):
         return entry
 
     def iter_completed(self) -> Iterator[CheckpointEntry]:
+        """Every valid entry in the store, in shard-id order."""
         self.flush()
         try:
             rows = self._connection().execute(
-                self._LATEST + " ORDER BY shard_id").fetchall()
+                self._SELECT + " ORDER BY shard_id").fetchall()
         except sqlite3.DatabaseError:
             self._quarantine()
             self._connect()
@@ -533,23 +336,23 @@ class SqliteStore(StateStore):
     # -- maintenance ---------------------------------------------------
     def compact(self,
                 keep: Optional[Iterable[str]] = None) -> CompactionStats:
+        """Garbage-collect corrupt and stale entries.
+
+        *keep*, when given, is the set of shard ids the current grid
+        still wants; entries outside it are stale leftovers from a
+        differently-shaped sweep and are removed.  After compaction
+        every kept entry still loads -- ``--resume`` restores exactly
+        the same cells, from less disk.
+        """
         self.flush()
         stats = CompactionStats(bytes_before=self.bytes_on_disk())
         conn = self._connection()
         with conn:
-            stats.removed_superseded = conn.execute(
-                "DELETE FROM checkpoints WHERE (shard_id, generation)"
-                " NOT IN (SELECT shard_id, MAX(generation)"
-                " FROM checkpoints GROUP BY shard_id)").rowcount
-            # Rows the read path would refuse: wrong schema version or
-            # a payload that no longer matches its fingerprint.
+            # Rows the read path would refuse.
             bad: List[str] = []
-            for row in conn.execute(self._LATEST).fetchall():
+            for row in conn.execute(self._SELECT).fetchall():
                 entry = self._entry_from_row(row)
-                if entry is None or entry.schema_version != SCHEMA_VERSION \
-                        or not isinstance(entry.result, dict) \
-                        or payload_fingerprint(entry.result) != \
-                        entry.fingerprint:
+                if entry is None or not self._trusted(entry, None):
                     bad.append(row[0])
             for shard_id in bad:
                 conn.execute("DELETE FROM checkpoints WHERE shard_id = ?",
@@ -575,6 +378,7 @@ class SqliteStore(StateStore):
         return stats
 
     def bytes_on_disk(self) -> int:
+        """Bytes the store currently occupies on disk."""
         total = 0
         for path in (self.path, self.path + "-wal", self.path + "-shm"):
             try:
@@ -582,18 +386,3 @@ class SqliteStore(StateStore):
             except OSError:
                 continue
         return total
-
-
-# ----------------------------------------------------------------------
-# factory
-# ----------------------------------------------------------------------
-def open_store(backend: str, root: str,
-               metrics: Optional[Metrics] = None) -> StateStore:
-    """Open (creating if needed) the *backend* store rooted at *root*."""
-    if backend == "json":
-        return JsonDirStore(root, metrics=metrics).open()
-    if backend == "sqlite":
-        return SqliteStore(root, metrics=metrics).open()
-    raise ValueError(
-        f"unknown checkpoint store backend {backend!r}; "
-        f"expected one of {', '.join(BACKENDS)}")

@@ -129,18 +129,18 @@ def sweep_parameter(base: SeerParameters, name: str, values: Candidates,
                     window_seconds: float = DAY, jobs: int = 1,
                     checkpoint_dir: Optional[str] = None,
                     resume: bool = False, metrics=None,
-                    progress=None, store: str = "json") -> List[SweepPoint]:
+                    progress=None) -> List[SweepPoint]:
     """One-dimensional sweep: vary *name*, hold everything else.
 
     With ``jobs > 1`` or a ``checkpoint_dir``, the (value x machine)
     grid runs on the parallel experiment runner
     (:mod:`repro.simulation.runner`): each cell is an "objective" shard
-    keyed by the full parameter set, checkpointed through the *store*
-    backend (``"json"``/``"sqlite"``, docs/state-store.md) and
-    resumable like any other sweep.  Workers rebuild each trace from its
-    (machine, seed, days) identity, so this path expects traces
-    produced by :func:`~repro.workload.generate_machine_trace` with
-    default generation knobs -- which is what the CLI feeds it.
+    keyed by the full parameter set, checkpointed in the sqlite store
+    (docs/state-store.md) and resumable like any other sweep.  Workers
+    rebuild each trace from its (machine, seed, days) identity, so this
+    path expects traces produced by
+    :func:`~repro.workload.generate_machine_trace` with default
+    generation knobs -- which is what the CLI feeds it.
     """
     candidates = [(value, _try_parameters(base, {name: value}))
                   for value in values]
@@ -170,7 +170,7 @@ def sweep_parameter(base: SeerParameters, name: str, values: Candidates,
         wanted.append((value, parameters, cells))
     outcomes = run_shards(list(specs.values()), jobs=jobs,
                           checkpoint_dir=checkpoint_dir, resume=resume,
-                          metrics=metrics, progress=progress, store=store)
+                          metrics=metrics, progress=progress)
     scores = {outcome.spec.shard_id: outcome.result for outcome in outcomes}
     return [SweepPoint(value=value,
                        result=aggregate_scores(

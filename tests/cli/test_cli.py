@@ -89,8 +89,8 @@ class TestCommands:
                 "--checkpoint-dir", checkpoints]
         assert main(args) == 0
         first = capsys.readouterr().out
-        import os
-        assert len(os.listdir(checkpoints)) == 2   # daily + weekly cells
+        from tests.simulation.checkpoints import stored_ids
+        assert len(stored_ids(checkpoints)) == 2   # daily + weekly cells
         assert main(args + ["--resume"]) == 0
         captured = capsys.readouterr()
         assert captured.out == first
@@ -197,7 +197,7 @@ class TestPopulationCommand:
     def test_checkpoint_resume_reuses_every_cell(self, tmp_path, capsys):
         checkpoint_dir = str(tmp_path / "ckpt")
         arguments = ["population", "--machines", "3", "--seed", "7",
-                     "--days", "2", "--resamples", "50", "--store", "sqlite",
+                     "--days", "2", "--resamples", "50",
                      "--checkpoint-dir", checkpoint_dir]
         assert main(arguments) == 0
         first = capsys.readouterr().out

@@ -80,7 +80,7 @@ class TestBlockingInEventLoop:
 
     def test_store_method_on_typed_receiver_fires(self, lint_snippet):
         result = lint_snippet("""
-            async def save(store: "StateStore", spec, data):
+            async def save(store: "SqliteStore", spec, data):
                 store.put(spec, data, 0.0)
         """, select=["RL008"])
         assert rules_of(result) == ["RL008"]
@@ -277,8 +277,8 @@ class TestResourceSafety:
 
     def test_exception_path_leak_fires(self, lint_snippet):
         result = lint_snippet("""
-            def save(backend, directory, spec, data):
-                store = open_store(backend, directory)
+            def save(directory, spec, data):
+                store = SqliteStore(directory).open()
                 store.put(spec, data, 0.0)
                 store.close()
         """, select=["RL012"])
@@ -287,8 +287,8 @@ class TestResourceSafety:
 
     def test_discarded_handle_fires(self, lint_snippet):
         result = lint_snippet("""
-            def poke(backend, directory):
-                open_store(backend, directory)
+            def poke(directory):
+                SqliteStore(directory).open()
         """, select=["RL012"])
         assert rules_of(result) == ["RL012"]
         assert "discarded" in result.findings[0].message
@@ -308,8 +308,8 @@ class TestResourceSafety:
 
     def test_try_finally_close_is_clean(self, lint_snippet):
         result = lint_snippet("""
-            def save(backend, directory, spec, data):
-                store = open_store(backend, directory)
+            def save(directory, spec, data):
+                store = SqliteStore(directory).open()
                 try:
                     store.put(spec, data, 0.0)
                 finally:
@@ -329,8 +329,8 @@ class TestResourceSafety:
 
     def test_returned_handle_escapes_tracking(self, lint_snippet):
         result = lint_snippet("""
-            def opened(backend, directory):
-                store = open_store(backend, directory)
+            def opened(directory):
+                store = SqliteStore(directory).open()
                 return store
         """, select=["RL012"])
         assert result.findings == []

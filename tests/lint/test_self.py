@@ -144,23 +144,21 @@ class TestPR10Regressions:
         assert [f.rule for f in result.findings] == ["RL011"]
 
     def test_rl012_checkpoint_store_leak(self, tmp_path):
-        # Pre-fix write_checkpoint opened a JsonDirStore per call and
-        # never closed it.
+        # Pre-fix, a per-call checkpoint helper opened a store and
+        # never closed it.  The same discarded handle, seeded into the
+        # runner's open site, must still be caught.
         source = real_source("simulation", "runner.py")
-        fixed = ("    store = JsonDirStore(checkpoint_dir).open()\n"
-                 "    try:\n"
-                 "        store.put(spec, data, elapsed_seconds)\n"
-                 "    finally:\n"
-                 "        store.close()\n")
+        fixed = ("        state = SqliteStore(checkpoint_dir, "
+                 "metrics=metrics).open()\n")
         assert fixed in source
         result = lint_seeded(tmp_path, {
             "runner.py": source.replace(
                 fixed,
-                "    JsonDirStore(checkpoint_dir).open()"
-                ".put(spec, data, elapsed_seconds)\n"),
+                "        SqliteStore(checkpoint_dir, metrics=metrics).open()"
+                ".put(shards[0], {}, 0.0)\n"),
         }, select=["RL012"])
         assert [f.rule for f in result.findings] == ["RL012"]
-        assert "JsonDirStore" in result.findings[0].snippet
+        assert "SqliteStore" in result.findings[0].snippet
 
 
 class TestJobsDeterminism:

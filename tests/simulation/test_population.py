@@ -153,10 +153,9 @@ class TestRunnerEquivalence:
 
     def test_sqlite_store_matches_serial(self, baseline, tmp_path):
         checkpoint_dir = str(tmp_path / "sqlite")
-        outcomes = run_shards(GRID, jobs=1, checkpoint_dir=checkpoint_dir,
-                              store="sqlite")
+        outcomes = run_shards(GRID, jobs=1, checkpoint_dir=checkpoint_dir)
         assert [comparable_data(o.result) for o in outcomes] == baseline
         resumed = run_shards(GRID, jobs=1, checkpoint_dir=checkpoint_dir,
-                             store="sqlite", resume=True)
+                             resume=True)
         assert all(o.from_checkpoint for o in resumed)
         assert [comparable_data(o.result) for o in resumed] == baseline

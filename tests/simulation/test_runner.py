@@ -1,6 +1,5 @@
 """Unit tests for the parallel experiment runner."""
 
-import json
 import os
 
 import pytest
@@ -11,15 +10,15 @@ from repro.simulation.runner import (
     WEEK,
     RunStats,
     ShardSpec,
-    checkpoint_path,
     figure2_grid,
-    load_checkpoint,
     reproduction_grid,
     run_shards,
     spec_for_parameters,
-    write_checkpoint,
 )
 from repro.simulation.serde import comparable_data
+from repro.simulation.store import SqliteStore
+
+from tests.simulation.checkpoints import delete_rows, stored_ids, tamper_rows
 
 
 SMALL = dict(machine="E", trace_seed=1, days=5.0)
@@ -109,41 +108,58 @@ class TestGrids:
 
 
 class TestCheckpoints:
+    """One cell's checkpoint in the store: written, reloaded, or
+    discarded -- and counted -- when it cannot be trusted."""
+
     def test_write_then_load(self, tmp_path):
         spec = small_grid()[0]
         data = {"type": "missfree", "machine": "E"}
-        write_checkpoint(str(tmp_path), spec, data, 1.5)
-        payload = load_checkpoint(str(tmp_path), spec)
-        assert payload["result"] == data
-        assert payload["elapsed_seconds"] == 1.5
+        with SqliteStore(str(tmp_path)) as store:
+            store.put(spec, data, 1.5)
+        with SqliteStore(str(tmp_path)) as store:   # a later process
+            entry = store.get(spec)
+        assert entry.result == data
+        assert entry.elapsed_seconds == 1.5
 
     def test_missing_returns_none(self, tmp_path):
-        assert load_checkpoint(str(tmp_path), small_grid()[0]) is None
+        with SqliteStore(str(tmp_path)) as store:
+            assert store.get(small_grid()[0]) is None
+            assert store.corrupt_discarded == 0   # missing is not corrupt
 
     def test_corrupt_file_discarded(self, tmp_path):
-        spec = small_grid()[0]
-        with open(checkpoint_path(str(tmp_path), spec), "w") as stream:
-            stream.write('{"format": 1, "spec": {')   # truncated write
-        assert load_checkpoint(str(tmp_path), spec) is None
+        with open(os.path.join(str(tmp_path), SqliteStore.FILENAME),
+                  "w") as stream:
+            stream.write('{"format": 1, "spec": {')   # not a database
+        with SqliteStore(str(tmp_path)) as store:
+            assert store.get(small_grid()[0]) is None
+            assert store.corrupt_discarded == 1
 
     def test_wrong_format_discarded(self, tmp_path):
         spec = small_grid()[0]
-        with open(checkpoint_path(str(tmp_path), spec), "w") as stream:
-            json.dump({"format": 999}, stream)
-        assert load_checkpoint(str(tmp_path), spec) is None
+        with SqliteStore(str(tmp_path)) as store:
+            store.put(spec, {"type": "missfree"}, 0.0)
+        tamper_rows(str(tmp_path), [spec.shard_id])
+        with SqliteStore(str(tmp_path)) as store:
+            assert store.get(spec) is None
+            assert store.corrupt_discarded == 1
 
     def test_spec_mismatch_discarded(self, tmp_path):
         """A checkpoint recorded for a different cell is never reused,
-        even if it somehow landed under this cell's file name."""
+        even if it somehow landed under this cell's shard id."""
         spec, other = small_grid()[0], small_grid()[1]
-        write_checkpoint(str(tmp_path), other, {"type": "missfree"}, 0.1)
-        os.replace(checkpoint_path(str(tmp_path), other),
-                   checkpoint_path(str(tmp_path), spec))
-        assert load_checkpoint(str(tmp_path), spec) is None
+        with SqliteStore(str(tmp_path)) as store:
+            store.put(other, {"type": "missfree"}, 0.1)
+            store.flush()
+            store._conn.execute("UPDATE checkpoints SET shard_id = ?",
+                                (spec.shard_id,))
+            store._conn.commit()
+            assert store.get(spec) is None
+            assert store.corrupt_discarded == 1
 
     def test_no_temp_files_left_behind(self, tmp_path):
-        write_checkpoint(str(tmp_path), small_grid()[0], {"a": 1}, 0.0)
-        assert all(not name.endswith(".tmp") for name in os.listdir(tmp_path))
+        with SqliteStore(str(tmp_path)) as store:
+            store.put(small_grid()[0], {"a": 1}, 0.0)
+        assert os.listdir(tmp_path) == [SqliteStore.FILENAME]
 
 
 class TestRunShards:
@@ -164,14 +180,15 @@ class TestRunShards:
     def test_checkpoints_written(self, tmp_path):
         shards = small_grid()
         run_shards(shards, jobs=1, checkpoint_dir=str(tmp_path))
-        names = sorted(os.listdir(tmp_path))
-        assert names == sorted(s.shard_id + ".json" for s in shards)
+        assert os.listdir(tmp_path) == [SqliteStore.FILENAME]
+        assert stored_ids(str(tmp_path)) == \
+            sorted(s.shard_id for s in shards)
 
     def test_resume_skips_completed_cells(self, tmp_path):
         shards = small_grid()
         first = run_shards(shards, jobs=1, checkpoint_dir=str(tmp_path))
         # Lose one cell, as if the sweep was killed before writing it.
-        os.unlink(checkpoint_path(str(tmp_path), shards[1]))
+        delete_rows(str(tmp_path), [shards[1].shard_id])
         stats = RunStats()
         second = run_shards(shards, jobs=1, checkpoint_dir=str(tmp_path),
                             resume=True, stats=stats)
@@ -230,15 +247,14 @@ class TestRunShards:
 
 
 class TestRunShardsStore:
-    """run_shards against the pluggable state stores (docs/state-store.md)."""
+    """run_shards against the checkpoint store (docs/state-store.md)."""
 
     def test_corrupt_checkpoint_counted_in_stats_and_metrics(self, tmp_path):
         """A corrupt checkpoint is recomputed *and reported*, never
         silently dropped (runner.store.corrupt_discarded)."""
         shards = small_grid()
         run_shards(shards, jobs=1, checkpoint_dir=str(tmp_path))
-        with open(checkpoint_path(str(tmp_path), shards[0]), "w") as stream:
-            stream.write('{"format": 1, "result":')   # torn write
+        tamper_rows(str(tmp_path), [shards[0].shard_id])
         metrics = Metrics()
         stats = RunStats()
         run_shards(shards, jobs=1, checkpoint_dir=str(tmp_path),
@@ -253,12 +269,11 @@ class TestRunShardsStore:
 
     def test_sqlite_store_resumes(self, tmp_path):
         shards = small_grid()
-        first = run_shards(shards, jobs=1, checkpoint_dir=str(tmp_path),
-                           store="sqlite")
+        first = run_shards(shards, jobs=1, checkpoint_dir=str(tmp_path))
         assert os.path.exists(str(tmp_path / "checkpoints.sqlite"))
         stats = RunStats()
         second = run_shards(shards, jobs=1, checkpoint_dir=str(tmp_path),
-                            store="sqlite", resume=True, stats=stats)
+                            resume=True, stats=stats)
         assert stats.shards_from_checkpoint == len(shards)
         assert stats.shards_run == 0
         assert [comparable_data(o.result) for o in first] == \
@@ -274,7 +289,7 @@ class TestRunShardsStore:
         plain = run_shards(shards, jobs=1)
         streamed = []
         returned = run_shards(shards, jobs=2, checkpoint_dir=str(tmp_path),
-                              store="sqlite", consume=streamed.append)
+                              consume=streamed.append)
         assert returned == []
         assert [o.spec.shard_id for o in streamed] == \
             [s.shard_id for s in shards]
@@ -293,8 +308,9 @@ class TestRunShardsStore:
         shards = small_grid()
         run_shards(shards, jobs=1, checkpoint_dir=str(tmp_path),
                    compact=True)
-        assert sorted(os.listdir(tmp_path)) == \
-            sorted(s.shard_id + ".json" for s in shards)
+        assert os.listdir(tmp_path) == [SqliteStore.FILENAME]
+        assert stored_ids(str(tmp_path)) == \
+            sorted(s.shard_id for s in shards)
         stats = RunStats()
         run_shards(shards, jobs=1, checkpoint_dir=str(tmp_path),
                    resume=True, stats=stats)
@@ -307,11 +323,10 @@ class TestRunShardsStore:
         spec = spec_for_parameters(
             ShardSpec("objective", window_seconds=DAY, **SMALL),
             SIM_PARAMETERS)
-        (first,) = run_shards([spec], jobs=1,
-                              checkpoint_dir=str(tmp_path), store="sqlite")
+        (first,) = run_shards([spec], jobs=1, checkpoint_dir=str(tmp_path))
         stats = RunStats()
         (second,) = run_shards([spec], jobs=1, checkpoint_dir=str(tmp_path),
-                               store="sqlite", resume=True, stats=stats)
+                               resume=True, stats=stats)
         assert stats.shards_from_checkpoint == 1
         assert second.result == first.result
         assert isinstance(second.result, float)

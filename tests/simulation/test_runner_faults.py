@@ -6,15 +6,14 @@ import pytest
 from repro.simulation.live import LiveResult
 from repro.simulation.runner import (
     ShardSpec,
-    _spec_to_data,
-    checkpoint_path,
     execute_shard,
-    load_checkpoint,
     reproduction_grid,
     run_shards,
-    write_checkpoint,
 )
 from repro.simulation.serde import comparable_data, result_to_data
+from repro.simulation.store import SqliteStore, spec_to_data
+
+from tests.simulation.checkpoints import delete_rows
 
 FAULTED = dict(machine="E", trace_seed=1, days=5.0,
                fault_profile="flaky", fault_seed=2)
@@ -47,7 +46,7 @@ class TestShardSpecFaults:
 
     def test_spec_data_round_trip(self):
         spec = ShardSpec("live", **FAULTED)
-        data = _spec_to_data(spec)
+        data = spec_to_data(spec)
         assert data["fault_profile"] == "flaky"
         assert data["fault_seed"] == 2
         rebuilt = ShardSpec(**{**data, "parameter_overrides": tuple(
@@ -74,23 +73,24 @@ class TestFaultedExecution:
     def test_checkpoint_round_trip_with_faults(self, tmp_path):
         spec = ShardSpec("live", **FAULTED)
         data = result_to_data(execute_shard(spec))
-        write_checkpoint(str(tmp_path), spec, data, 0.1)
-        payload = load_checkpoint(str(tmp_path), spec)
-        assert payload is not None
-        assert payload["result"] == data
-        assert payload["spec"]["fault_profile"] == "flaky"
+        with SqliteStore(str(tmp_path)) as store:
+            store.put(spec, data, 0.1)
+            entry = store.get(spec)
+        assert entry is not None
+        assert entry.result == data
+        assert entry.spec_data["fault_profile"] == "flaky"
 
     def test_checkpoint_not_reused_for_other_fault_config(self, tmp_path):
         spec = ShardSpec("live", **FAULTED)
         data = result_to_data(execute_shard(spec))
-        write_checkpoint(str(tmp_path), spec, data, 0.1)
         # Same cell, different fault seed: different shard_id, so the
         # checkpoint simply is not there to load.
         reseeded = ShardSpec("live", **dict(FAULTED, fault_seed=3))
-        assert load_checkpoint(str(tmp_path), reseeded) is None
+        with SqliteStore(str(tmp_path)) as store:
+            store.put(spec, data, 0.1)
+            assert store.get(reseeded) is None
 
     def test_kill_and_resume_identical_under_faults(self, tmp_path):
-        import os
         grid = [ShardSpec("live", **FAULTED),
                 ShardSpec("live", **dict(FAULTED, fault_seed=3))]
         baseline = [comparable_data(o.result)
@@ -99,7 +99,7 @@ class TestFaultedExecution:
         assert [comparable_data(o.result) for o in outcomes] == baseline
         # Kill one cell's checkpoint and resume: the recomputed faulted
         # cell is identical (the injector replays from its seed).
-        os.unlink(checkpoint_path(str(tmp_path), grid[0]))
+        delete_rows(str(tmp_path), [grid[0].shard_id])
         resumed = run_shards(grid, jobs=2, checkpoint_dir=str(tmp_path),
                              resume=True)
         assert [o.from_checkpoint for o in resumed] == [False, True]

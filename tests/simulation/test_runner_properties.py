@@ -7,7 +7,6 @@ simulated crash points; cell *values* are compared through the
 canonical serialized form with wall-clock instrumentation stripped.
 """
 
-import os
 import shutil
 import tempfile
 
@@ -20,10 +19,11 @@ from repro.simulation.runner import (
     WEEK,
     RunStats,
     ShardSpec,
-    checkpoint_path,
     run_shards,
 )
 from repro.simulation.serde import comparable_data
+
+from tests.simulation.checkpoints import delete_rows, tamper_rows
 
 GRID = [
     ShardSpec("missfree", "E", 1, 5.0, window_seconds=DAY),
@@ -53,15 +53,11 @@ def test_any_jobs_value_matches_serial_with_kill_and_resume(
         assert [comparable_data(o.result) for o in outcomes] == baseline
 
         # 2. Simulate a mid-sweep kill: some cells never checkpointed,
-        #    others were mid-write (checkpoints are written atomically,
-        #    but a resume must also survive a mangled file).
+        #    others were mangled (checkpoints are committed atomically,
+        #    but a resume must also survive a torn payload).
         corrupted = corrupted - killed
-        for index in killed:
-            os.unlink(checkpoint_path(checkpoint_dir, GRID[index]))
-        for index in corrupted:
-            path = checkpoint_path(checkpoint_dir, GRID[index])
-            with open(path, "w") as stream:
-                stream.write('{"format": 1, "result":')
+        delete_rows(checkpoint_dir, [GRID[i].shard_id for i in killed])
+        tamper_rows(checkpoint_dir, [GRID[i].shard_id for i in corrupted])
         stats = RunStats()
         resumed = run_shards(GRID, jobs=jobs, checkpoint_dir=checkpoint_dir,
                              resume=True, stats=stats)

@@ -1,12 +1,12 @@
-"""Property: the two checkpoint backends are byte-equivalent.
+"""Property: a restored grid equals a freshly computed one.
 
-The same randomized (kind x seed x period x investigators) grid pushed
-through :class:`JsonDirStore` and :class:`SqliteStore` must hand back
-byte-identical canonical payloads and render byte-identical report
-text -- the store is a persistence mechanism, never an influence on
-results.  Each distinct cell is simulated once and cached at module
-scope; hypothesis then varies which cells form the grid, and both
-backends restore the grid from checkpoint without recomputing.
+A randomized (kind x seed x period x investigators) grid restored
+from the checkpoint store must hand back byte-identical canonical
+payloads and render byte-identical report text to the same grid
+computed fresh -- the store is a persistence mechanism, never an
+influence on results.  Each distinct cell is simulated once and
+cached at module scope; hypothesis then varies which cells form the
+grid, and the store restores it without recomputing.
 """
 
 import shutil
@@ -21,6 +21,7 @@ from repro.simulation.runner import (
     DAY,
     WEEK,
     RunStats,
+    ShardOutcome,
     ShardSpec,
     execute_shard,
     run_shards,
@@ -28,10 +29,9 @@ from repro.simulation.runner import (
 from repro.simulation.serde import (
     canonical_bytes,
     comparable_data,
-    result_from_data,
     result_to_data,
 )
-from repro.simulation.store import BACKENDS, open_store
+from repro.simulation.store import SqliteStore
 
 #: Every cell hypothesis may put in a grid.  One cheap machine, short
 #: traces; diversity comes from period, seed, investigators and kind.
@@ -45,14 +45,20 @@ CELL_POOL = [
     ShardSpec("live", "E", 2, 4.0),
 ]
 
-_CELL_DATA = {}
+_FRESH = {}
 
 
-def cell_data(spec):
-    """Serialized result of one cell, simulated at most once."""
-    if spec.shard_id not in _CELL_DATA:
-        _CELL_DATA[spec.shard_id] = result_to_data(execute_shard(spec))
-    return _CELL_DATA[spec.shard_id]
+def fresh_outcome(spec):
+    """One cell computed fresh, simulated at most once."""
+    if spec.shard_id not in _FRESH:
+        _FRESH[spec.shard_id] = ShardOutcome(spec=spec,
+                                             result=execute_shard(spec))
+    return _FRESH[spec.shard_id]
+
+
+def payloads(outcomes):
+    """Each outcome's canonical bytes, wall-clock metrics stripped."""
+    return [canonical_bytes(comparable_data(o.result)) for o in outcomes]
 
 
 def render_report_text(outcomes):
@@ -67,16 +73,17 @@ def render_report_text(outcomes):
     return "\n".join(parts)
 
 
-def restore_through(backend, grid):
-    """Seed a fresh *backend* store with the grid, resume from it."""
-    root = tempfile.mkdtemp(prefix=f"store-diff-{backend}-")
+def restore(grid):
+    """Seed a fresh store with the grid's results, resume from it."""
+    root = tempfile.mkdtemp(prefix="store-diff-")
     try:
-        with open_store(backend, root) as store:
+        with SqliteStore(root) as store:
             for spec in grid:
-                store.put(spec, cell_data(spec), elapsed_seconds=0.0)
+                store.put(spec, result_to_data(fresh_outcome(spec).result),
+                          elapsed_seconds=0.0)
         stats = RunStats()
         outcomes = run_shards(grid, jobs=1, checkpoint_dir=root,
-                              resume=True, store=backend, stats=stats)
+                              resume=True, stats=stats)
         # Nothing recomputed: what follows compares pure store
         # round-trips, not fresh simulations.
         assert stats.shards_run == 0
@@ -92,48 +99,31 @@ def restore_through(backend, grid):
 @given(indices=st.sets(st.integers(min_value=0,
                                    max_value=len(CELL_POOL) - 1),
                        min_size=1))
-def test_backends_restore_byte_identical_grids(indices):
+def test_restored_grid_equals_fresh_grid(indices):
     grid = [CELL_POOL[i] for i in sorted(indices)]
-    restored = {backend: restore_through(backend, grid)
-                for backend in BACKENDS}
-
-    for json_out, sqlite_out in zip(*(restored[b] for b in BACKENDS)):
-        assert json_out.spec == sqlite_out.spec
-        json_bytes = canonical_bytes(comparable_data(json_out.result))
-        sqlite_bytes = canonical_bytes(comparable_data(sqlite_out.result))
-        # Byte-identical across backends...
-        assert json_bytes == sqlite_bytes
-        # ...and byte-identical to the result that was stored, so the
-        # round-trip through either backend is lossless.
-        direct = canonical_bytes(comparable_data(
-            result_from_data(cell_data(json_out.spec))))
-        assert json_bytes == direct
-
-    texts = {backend: render_report_text(restored[backend])
-             for backend in BACKENDS}
-    assert texts["json"] == texts["sqlite"]
+    fresh = [fresh_outcome(spec) for spec in grid]
+    restored = restore(grid)
+    assert [o.spec for o in restored] == grid
+    assert payloads(restored) == payloads(fresh)
+    assert render_report_text(restored) == render_report_text(fresh)
 
 
-def test_fresh_runs_are_byte_identical_across_backends():
-    """End to end: *computing* under either backend renders the same.
+def test_computed_and_restored_runs_render_identically():
+    """End to end: a run that computes and checkpoints a grid renders
+    the same bytes as the resumed run that restores all of it.
 
     The hypothesis property above isolates the store round-trip; this
-    pins the full path -- worker pool, checkpoint writes through the
-    backend, restore, render -- for one fixed three-cell grid.
+    pins the full path -- worker pool, checkpoint writes, restore,
+    render -- for one fixed three-cell grid.
     """
     grid = [CELL_POOL[0], CELL_POOL[1], CELL_POOL[4]]
-    texts = {}
-    payloads = {}
-    for backend in BACKENDS:
-        root = tempfile.mkdtemp(prefix=f"store-e2e-{backend}-")
-        try:
-            outcomes = run_shards(grid, jobs=2, checkpoint_dir=root,
-                                  store=backend)
-            texts[backend] = render_report_text(outcomes)
-            payloads[backend] = [
-                canonical_bytes(comparable_data(o.result))
-                for o in outcomes]
-        finally:
-            shutil.rmtree(root, ignore_errors=True)
-    assert payloads["json"] == payloads["sqlite"]
-    assert texts["json"] == texts["sqlite"]
+    root = tempfile.mkdtemp(prefix="store-e2e-")
+    try:
+        computed = run_shards(grid, jobs=2, checkpoint_dir=root)
+        restored = run_shards(grid, jobs=2, checkpoint_dir=root,
+                              resume=True)
+    finally:
+        shutil.rmtree(root, ignore_errors=True)
+    assert all(o.from_checkpoint for o in restored)
+    assert payloads(restored) == payloads(computed)
+    assert render_report_text(restored) == render_report_text(computed)

@@ -1,18 +1,19 @@
-"""Property: the sqlite backend survives kills, torn writes and
+"""Property: the checkpoint store survives kills, torn writes and
 mid-transaction crashes, and a resumed sweep always equals the serial
 ground truth.
 
-This extends the PR 3 kill/resume property (see
-``test_runner_properties.py``, which exercises the json-dir layout) to
-:class:`SqliteStore`: hypothesis picks which cells a simulated crash
-destroyed -- committed rows deleted, an uncommitted batch rolled back,
-a WAL smeared with garbage -- and the resume must recompute exactly
-the lost cells and nothing else.  A separate torn-write fixture
-truncates the database file itself and asserts quarantine-and-recompute
-instead of a crash.
+This extends the kill/resume property of ``test_runner_properties.py``
+to the store's own failure modes: hypothesis picks which cells a
+simulated crash destroyed -- committed rows deleted, an uncommitted
+batch rolled back, a WAL smeared with garbage -- and the resume must
+recompute exactly the lost cells and nothing else.  A sweep killed in
+a child process checks the same for a real kill mid-grid, and a
+separate torn-write fixture truncates the database file itself and
+asserts quarantine-and-recompute instead of a crash.
 """
 
 import json
+import multiprocessing
 import os
 import shutil
 import sqlite3
@@ -31,6 +32,8 @@ from repro.simulation.runner import (
 )
 from repro.simulation.serde import comparable_data, result_to_data
 from repro.simulation.store import SqliteStore
+
+from tests.simulation.checkpoints import delete_rows, tamper_rows
 
 GRID = [
     ShardSpec("missfree", "E", 1, 5.0, window_seconds=DAY),
@@ -53,21 +56,10 @@ def baseline(serial):
 
 
 def seeded_store_dir(jobs=1):
-    """A checkpoint dir holding one full sqlite-backed sweep."""
+    """A checkpoint dir holding one full checkpointed sweep."""
     root = tempfile.mkdtemp(prefix="store-prop-")
-    run_shards(GRID, jobs=jobs, checkpoint_dir=root, store="sqlite")
+    run_shards(GRID, jobs=jobs, checkpoint_dir=root)
     return root
-
-
-def delete_rows(root, shard_ids):
-    """What a kill looks like after the fact: those cells' commits
-    never happened."""
-    conn = sqlite3.connect(os.path.join(root, SqliteStore.FILENAME))
-    with conn:
-        for shard_id in shard_ids:
-            conn.execute("DELETE FROM checkpoints WHERE shard_id = ?",
-                         (shard_id,))
-    conn.close()
 
 
 @settings(max_examples=4, deadline=None,
@@ -80,10 +72,9 @@ def test_sqlite_kill_and_resume_matches_serial(baseline, jobs, killed,
                                                tampered, smear_wal):
     root = tempfile.mkdtemp(prefix="store-prop-")
     try:
-        # 1. A full sqlite-backed sweep at this worker count matches
+        # 1. A full checkpointed sweep at this worker count matches
         #    the serial storeless path.
-        outcomes = run_shards(GRID, jobs=jobs, checkpoint_dir=root,
-                              store="sqlite")
+        outcomes = run_shards(GRID, jobs=jobs, checkpoint_dir=root)
         assert [comparable_data(o.result) for o in outcomes] == baseline
 
         # 2. Simulate the crash: some cells' transactions never
@@ -92,16 +83,8 @@ def test_sqlite_kill_and_resume_matches_serial(baseline, jobs, killed,
         #    sqlite must ignore frames that fail its checksums.
         tampered = tampered - killed
         delete_rows(root, [GRID[i].shard_id for i in killed])
-        if tampered:
-            conn = sqlite3.connect(os.path.join(root, SqliteStore.FILENAME))
-            with conn:
-                for index in tampered:
-                    conn.execute(
-                        "UPDATE checkpoints SET result = ?"
-                        " WHERE shard_id = ?",
-                        (json.dumps({"tampered": True}),
-                         GRID[index].shard_id))
-            conn.close()
+        tamper_rows(root, [GRID[i].shard_id for i in tampered],
+                    json.dumps({"tampered": True}))
         if smear_wal:
             with open(os.path.join(root, SqliteStore.FILENAME) + "-wal",
                       "ab") as stream:
@@ -110,7 +93,7 @@ def test_sqlite_kill_and_resume_matches_serial(baseline, jobs, killed,
         # 3. Resume recomputes exactly the lost and distrusted cells...
         stats = RunStats()
         resumed = run_shards(GRID, jobs=jobs, checkpoint_dir=root,
-                             resume=True, store="sqlite", stats=stats)
+                             resume=True, stats=stats)
         assert stats.shards_run == len(killed) + len(tampered)
         assert stats.shards_from_checkpoint == \
             len(GRID) - len(killed) - len(tampered)
@@ -145,7 +128,7 @@ def test_mid_transaction_kill_loses_only_the_open_batch(baseline):
 
         stats = RunStats()
         resumed = run_shards(GRID, jobs=1, checkpoint_dir=root,
-                             resume=True, store="sqlite", stats=stats)
+                             resume=True, stats=stats)
         # Rollback preserved every committed row: nothing recomputed.
         assert stats.shards_run == 0
         assert stats.shards_from_checkpoint == len(GRID)
@@ -154,10 +137,52 @@ def test_mid_transaction_kill_loses_only_the_open_batch(baseline):
         shutil.rmtree(root, ignore_errors=True)
 
 
+#: Exit status of a sweep killed by :func:`sweep_killed_after_two_cells`.
+KILLED = 86
+
+
+def sweep_killed_after_two_cells(root):
+    """Child-process body: a checkpointed sweep of ``GRID`` that dies
+    once its second cell has finished, through ``os._exit``, which
+    skips every close, flush and ``finally`` as a kill would."""
+    finished = []
+
+    def progress(message):
+        finished.append(message)
+        if len(finished) == 2:
+            os._exit(KILLED)
+
+    run_shards(GRID, jobs=1, checkpoint_dir=root, progress=progress)
+
+
+def test_sweep_killed_mid_run_keeps_finished_cells(baseline):
+    """A sweep hard-killed (SIGKILL, OOM, a CI timeout) mid-grid keeps
+    every cell that finished before the kill: each is committed as it
+    completes, so resume reruns only the cell that was still running.
+    """
+    root = tempfile.mkdtemp(prefix="store-prop-")
+    try:
+        child = multiprocessing.Process(target=sweep_killed_after_two_cells,
+                                        args=(root,))
+        child.start()
+        child.join(timeout=300)
+        assert child.exitcode == KILLED
+
+        stats = RunStats()
+        resumed = run_shards(GRID, jobs=1, checkpoint_dir=root,
+                             resume=True, stats=stats)
+        assert stats.shards_from_checkpoint == 2
+        assert stats.shards_run == 1
+        assert [o.from_checkpoint for o in resumed] == [True, True, False]
+        assert [comparable_data(o.result) for o in resumed] == baseline
+    finally:
+        shutil.rmtree(root, ignore_errors=True)
+
+
 def test_unflushed_batch_is_lost_not_torn(serial):
     """Cells buffered but never flushed simply recompute on resume.
 
-    With a batch size larger than the grid, every ``put`` stays
+    With ``BATCH_SIZE`` larger than the grid, every ``put`` stays
     buffered in the dying process's memory; the crash (modeled by
     dropping the buffer and the raw connection) must leave an empty
     but *healthy* store behind -- resume recomputes all cells rather
@@ -166,7 +191,7 @@ def test_unflushed_batch_is_lost_not_torn(serial):
     baseline, full_data = serial
     root = tempfile.mkdtemp(prefix="store-prop-")
     try:
-        store = SqliteStore(root, batch_size=100).open()
+        store = SqliteStore(root).open()
         for spec, data in zip(GRID, full_data):
             store.put(spec, data, elapsed_seconds=0.0)
         assert store.batched_txns == 0   # nothing committed yet
@@ -175,7 +200,7 @@ def test_unflushed_batch_is_lost_not_torn(serial):
 
         stats = RunStats()
         resumed = run_shards(GRID, jobs=1, checkpoint_dir=root,
-                             resume=True, store="sqlite", stats=stats)
+                             resume=True, stats=stats)
         assert stats.shards_run == len(GRID)
         assert stats.shards_from_checkpoint == 0
         assert stats.corrupt_discarded == 0
@@ -207,7 +232,7 @@ def test_torn_database_file_recovers_gracefully(baseline, torn):
 
         stats = RunStats()
         resumed = run_shards(GRID, jobs=1, checkpoint_dir=root,
-                             resume=True, store="sqlite", stats=stats)
+                             resume=True, stats=stats)
         assert stats.shards_run == len(GRID)
         assert stats.corrupt_discarded == 1
         assert [comparable_data(o.result) for o in resumed] == baseline
@@ -222,12 +247,11 @@ def test_compact_then_resume_restores_every_cell(baseline):
     restores the whole grid from one O(1)-file store."""
     root = tempfile.mkdtemp(prefix="store-prop-")
     try:
-        run_shards(GRID, jobs=2, checkpoint_dir=root, store="sqlite",
-                   compact=True)
+        run_shards(GRID, jobs=2, checkpoint_dir=root, compact=True)
         assert sorted(os.listdir(root)) == [SqliteStore.FILENAME]
         stats = RunStats()
         resumed = run_shards(GRID, jobs=1, checkpoint_dir=root,
-                             resume=True, store="sqlite", stats=stats)
+                             resume=True, stats=stats)
         assert stats.shards_run == 0
         assert stats.shards_from_checkpoint == len(GRID)
         assert [comparable_data(o.result) for o in resumed] == baseline
