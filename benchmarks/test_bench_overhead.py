@@ -37,13 +37,27 @@ def test_observer_per_record_cost(benchmark):
 
 
 def test_clustering_cost(benchmark):
-    """The rare, expensive operation (paper: ~2 CPU minutes)."""
-    trace = get_trace("F")
-    seer = make_seer(trace)
-    for record in trace.records:
-        seer.observer.handle_record(record)
+    """The rare, expensive operation (paper: ~2 CPU minutes).
 
-    clusters = benchmark.pedantic(seer.build_clusters, rounds=3, iterations=1)
+    Every round times a cold build: a fresh SEER, fed the trace in the
+    untimed setup, so no round reuses the pair counts of an earlier
+    build on the same correlator.
+    """
+    trace = get_trace("F")
+
+    def fed_seer():
+        seer = make_seer(trace)
+        for record in trace.records:
+            seer.observer.handle_record(record)
+        return (seer,), {}
+
+    def build(seer):
+        clusters = seer.build_clusters()
+        assert seer.metrics.counter("cluster.counts_reused") == 0
+        return clusters
+
+    clusters = benchmark.pedantic(build, setup=fed_seer, rounds=3,
+                                  iterations=1)
     assert len(clusters) > 3
 
 

@@ -10,8 +10,7 @@ Run:  python examples/investigators_demo.py
 """
 
 from repro import FileSystem
-from repro.core import SeerParameters
-from repro.core.clustering import SharedNeighborClustering
+from repro.core import Correlator, SeerParameters
 from repro.investigators import (
     CIncludeInvestigator,
     MakefileInvestigator,
@@ -48,7 +47,7 @@ def main():
     parameters = SeerParameters()
 
     # SEER has observed nothing: no semantic distances at all.
-    empty = SharedNeighborClustering({}, parameters=parameters).cluster()
+    empty = Correlator(parameters).build_clusters()
     show("Without investigators (and no observed accesses):", empty)
 
     investigators = [
@@ -66,8 +65,7 @@ def main():
         relations.extend(found)
     print()
 
-    clusters = SharedNeighborClustering(
-        {}, parameters=parameters, relations=relations).cluster()
+    clusters = Correlator(parameters).build_clusters(relations=relations)
     show("With investigators:", clusters)
     print("The whole project clusters from static structure alone -- no "
           "file access was ever observed.")

@@ -17,7 +17,7 @@ from repro.core.arena import (
 from repro.core.clustering import (
     ClusterSet,
     Relation,
-    SharedNeighborClustering,
+    SharedNeighborPass,
 )
 from repro.core.correlator import Action, Correlator, ObservedReference
 from repro.core.distance import (
@@ -61,7 +61,7 @@ __all__ = [
     "Seer",
     "SeerParameters",
     "SequenceDistanceCalculator",
-    "SharedNeighborClustering",
+    "SharedNeighborPass",
     "opens",
     "rank_clusters",
     "temporal_distances",

@@ -11,8 +11,11 @@ dispatch dominate the arithmetic by an order of magnitude, so the
 state is laid out as a columnar arena instead:
 
 * **Interning.**  Every path is interned once to a dense integer file
-  id (fid).  The hot loop compares and hashes small ints, never path
-  strings; paths reappear only at the query/persistence boundary.
+  id (fid), and its directory components are split once beside it
+  (files of one directory share one tuple).  A fid's path never
+  changes: a rename interns a new fid.  The hot loop and the cluster
+  pass compare and hash small ints, never path strings; paths
+  reappear only at the query/persistence boundary and as sort keys.
 
 * **Flat entry rows.**  Each file's neighbor row is a dict mapping
   neighbor fid to a 5-slot entry ``[count, log_sum, linear_sum,
@@ -43,10 +46,12 @@ draw), so batching cannot change which entry is evicted.  See
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, List, MutableSet, Optional, Set, Tuple
+from typing import (AbstractSet, Dict, Iterator, List, MutableSet, Optional,
+                    Set, Tuple)
 
 from repro.core.distance import DistanceSummary
 from repro.core.parameters import DEFAULT_PARAMETERS, SeerParameters
+from repro.fs.paths import directory_parts
 from repro.observability import Metrics
 
 #: One neighbor entry: [count, log_sum, linear_sum, last_update,
@@ -65,6 +70,10 @@ class NeighborArena:
         self._metrics = metrics
         self._fids: Dict[str, int] = {}
         self._paths: List[str] = []
+        #: fid -> its directory's components (``directory_parts``),
+        #: one shared tuple per distinct directory.
+        self._dirs: List[Tuple[str, ...]] = []
+        self._dir_tuples: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
         #: fid -> {neighbor fid -> Entry}; rows in creation order.
         self._rows: Dict[int, Dict[int, Entry]] = {}
         #: Incremental per-row bounds: an upper bound on the largest
@@ -82,12 +91,40 @@ class NeighborArena:
     # interning
     # ------------------------------------------------------------------
     def intern(self, path: str) -> int:
+        """*path*'s fid, assigned on first sight.  Interning adds no row."""
         fid = self._fids.get(path)
         if fid is None:
             fid = len(self._paths)
             self._fids[path] = fid
             self._paths.append(path)
+            parts = directory_parts(path)
+            self._dirs.append(self._dir_tuples.setdefault(parts, parts))
         return fid
+
+    def neighbor_fids(self, now: Optional[int] = None,
+                      stale_after: Optional[int] = None,
+                      exclude: AbstractSet[int] = frozenset()
+                      ) -> Dict[int, Set[int]]:
+        """Every row's neighbor fids as a fresh set, in row creation order.
+
+        With *now* and *stale_after*, stale-link filtering (section
+        3.1.3): entries not reinforced since ``now - stale_after`` are
+        omitted, and owners left with no fresh entry are omitted
+        entirely.  Then the *exclude* fids are dropped, as owners and
+        as neighbors; an owner left with no neighbor stays.
+        """
+        rows = self._rows
+        if now is None or stale_after is None:
+            return {fid: row.keys() - exclude for fid, row in rows.items()
+                    if fid not in exclude}
+        cutoff = now - stale_after
+        lists: Dict[int, Set[int]] = {}
+        for fid, row in rows.items():
+            fresh = {nfid for nfid, entry in row.items()
+                     if entry[3] >= cutoff}
+            if fresh and fid not in exclude:
+                lists[fid] = fresh - exclude
+        return lists
 
     # ------------------------------------------------------------------
     # row access
@@ -360,8 +397,9 @@ class ArenaTable:
 class ArenaStore:
     """Path-level facade over the arena: the correlator's neighbor store.
 
-    Persistence, cluster building and the web-cache extension read the
-    neighbor tables through this API; fids never leave the arena.
+    Persistence and the web-cache extension read the neighbor tables
+    through this API.  Only the cluster pass reads fids, straight from
+    the arena (:class:`~repro.core.clustering.SharedNeighborPass`).
     """
 
     def __init__(self, arena: NeighborArena) -> None:
@@ -409,26 +447,13 @@ class ArenaStore:
 
     def neighbor_lists(self, now: Optional[int] = None,
                        stale_after: Optional[int] = None) -> Dict[str, Set[str]]:
-        """Every file's neighbor paths, in row creation order.
-
-        With *now* and *stale_after*, stale-link filtering (section
-        3.1.3): entries not reinforced since ``now - stale_after`` are
-        omitted, and owners left with no fresh entry are omitted
-        entirely.
-        """
+        """Path view of :meth:`NeighborArena.neighbor_fids`: every
+        file's neighbor paths, stale-filtered under *now* and
+        *stale_after*."""
         paths = self._arena._paths
-        rows = self._arena._rows
-        if now is None or stale_after is None:
-            return {paths[fid]: {paths[nfid] for nfid in row}
-                    for fid, row in rows.items()}
-        cutoff = now - stale_after
-        lists: Dict[str, Set[str]] = {}
-        for fid, row in rows.items():
-            fresh = {paths[nfid] for nfid, entry in row.items()
-                     if entry[3] >= cutoff}
-            if fresh:
-                lists[paths[fid]] = fresh
-        return lists
+        return {paths[fid]: {paths[nfid] for nfid in neighbors}
+                for fid, neighbors in self._arena.neighbor_fids(
+                    now, stale_after).items()}
 
 
 class _EngineStream:

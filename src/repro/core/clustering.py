@@ -24,6 +24,24 @@ subtracted, investigator strength added.  Investigated relationships
 are tested even for pairs with no stored semantic distance, so a
 sufficiently strong relation can force files into one cluster.
 
+One pass over arena fids
+------------------------
+
+:class:`SharedNeighborPass` runs on the arena's integer file ids from
+input to union-find.  It reads each row's neighbor fids (stale- and
+exclude-filtered), interns each relation's files (which adds no row)
+to key relation strengths by fid pair, and takes each fid's directory
+components from the arena, where they were split once at interning.
+The pair (F, G) is *examined* when G is in F's list -- a blank entry
+in Table 2's sense is never considered, even if the two files share
+neighbors -- and relation pairs not examined that way are examined
+after every listed pair.  One walk
+over the rows and their neighbors in sorted *path* order computes or
+reuses each examined pair's count and files the pair in a near list
+(count >= kn) or a far list (kf <= count < kn).  Phase 1 unions the
+near list and phase 2 overlaps the far list, in that order; roots are
+ranked by path, so cluster ids never follow fid order.
+
 Counts reused across builds
 ---------------------------
 
@@ -31,22 +49,25 @@ A pair's effective count is the raw shared count (a function of the two
 neighbor sets), plus the investigator term, minus the directory term (a
 function of the two paths), optionally divided by a denominator (a
 function of the two sets).  Only the investigator term varies between
-builds of one correlator, whose parameters are fixed.  So a build given
-the ``previous`` one reuses each stored count whose pair has no relation
+builds of one correlator, whose parameters are fixed.  So a build
+reuses each count of the previous build whose pair has no relation
 strength and whose two endpoints' neighbor sets are unchanged; that
 count is bit-identical to a fresh one.  Counts of pairs with relation
 strength are computed fresh every build and never stored, or one would
 outlive its relation.  A file whose list appears, disappears or differs
-counts as changed.
+counts as changed.  Fids make this sound across renames: a path keeps
+its fid, and a renamed file's new path gets a new one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
+from dataclasses import dataclass
+from typing import (AbstractSet, Dict, FrozenSet, Iterable, List, Optional,
                     Sequence, Set, Tuple)
 
+from repro.core.arena import NeighborArena
 from repro.core.parameters import DEFAULT_PARAMETERS, SeerParameters
+from repro.fs.paths import tree_distance
 
 
 @dataclass(frozen=True)
@@ -149,211 +170,170 @@ class ClusterSet:
         return f"ClusterSet({len(self._clusters)} clusters, {len(self._membership)} files)"
 
 
-SharedCountFunction = Callable[[str, str], float]
+#: fid -> {fid -> value}: a relation strength or a pair count.
+PairTable = Dict[int, Dict[int, float]]
+
+_NO_NEIGHBORS: FrozenSet[int] = frozenset()
 
 
-class SharedNeighborClustering:
-    """The modified Jarvis-Patrick algorithm.
+class SharedNeighborPass:
+    """The modified Jarvis-Patrick algorithm over one arena's fids.
 
-    ``neighbor_lists`` maps each file to the set of files in its
-    relation list (its bounded neighbor table).  The pair (F, G) is
-    *examined* when G appears in F's list -- a blank entry in Table 2's
-    sense means the pair is never considered, even if they share
-    neighbors.  External relations add examined pairs of their own.
-
-    ``previous`` is the last build over the same parameters and
-    directory distance, with no override.  It carries state, not
-    behaviour: :meth:`cluster` returns the same result with or without
-    it, reusing the counts it can (``counts_reused``) and computing the
-    rest (``counts_computed``).
+    One instance serves every build of a correlator: it keeps the last
+    build's neighbor sets and relation-free counts, for the next build
+    to reuse (``counts_reused``; the rest are ``counts_computed``).
     """
 
-    def __init__(self, neighbor_lists: Dict[str, Set[str]],
-                 parameters: SeerParameters = DEFAULT_PARAMETERS,
-                 relations: Sequence[Relation] = (),
-                 directory_distance: Optional[Callable[[str, str], float]] = None,
-                 shared_count_override: Optional[SharedCountFunction] = None,
-                 previous: Optional["SharedNeighborClustering"] = None) -> None:
-        self._neighbors = neighbor_lists
+    def __init__(self, arena: NeighborArena,
+                 parameters: SeerParameters = DEFAULT_PARAMETERS) -> None:
+        self._arena = arena
         self._parameters = parameters
-        self._relations = list(relations)
-        self._directory_distance = directory_distance
-        self._override = shared_count_override
-        self._previous = previous
-        #: Relation-free counts of the last :meth:`cluster` call, for
-        #: the next build to reuse.
-        self._counts: Dict[Tuple[str, str], float] = {}
+        self._rows: Dict[int, Set[int]] = {}
+        self._counts: PairTable = {}
         self.counts_computed = 0
         self.counts_reused = 0
-        self._relation_strength: Dict[Tuple[str, str], float] = {}
-        for relation in self._relations:
-            for index, first in enumerate(relation.files):
-                for second in relation.files[index + 1:]:
-                    for pair in ((first, second), (second, first)):
-                        self._relation_strength[pair] = (
-                            self._relation_strength.get(pair, 0.0) + relation.strength)
 
-    # ------------------------------------------------------------------
-    # shared-neighbor counting
-    # ------------------------------------------------------------------
-    def raw_shared_count(self, file_a: str, file_b: str) -> int:
-        """Shared-neighbor count with no external adjustments.
+    def cluster(self, relations: Sequence[Relation] = (),
+                exclude: AbstractSet[str] = frozenset(),
+                now: Optional[int] = None,
+                stale_after: Optional[int] = None) -> ClusterSet:
+        """Cluster the arena's rows (stale-filtered under *now* and
+        *stale_after*, minus the *exclude* files) with *relations*."""
+        arena = self._arena
+        fids = arena._fids
+        dropped = frozenset(fids[path] for path in exclude if path in fids)
+        rows = arena.neighbor_fids(now, stale_after, dropped)
+        strengths: PairTable = {}
+        for relation in relations:
+            members = [arena.intern(path) for path in relation.files]
+            for index, first in enumerate(members):
+                for second in members[index + 1:]:
+                    for a, b in ((first, second), (second, first)):
+                        row = strengths.setdefault(a, {})
+                        row[b] = row.get(b, 0.0) + relation.strength
+        return self._pass(rows, strengths, arena._paths, arena._dirs)
 
-        As in Jarvis and Patrick's original formulation, each point is
-        counted as a member of its own neighbor list, so two files that
-        list *each other* get credit for it: the count is
-        ``|N(a) & N(b)|`` plus one for each direction of mutual
-        listing.  Without this, projects smaller than kn files could
-        never cluster.
-        """
-        neighbors_a = self._neighbors.get(file_a, set())
-        neighbors_b = self._neighbors.get(file_b, set())
-        count = len(neighbors_a & neighbors_b)
-        if file_b in neighbors_a:
-            count += 1
-        if file_a in neighbors_b:
-            count += 1
-        return count
+    def _pass(self, rows: Dict[int, Set[int]], strengths: PairTable,
+              paths: List[str], dirs: List[Tuple[str, ...]]) -> ClusterSet:
+        parameters = self._parameters
+        normalize = parameters.normalize_shared_counts
+        near: float = parameters.kn
+        far: float = parameters.kf
+        if normalize:
+            near, far = parameters.kn_fraction, parameters.kf_fraction
+        cap = parameters.max_neighbors
+        investigator_weight = parameters.investigator_weight
+        directory_weight = parameters.directory_distance_weight
 
-    def shared_count(self, file_a: str, file_b: str) -> float:
-        """Adjusted shared-neighbor count (section 3.3.3)."""
-        if self._override is not None:
-            count = self._override(file_a, file_b)
-        else:
-            count = float(self.raw_shared_count(file_a, file_b))
-        strength = self._relation_strength.get((file_a, file_b), 0.0)
-        if strength:
-            count += self._parameters.investigator_weight * strength
-        if self._directory_distance is not None:
-            count -= (self._parameters.directory_distance_weight
-                      * self._directory_distance(file_a, file_b))
-        return count
+        def effective_count(a: int, b: int, neighbors_a: AbstractSet[int],
+                            neighbors_b: AbstractSet[int],
+                            strength: float) -> float:
+            # As in Jarvis and Patrick, each file counts as a member of
+            # its own list: one more per direction of mutual listing,
+            # or projects smaller than kn files could never cluster.
+            count = float(len(neighbors_a & neighbors_b)
+                          + (b in neighbors_a) + (a in neighbors_b))
+            if strength:
+                count += investigator_weight * strength
+            count -= directory_weight * tree_distance(dirs[a], dirs[b])
+            if normalize:
+                # The smaller non-empty list, capped at the table size;
+                # 1 for a pair known only through investigators.
+                size, other = len(neighbors_a), len(neighbors_b)
+                if other and (other < size or not size):
+                    size = other
+                count /= float(size if size < cap else cap) if size else 1.0
+            return count
 
-    def _denominator(self, file_a: str, file_b: str) -> float:
-        """Normalization denominator: the smaller relation-list size,
-        capped at the table capacity; 1 for pairs known only through
-        investigators (so strong relations still dominate)."""
-        size_a = len(self._neighbors.get(file_a, ()))
-        size_b = len(self._neighbors.get(file_b, ()))
-        candidates = [s for s in (size_a, size_b) if s > 0]
-        if not candidates:
-            return 1.0
-        return float(min(min(candidates), self._parameters.max_neighbors))
-
-    def effective_count(self, file_a: str, file_b: str) -> float:
-        """The value actually compared against the thresholds."""
-        count = self.shared_count(file_a, file_b)
-        if self._parameters.normalize_shared_counts:
-            return count / self._denominator(file_a, file_b)
-        return count
-
-    def examined_pairs(self) -> List[Tuple[str, str]]:
-        """Ordered (from, to) pairs the algorithm will test."""
-        pairs: List[Tuple[str, str]] = []
-        seen: Set[Tuple[str, str]] = set()
-        for file in sorted(self._neighbors):
-            for other in sorted(self._neighbors[file]):
-                if other == file:
+        previous_rows, previous_counts = self._rows, self._counts
+        changed = {fid for fid, neighbors in rows.items()
+                   if previous_rows.get(fid) != neighbors}
+        changed.update(fid for fid in previous_rows if fid not in rows)
+        counts: PairTable = {}
+        near_pairs: List[Tuple[int, int]] = []
+        far_pairs: List[Tuple[int, int]] = []
+        computed = reused = 0
+        by_path = paths.__getitem__
+        for a in sorted(rows, key=by_path):
+            neighbors_a = rows[a]
+            relation_row = strengths.get(a)
+            stored = None if a in changed else previous_counts.get(a)
+            row_counts = counts[a] = {}
+            for b in sorted(neighbors_a, key=by_path):
+                if b == a:
                     continue
-                pair = (file, other)
-                if pair not in seen:
-                    seen.add(pair)
-                    pairs.append(pair)
+                if relation_row is not None and b in relation_row:
+                    count = effective_count(
+                        a, b, neighbors_a, rows.get(b, _NO_NEIGHBORS),
+                        relation_row[b])
+                    computed += 1
+                else:
+                    reuse = (stored.get(b) if stored is not None
+                             and b not in changed else None)
+                    if reuse is None:
+                        count = effective_count(
+                            a, b, neighbors_a, rows.get(b, _NO_NEIGHBORS),
+                            0.0)
+                        computed += 1
+                    else:
+                        count = reuse
+                        reused += 1
+                    row_counts[b] = count
+                if count >= near:
+                    near_pairs.append((a, b))
+                elif count >= far:
+                    far_pairs.append((a, b))
         # Investigated relationships are tested regardless of whether a
         # semantic distance is stored (section 3.3.3).
-        for first, second in sorted(self._relation_strength):
-            if first != second and (first, second) not in seen:
-                seen.add((first, second))
-                pairs.append((first, second))
-        return pairs
-
-    def _pair_counts(self, pairs: List[Tuple[str, str]]) -> Dict[Tuple[str, str], float]:
-        """Effective counts of *pairs*, reusing the previous build's
-        where they cannot have changed (see the module docstring)."""
-        previous, self._previous = self._previous, None   # keep no chain
-        stored: Dict[Tuple[str, str], float] = {}
-        changed: Set[str] = set()
-        if previous is not None:
-            stored = previous._counts
-            old, new = previous._neighbors, self._neighbors
-            changed = {file for file in old.keys() | new.keys()
-                       if old.get(file) != new.get(file)}
-        relation_strength = self._relation_strength
-        counts: Dict[Tuple[str, str], float] = {}
-        self._counts = {}
-        computed = reused = 0
-        for pair in pairs:
-            if pair in relation_strength:
-                counts[pair] = self.effective_count(*pair)
-                computed += 1
-                continue
-            count: Optional[float] = None
-            if pair[0] not in changed and pair[1] not in changed:
-                count = stored.get(pair)
-            if count is None:
-                count = self.effective_count(*pair)
-                computed += 1
-            else:
-                reused += 1
-            counts[pair] = self._counts[pair] = count
+        relation_pairs = sorted(
+            ((a, b) for a, row in strengths.items() for b in row
+             if a != b and b not in rows.get(a, _NO_NEIGHBORS)),
+            key=lambda pair: (paths[pair[0]], paths[pair[1]]))
+        for a, b in relation_pairs:
+            count = effective_count(a, b, rows.get(a, _NO_NEIGHBORS),
+                                    rows.get(b, _NO_NEIGHBORS), strengths[a][b])
+            computed += 1
+            if count >= near:
+                near_pairs.append((a, b))
+            elif count >= far:
+                far_pairs.append((a, b))
+        self._rows, self._counts = rows, counts
         self.counts_computed, self.counts_reused = computed, reused
-        return counts
 
-    # ------------------------------------------------------------------
-    # the two phases
-    # ------------------------------------------------------------------
-    def cluster(self) -> ClusterSet:
-        """Run both phases and return the final overlapping clusters."""
-        files: List[str] = sorted(
-            set(self._neighbors)
-            | {n for ns in self._neighbors.values() for n in ns}
-            | {f for pair in self._relation_strength for f in pair})
-        parent: Dict[str, str] = {file: file for file in files}
+        members = set(rows).union(*rows.values())
+        members.update(strengths)
+        members.update(*strengths.values())
+        files = sorted(members, key=by_path)
+        parent = dict(zip(files, files))
 
-        def find(x: str) -> str:
+        def find(x: int) -> int:
             while parent[x] != x:
                 parent[x] = parent[parent[x]]
                 x = parent[x]
             return x
 
-        def union(a: str, b: str) -> None:
+        # Phase 1: combine clusters for pairs sharing >= kn neighbors.
+        for a, b in near_pairs:
             root_a, root_b = find(a), find(b)
             if root_a != root_b:
                 parent[root_b] = root_a
 
-        pairs = self.examined_pairs()
-        counts = self._pair_counts(pairs)
-        if self._parameters.normalize_shared_counts:
-            near = self._parameters.kn_fraction
-            far = self._parameters.kf_fraction
-        else:
-            near, far = self._parameters.kn, self._parameters.kf
-
-        # Phase 1: combine clusters for pairs sharing >= kn neighbors.
-        for pair in pairs:
-            if counts[pair] >= near:
-                union(*pair)
-
         result = ClusterSet()
-        groups: Dict[str, List[str]] = {}
-        for file in files:
-            groups.setdefault(find(file), []).append(file)
-        cluster_of_root: Dict[str, int] = {}
-        for root, members in sorted(groups.items()):
-            cluster_of_root[root] = result.new_cluster(members)
+        root_of: Dict[int, int] = {}
+        groups: Dict[int, List[str]] = {}
+        for fid in files:
+            root = root_of[fid] = find(fid)
+            groups.setdefault(root, []).append(paths[fid])
+        cluster_of_root = {root: result.new_cluster(groups[root])
+                           for root in sorted(groups, key=by_path)}
 
         # Phase 2: overlap (but do not combine) clusters for pairs with
-        # kf <= shared < kn.  Additions are computed against the
-        # phase-1 membership so processing order cannot matter.
-        additions: List[Tuple[int, str]] = []
-        for (file, other) in pairs:
-            count = counts[(file, other)]
-            if far <= count < near:
-                if find(file) == find(other):
-                    continue  # already in the same cluster
-                additions.append((cluster_of_root[find(other)], file))
-                additions.append((cluster_of_root[find(file)], other))
-        for cluster_id, file in additions:
-            result.add_member(cluster_id, file)
+        # kf <= shared < kn, against the phase-1 roots, so processing
+        # order cannot matter.
+        for a, b in far_pairs:
+            root_a, root_b = root_of[a], root_of[b]
+            if root_a != root_b:
+                result.add_member(cluster_of_root[root_b], paths[a])
+                result.add_member(cluster_of_root[root_a], paths[b])
         result.deduplicate()
         return result

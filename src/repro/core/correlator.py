@@ -18,16 +18,18 @@ The distance/neighbor state lives in the interned
 path-level :class:`~repro.core.arena.ArenaStore` (``self.store``).
 The correlator drives the engine through a narrow interface (``ensure``,
 ``fork``, ``exit``, ``open``, ``point``, ``close``, ``rename``,
-``forget``); event sequencing, recency, delayed deletion and cluster
-building are implemented here.  Each cluster build hands the previous
-one to :class:`~repro.core.clustering.SharedNeighborClustering`, which
-reuses the pair counts that cannot have changed since.
+``forget``); event sequencing, recency and delayed deletion are
+implemented here.  Cluster builds go to one
+:class:`~repro.core.clustering.SharedNeighborPass` over the same arena,
+which runs on fids and reuses the pair counts of the previous build
+that cannot have changed since.
 
 A direct transcription of the paper -- per-process lifetime-distance
-calculators feeding per-entry neighbor tables -- lives in
-``tests/oracle/`` and plugs into this class through the same
-interface; ``tests/core/test_equivalence.py`` checks that both reach
-byte-identical state for any event stream.
+calculators feeding per-entry neighbor tables, and the path-keyed
+Jarvis-Patrick pass -- lives in ``tests/oracle/`` and plugs into this
+class through the same two seams (the engine and the clustering
+pass); ``tests/core/test_equivalence.py`` checks that both reach
+byte-identical state and clusters for any event stream.
 """
 
 from __future__ import annotations
@@ -37,9 +39,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set
 
 from repro.core.arena import ArenaStore, ColumnarEngine, NeighborArena
-from repro.core.clustering import ClusterSet, Relation, SharedNeighborClustering
+from repro.core.clustering import ClusterSet, Relation, SharedNeighborPass
 from repro.core.parameters import DEFAULT_PARAMETERS, SeerParameters
-from repro.fs.paths import directory_distance
 from repro.observability import Metrics
 
 
@@ -104,7 +105,7 @@ class Correlator:
         arena = NeighborArena(parameters, metrics=self.metrics)
         self.store = ArenaStore(arena)
         self._engine = ColumnarEngine(arena, parameters, metrics=self.metrics)
-        self._last_build: Optional[SharedNeighborClustering] = None
+        self._clustering = SharedNeighborPass(arena, parameters)
         self._streams: Dict[int, _ProcessStream] = {}
         self._recency: Dict[str, int] = {}
         self._recency_time: Dict[str, float] = {}
@@ -149,25 +150,17 @@ class Correlator:
         sets are unchanged (see :mod:`repro.core.clustering`).
         """
         with self.metrics.timed("correlator.cluster_build"):
+            now: Optional[int] = None
+            stale_after: Optional[int] = None
             if self._parameters.stale_link_cutoff > 0:
-                neighbor_lists = self.store.neighbor_lists(
-                    now=self._reference_counter,
-                    stale_after=self._parameters.stale_link_cutoff)
-            else:
-                neighbor_lists = self.store.neighbor_lists()
-            if exclude:
-                neighbor_lists = {
-                    file: neighbors - exclude
-                    for file, neighbors in neighbor_lists.items()
-                    if file not in exclude}
-            build = SharedNeighborClustering(
-                neighbor_lists, parameters=self._parameters,
-                relations=relations, directory_distance=directory_distance,
-                previous=self._last_build)
-            clusters = build.cluster()
-            self._last_build = build
-            self.metrics.incr("cluster.counts_computed", build.counts_computed)
-            self.metrics.incr("cluster.counts_reused", build.counts_reused)
+                now = self._reference_counter
+                stale_after = self._parameters.stale_link_cutoff
+            clustering = self._clustering
+            clusters = clustering.cluster(relations, exclude or frozenset(),
+                                          now, stale_after)
+            self.metrics.incr("cluster.counts_computed",
+                              clustering.counts_computed)
+            self.metrics.incr("cluster.counts_reused", clustering.counts_reused)
             return clusters
 
     # ------------------------------------------------------------------

@@ -93,6 +93,26 @@ def split_extension(path: str) -> Tuple[str, str]:
     return name, ""
 
 
+def directory_parts(path: str) -> Tuple[str, ...]:
+    """The components of the directory containing *path*:
+    ``/a/b/x`` -> ``("a", "b")``, ``/x`` and ``/`` -> ``()``."""
+    # A normalized path splits as ["", dir..., name]; the root as ["", ""].
+    return tuple(normalize(path).split(SEPARATOR)[1:-1])
+
+
+def tree_distance(dir_a: Tuple[str, ...], dir_b: Tuple[str, ...]) -> int:
+    """Tree edges between two directories given as
+    :func:`directory_parts`: up from each to their common prefix."""
+    if dir_a is dir_b:   # the arena shares one tuple per directory
+        return 0
+    common = 0
+    for part_a, part_b in zip(dir_a, dir_b):
+        if part_a != part_b:
+            break
+        common += 1
+    return (len(dir_a) - common) + (len(dir_b) - common)
+
+
 def directory_distance(path_a: str, path_b: str) -> int:
     """Paper section 3.2: distance between the *directories* of two files.
 
@@ -101,12 +121,4 @@ def directory_distance(path_a: str, path_b: str) -> int:
     between the two containing directories (the standard tree distance):
     ``/a/b/x`` vs ``/a/b/y`` -> 0, ``/a/b/x`` vs ``/a/c/y`` -> 2.
     """
-    # A normalized path splits as ["", dir..., name]; the root as ["", ""].
-    dir_a = normalize(path_a).split(SEPARATOR)[1:-1]
-    dir_b = normalize(path_b).split(SEPARATOR)[1:-1]
-    common = 0
-    for part_a, part_b in zip(dir_a, dir_b):
-        if part_a != part_b:
-            break
-        common += 1
-    return (len(dir_a) - common) + (len(dir_b) - common)
+    return tree_distance(directory_parts(path_a), directory_parts(path_b))

@@ -1,17 +1,35 @@
-"""Tests for shared-neighbor clustering (paper sections 3.3.2-3.3.3)."""
+"""Tests for shared-neighbor clustering (paper sections 3.3.2-3.3.3).
+
+Tests that state shared counts outright (the paper's Table 2 example
+gives counts, not neighbor lists) or supply their own directory term
+run the path-keyed oracle pass (``tests/oracle/clustering.py``), whose
+test-only hooks allow it; ``tests/core/test_equivalence.py`` ties the
+shipped fid pass to that oracle.  Tests given real neighbor lists run
+the shipped pass, through :func:`shipped`.
+"""
+
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.clustering import ClusterSet, Relation, SharedNeighborClustering
+from repro.core.clustering import ClusterSet, Relation
+from repro.core.correlator import Correlator
+from repro.core.distance import DistanceSummary
 from repro.core.parameters import SeerParameters
+from tests.oracle.clustering import SharedNeighborClustering
 
 KN, KF = 5, 2
 PARAMS = SeerParameters(kn=KN, kf=KF)
 
+#: One observation at distance 1: only the listing matters here.
+_ENTRY = DistanceSummary(count=1, log_sum=math.log1p(1.0), linear_sum=1.0,
+                         last_update=0)
+
 
 def run(neighbor_lists, counts=None, relations=(), parameters=PARAMS,
         directory_distance=None):
+    """The oracle pass, with *counts* as the raw shared counts."""
     override = None
     if counts is not None:
         override = lambda a, b: float(counts.get((a, b), counts.get((b, a), 0)))
@@ -19,6 +37,17 @@ def run(neighbor_lists, counts=None, relations=(), parameters=PARAMS,
         neighbor_lists, parameters=parameters, relations=relations,
         directory_distance=directory_distance,
         shared_count_override=override).cluster()
+
+
+def shipped(neighbor_lists, relations=(), parameters=PARAMS):
+    """The shipped pass: *neighbor_lists* loaded into a correlator's
+    arena, clustered by ``Correlator.build_clusters``."""
+    correlator = Correlator(parameters)
+    for file, neighbors in neighbor_lists.items():
+        table = correlator.store.table(file)
+        for neighbor in sorted(neighbors):
+            table.load_entry(neighbor, _ENTRY)
+    return correlator.build_clusters(relations=relations)
 
 
 class TestTable2Example:
@@ -124,8 +153,7 @@ class TestRawSharedCounts:
         neighbor_lists["a"].add("b")
         for name in shared:
             neighbor_lists[name] = set()
-        clusters = SharedNeighborClustering(
-            neighbor_lists, parameters=PARAMS).cluster()
+        clusters = shipped(neighbor_lists)
         assert clusters.same_cluster("a", "b")
 
 
@@ -142,12 +170,12 @@ class TestExternalInformation:
         # Section 3.3.3: investigated relationships are tested even with
         # no stored semantic distance, and can force clustering.
         relation = Relation(files=("A", "B"), strength=float(KN))
-        clusters = run({"A": set(), "B": set()}, {}, relations=[relation])
+        clusters = shipped({"A": set(), "B": set()}, relations=[relation])
         assert frozenset("AB") in clusters.as_sets()
 
     def test_relation_groups_force_whole_project(self):
         relation = Relation(files=("a.c", "b.c", "Makefile"), strength=10.0)
-        clusters = run({}, {}, relations=[relation])
+        clusters = shipped({}, relations=[relation])
         assert frozenset({"a.c", "b.c", "Makefile"}) in clusters.as_sets()
 
     def test_directory_distance_subtracted(self):
@@ -174,15 +202,15 @@ class TestExternalInformation:
             Relation(files=("a", "b"), strength=-1.0)
 
     def test_relation_strengths_accumulate(self):
-        counts = {("A", "B"): 0}
+        # No listing: the raw count is 0, and half of kf twice is kf.
         relations = [Relation(files=("A", "B"), strength=float(KF) / 2)] * 2
-        clusters = run({"A": set(), "B": set()}, counts, relations=relations)
+        clusters = shipped({"A": set(), "B": set()}, relations=relations)
         assert clusters.same_cluster("A", "B")
 
 
 class TestClusterSet:
     def test_singletons(self):
-        clusters = run({"A": set(), "B": set()}, {})
+        clusters = shipped({"A": set(), "B": set()})
         assert len(clusters) == 2
         assert clusters.files() == {"A", "B"}
 
@@ -196,12 +224,12 @@ class TestClusterSet:
 
     def test_every_input_file_appears(self):
         neighbor_lists = {"A": {"B"}, "B": set(), "C": set()}
-        clusters = run(neighbor_lists, {("A", "B"): KN})
+        clusters = shipped(neighbor_lists)
         assert clusters.files() == {"A", "B", "C"}
 
     def test_neighbors_only_in_lists_also_appear(self):
         # B appears only as someone's neighbor, never with its own list.
-        clusters = run({"A": {"B"}}, {("A", "B"): 0})
+        clusters = shipped({"A": {"B"}})
         assert "B" in clusters.files()
 
 

@@ -1,9 +1,16 @@
-"""Tests for the normalized clustering mode (DESIGN.md section 7)."""
+"""Tests for the normalized clustering mode (DESIGN.md section 7).
+
+The denominator and count checks read the path-keyed oracle pass
+(``tests/oracle/clustering.py``); the clustering checks run the
+shipped pass.
+"""
 
 import pytest
 
-from repro.core.clustering import Relation, SharedNeighborClustering
+from repro.core.clustering import Relation
 from repro.core.parameters import SeerParameters
+from tests.core.test_clustering import shipped
+from tests.oracle.clustering import SharedNeighborClustering
 
 PARAMS = SeerParameters(normalize_shared_counts=True,
                         kn_fraction=0.6, kf_fraction=0.4,
@@ -41,7 +48,7 @@ class TestNormalizedClustering:
         # A tiny 2-file project: mutual listing alone is 2/1... with
         # each other's table having just one entry, the normalized
         # count is 2/1 = 2.0 >= kn_fraction.
-        clusters = algo({"A": {"B"}, "B": {"A"}}).cluster()
+        clusters = shipped({"A": {"B"}, "B": {"A"}}, parameters=PARAMS)
         assert clusters.same_cluster("A", "B")
 
     def test_large_project_clusters_equally_well(self):
@@ -49,7 +56,7 @@ class TestNormalizedClustering:
         lists = {"A": shared | {"B"}, "B": shared | {"A"}}
         for member in shared:
             lists[member] = set()
-        clusters = algo(lists).cluster()
+        clusters = shipped(lists, parameters=PARAMS)
         assert clusters.same_cluster("A", "B")
 
     def test_weak_overlap_does_not_combine(self):
@@ -60,10 +67,9 @@ class TestNormalizedClustering:
         lists["A"].add("B")
         for name in list(lists["A"] | lists["B"]):
             lists.setdefault(name, set())
-        a = algo(lists)
-        count = a.effective_count("A", "B")
+        count = algo(lists).effective_count("A", "B")
         assert PARAMS.kf_fraction <= count < PARAMS.kn_fraction
-        clusters = a.cluster()
+        clusters = shipped(lists, parameters=PARAMS)
         assert clusters.same_cluster("A", "B")       # overlapped
         # But their base clusters were not merged: "A"'s project does
         # not swallow all of B's private neighbors.
@@ -71,7 +77,7 @@ class TestNormalizedClustering:
 
     def test_strong_investigator_forces_despite_normalization(self):
         relation = Relation(files=("A", "B"), strength=5.0)
-        clusters = algo({}, relations=[relation]).cluster()
+        clusters = shipped({}, relations=[relation], parameters=PARAMS)
         assert clusters.same_cluster("A", "B")
 
     def test_absolute_mode_unchanged(self):
@@ -80,7 +86,7 @@ class TestNormalizedClustering:
         lists = {"A": {"B", "x", "y", "z"}, "B": {"A", "x", "y", "z"}}
         for name in ("x", "y", "z"):
             lists[name] = set()
-        clusters = SharedNeighborClustering(lists, parameters=params).cluster()
+        clusters = shipped(lists, parameters=params)
         assert clusters.same_cluster("A", "B")
 
     def test_fraction_validation(self):

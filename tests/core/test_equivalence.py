@@ -25,7 +25,7 @@ import json
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.clustering import Relation, SharedNeighborClustering
+from repro.core.clustering import Relation
 from repro.core.correlator import Action, Correlator, ObservedReference
 from repro.core.hoard import HoardManager, rank_clusters
 from repro.core.parameters import SeerParameters
@@ -34,12 +34,15 @@ from repro.core.persistence import (
     load_correlator,
     restore_correlator,
 )
-from repro.fs.paths import directory_distance
 from repro.simulation.serde import canonical_bytes, payload_fingerprint
+from tests.oracle.clustering import OracleClustering
 from tests.oracle.engine import oracle_correlator
 
 PIDS = [1, 2, 3]
-PATHS = ["/p/a", "/p/b", "/p/c", "/q/d", "/q/e", "/r/f"]
+#: Directories 0 to 3 deep (``/x`` sits in the root), so the directory
+#: term's common-prefix walk meets the root and unequal lengths.
+PATHS = ["/p/a", "/p/b", "/p/c", "/q/d", "/q/e", "/r/f", "/x", "/p/s/h",
+         "/p/s/t/g"]
 
 #: Counter totals both engines must agree on.  ``neighbor.bound_skips``
 #: is deliberately absent: the bound is an inexact fast-reject and the
@@ -87,8 +90,26 @@ relation_sets = st.lists(
               strength=st.sampled_from([1.0, 2.0])),
     max_size=2)
 
+#: The paper's absolute kn/kf with the directory term on: the knobs
+#: the explicit examples were written for.
+ABSOLUTE = {"normalize_shared_counts": False, "directory_distance_weight": 1.0}
+
+
+@st.composite
+def clustering_knobs(draw):
+    """Absolute kn/kf or normalized fractions -- the mode every
+    simulation runs (``SIM_PARAMETERS``: 0.67 and 0.55) -- with the
+    directory term off or on."""
+    kn_fraction, kf_fraction = draw(st.sampled_from(
+        [(0.67, 0.55), (0.67, 0.45), (1.0, 0.5)]))
+    return {"normalize_shared_counts": draw(st.booleans()),
+            "kn_fraction": kn_fraction, "kf_fraction": kf_fraction,
+            "directory_distance_weight": draw(st.sampled_from([0.0, 1.0]))}
+
+
 parameter_sets = st.builds(
-    SeerParameters,
+    lambda knobs, **table: SeerParameters(**table, **knobs),
+    clustering_knobs(),
     max_neighbors=st.integers(min_value=2, max_value=4),
     lookback_window=st.integers(min_value=3, max_value=10),
     compensation_distance=st.integers(min_value=3, max_value=10),
@@ -154,6 +175,7 @@ def test_columnar_state_matches_reference(stream, parameters):
         assert ours.neighbors() == theirs.neighbors()
         for neighbor in theirs.neighbors():
             assert ours.distance_to(neighbor) == theirs.distance_to(neighbor)
+    assert_same_clusters(fast.build_clusters(), reference.build_clusters())
 
 
 @settings(max_examples=25, deadline=None)
@@ -171,11 +193,12 @@ def test_stale_filtered_neighbor_lists_match(stream, cutoff):
 
 @settings(max_examples=25, deadline=None)
 @given(stream=streams,
-       exclude=st.frozensets(st.sampled_from(PATHS), max_size=2))
-def test_clusters_and_hoard_match(stream, exclude):
+       exclude=st.frozensets(st.sampled_from(PATHS), max_size=2),
+       knobs=clustering_knobs())
+def test_clusters_and_hoard_match(stream, exclude, knobs):
     parameters = SeerParameters(
         max_neighbors=3, lookback_window=6, compensation_distance=6,
-        kn=2, kf=1)
+        kn=2, kf=1, **knobs)
     fast, reference = both_modes(stream, parameters)
     ours = fast.build_clusters(exclude=set(exclude) or None)
     theirs = reference.build_clusters(exclude=set(exclude) or None)
@@ -245,57 +268,86 @@ NO_EXCLUDES = [frozenset()] * 4
            st.frozensets(st.sampled_from(PATHS), max_size=2),
            min_size=4, max_size=4),
        relations=st.lists(relation_sets, min_size=4, max_size=4),
-       cutoff=st.one_of(st.just(0), st.integers(min_value=1, max_value=30)))
+       cutoff=st.one_of(st.just(0), st.integers(min_value=1, max_value=30)),
+       knobs=clustering_knobs())
 # A relation vanishes while both its files' lists stay unchanged: the
 # count stored for the pair must not carry the relation term.
 @example(chunks=[[("point", 1, "/q/d", "", 0), ("open", 1, "/p/a", "", 0)],
                  [("close", 1, "/p/a", "", 0)]],
          excludes=NO_EXCLUDES,
          relations=[[Relation(("/q/d", "/p/a"), strength=2.0)], [], [], []],
-         cutoff=0)
+         cutoff=0, knobs=ABSOLUTE)
 # /p/c's entries go stale, so it drops out of the lists while /p/a's
 # unchanged list still names it: the dropped file counts as changed.
 @example(chunks=[[("point", 2, "/p/c", "", 0), ("point", 1, "/p/b", "", 0),
                   ("open", 2, "/p/a", "", 0), ("open", 2, "/p/c", "", 0)],
                  [("point", 1, "/q/d", "", 0)]],
-         excludes=NO_EXCLUDES, relations=[[], [], [], []], cutoff=2)
+         excludes=NO_EXCLUDES, relations=[[], [], [], []], cutoff=2,
+         knobs=ABSOLUTE)
 def test_incremental_recluster_matches_full(chunks, excludes, relations,
-                                            cutoff):
+                                            cutoff, knobs):
     """Interleaved builds: count reuse == a fresh pass, every time.
 
-    Each build is compared with a fresh Jarvis-Patrick pass over the
-    same correlator's neighbor lists (stale-filtered under a cutoff),
-    filtered by the same exclude set, with the same relations.  The
-    exclude set and the relations change between builds, and under a
-    cutoff files drop out of the lists as their entries go stale; the
-    streams carry renames and deletes.
+    Each build is compared with a fresh path-keyed pass (the oracle)
+    over the same correlator's neighbor lists (stale-filtered under a
+    cutoff), filtered by the same exclude set, with the same relations.
+    The exclude set and the relations change between builds, and under
+    a cutoff files drop out of the lists as their entries go stale; the
+    streams carry renames and deletes.  Counts run in both modes, with
+    the directory term on and off.
     """
     parameters = SeerParameters(
         max_neighbors=3, lookback_window=6, compensation_distance=6,
-        kn=2, kf=1, delete_delay=2, stale_link_cutoff=cutoff)
+        kn=2, kf=1, delete_delay=2, stale_link_cutoff=cutoff, **knobs)
     correlator = Correlator(parameters)
+    fresh = OracleClustering(correlator.store, parameters)
     start = 0
     examined = 0
     for index, chunk in enumerate(chunks):
         ingest(chunk, None, correlator=correlator, start_seq=start)
         start += len(chunk)
         exclude = set(excludes[index])
-        neighbor_lists = {
-            file: neighbors - exclude
-            for file, neighbors in correlator.store.neighbor_lists(
-                now=correlator._reference_counter,
-                stale_after=cutoff or None).items()
-            if file not in exclude}
-        fresh = SharedNeighborClustering(
-            neighbor_lists, parameters=parameters,
-            relations=relations[index],
-            directory_distance=directory_distance)
-        examined += len(fresh.examined_pairs())
+        expected = fresh.cluster(relations[index], exclude,
+                                 now=correlator._reference_counter,
+                                 stale_after=cutoff or None)
+        examined += fresh.counts_computed
         assert_same_clusters(
             correlator.build_clusters(relations=relations[index],
                                       exclude=exclude or None),
-            fresh.cluster())
+            expected)
     reused = correlator.metrics.counter("cluster.counts_reused")
     assert reused + correlator.metrics.counter("cluster.counts_computed") \
         == examined
     event("reuses a count" if reused else "reuses no count")
+
+
+@settings(max_examples=100, deadline=None)
+@given(chunks=st.lists(recluster_chunks, min_size=1, max_size=3),
+       relations=st.lists(relation_sets, min_size=3, max_size=3),
+       knobs=clustering_knobs(),
+       order=st.permutations(PATHS))
+# A relation joins two files no list names, with /p/b between them in
+# path order: its root, and so the cluster ids, follow the order in
+# which its pairs are unioned.
+@example(chunks=[[("point", 1, "/p/b", "", 0), ("point", 1, "/q/d", "", 0)]],
+         relations=[[Relation(("/p/a", "/p/c"), strength=2.0)], [], []],
+         knobs=ABSOLUTE, order=PATHS[::-1])
+def test_cluster_ids_do_not_follow_fid_order(chunks, relations, knobs, order):
+    """Two correlators fed the same stream, one of which first interned
+    every path in a shuffled order (interning adds no row), return
+    identical clusters, ids included, build after build: rows,
+    neighbors, relation pairs and roots are ranked by path, not fid."""
+    parameters = SeerParameters(
+        max_neighbors=3, lookback_window=6, compensation_distance=6,
+        kn=2, kf=1, delete_delay=2, **knobs)
+    plain, shuffled = Correlator(parameters), Correlator(parameters)
+    for path in order:
+        shuffled.store._arena.intern(path)
+    assert len(shuffled.store) == 0
+    start = 0
+    for index, chunk in enumerate(chunks):
+        for correlator in (plain, shuffled):
+            ingest(chunk, None, correlator=correlator, start_seq=start)
+        start += len(chunk)
+        assert_same_clusters(plain.build_clusters(relations=relations[index]),
+                             shuffled.build_clusters(relations=relations[index]))

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.clustering import Relation, SharedNeighborClustering
+from repro.core.clustering import Relation
+from repro.core.correlator import Correlator
 from repro.core.parameters import SeerParameters
 from repro.fs import FileSystem
 from repro.investigators import (
@@ -68,9 +69,8 @@ class TestCIncludeInvestigator:
         fs.create("/proj/defs.h", content="")
         fs.create("/proj/main.c", content='#include "defs.h"\n')
         investigator = CIncludeInvestigator(fs, "/proj", strength=10.0)
-        clusters = SharedNeighborClustering(
-            {}, parameters=SeerParameters(),
-            relations=investigator.investigate()).cluster()
+        clusters = Correlator(SeerParameters()).build_clusters(
+            relations=investigator.investigate())
         assert clusters.same_cluster("/proj/main.c", "/proj/defs.h")
 
 

@@ -1,20 +1,27 @@
 """The paper transcription of SEER's correlator, kept as a test oracle.
 
-``repro.core`` ships one correlator engine: the fused
+``repro.core`` ships one correlator engine, the fused
 :class:`~repro.core.arena.ColumnarEngine` over the interned
-:class:`~repro.core.arena.NeighborArena`.  This package keeps the
-direct transcription of the paper it replaced, so the fused engine
-can be checked against it:
+:class:`~repro.core.arena.NeighborArena`, and one clustering pass over
+the arena's fids, :class:`~repro.core.clustering.SharedNeighborPass`.
+This package keeps the direct transcriptions of the paper they
+replaced, so each can be checked against it:
 
 * :mod:`tests.oracle.distance` -- Definition 3 (section 3.1.1), one
   ``LifetimeDistanceCalculator`` per process stream;
 * :mod:`tests.oracle.neighbors` -- the bounded neighbor tables of
   section 3.1.3 as ``NeighborTable`` objects in a ``NeighborStore``;
+* :mod:`tests.oracle.clustering` -- the path-keyed Jarvis-Patrick
+  pass ``SharedNeighborClustering`` (sections 3.3.2-3.3.3), with the
+  test-only ``shared_count_override`` and ``directory_distance=``
+  hooks and no count reuse, and ``OracleClustering``, which serves a
+  correlator's builds with it;
 * :mod:`tests.oracle.engine` -- ``ReferenceEngine``, which wires the
-  two together, and ``oracle_correlator``, a production
-  :class:`~repro.core.correlator.Correlator` running on them.
+  distance and neighbor layers together, and ``oracle_correlator``, a
+  production :class:`~repro.core.correlator.Correlator` running on
+  them and on the path-keyed pass.
 
 The differential suite ``tests/core/test_equivalence.py`` compares the
-two engines; ``tests/oracle/test_isolation.py`` keeps production code
-from importing anything here.
+shipped engine and pass with these; ``tests/oracle/test_isolation.py``
+keeps production code from importing anything here.
 """

@@ -11,11 +11,12 @@ reach the same state, entry for entry, for any event stream.
 
 :func:`oracle_correlator` builds an ordinary
 :class:`~repro.core.correlator.Correlator` and swaps in a
-:class:`~tests.oracle.neighbors.NeighborStore` and this engine, so
-event sequencing, recency, delayed deletion and cluster building stay
-the production code under test.  ``prune=False, compensate=False``
-is the historical "seed mode": the unbounded per-open scan that drops
-over-window pairs.
+:class:`~tests.oracle.neighbors.NeighborStore`, this engine and the
+path-keyed clustering pass
+(:class:`~tests.oracle.clustering.OracleClustering`), so event
+sequencing, recency and delayed deletion stay the production code
+under test.  ``prune=False, compensate=False`` is the historical
+"seed mode": the unbounded per-open scan that drops over-window pairs.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import Dict, List, Tuple
 from repro.core.correlator import Correlator
 from repro.core.parameters import DEFAULT_PARAMETERS, SeerParameters
 from repro.observability import Metrics
+from tests.oracle.clustering import OracleClustering
 from tests.oracle.distance import LifetimeDistanceCalculator
 from tests.oracle.neighbors import NeighborStore
 
@@ -100,11 +102,13 @@ class ReferenceEngine:
 def oracle_correlator(parameters: SeerParameters = DEFAULT_PARAMETERS,
                       prune: bool = True,
                       compensate: bool = True) -> Correlator:
-    """A fresh correlator whose store and engine are the oracle's."""
+    """A fresh correlator whose store, engine and clustering pass are
+    the oracle's."""
     correlator = Correlator(parameters)
     store = NeighborStore(parameters, metrics=correlator.metrics)
     correlator.store = store
     correlator._engine = ReferenceEngine(
         store, parameters, correlator.metrics,
         prune=prune, compensate=compensate)
+    correlator._clustering = OracleClustering(store, parameters)
     return correlator
