@@ -22,6 +22,7 @@ window-level data.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import zlib
 from dataclasses import dataclass, field
@@ -29,7 +30,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.simulation.population import PopulationCellResult
 from repro.simulation.runner import ShardOutcome
-from repro.simulation.serde import population_from_data, population_to_data
+from repro.simulation.serde import result_from_data, result_to_data
 
 MB = 1024 * 1024
 
@@ -84,7 +85,7 @@ class PopulationAggregate:
         # Drop the per-cell metrics snapshot: the runner has already
         # absorbed the counters, and keeping N snapshots would defeat
         # the compact-scorecard memory contract.
-        self.cells.append(_without_metrics(result))
+        self.cells.append(dataclasses.replace(result, metrics=None))
 
     @property
     def machines(self) -> int:
@@ -100,15 +101,6 @@ class PopulationAggregate:
         return [extract(cell) for cell in self.cells]
 
 
-def _without_metrics(cell: PopulationCellResult) -> PopulationCellResult:
-    if cell.metrics is None:
-        return cell
-    data = population_to_data(cell)
-    data["metrics"] = None
-    data.pop("type")
-    return PopulationCellResult(**data)
-
-
 # ----------------------------------------------------------------------
 # aggregate persistence (the CLI's --save/--report handoff)
 # ----------------------------------------------------------------------
@@ -117,7 +109,7 @@ def aggregate_to_data(aggregate: PopulationAggregate) -> Dict:
     return {
         "population_seed": aggregate.population_seed,
         "days": aggregate.days,
-        "cells": [population_to_data(cell) for cell in aggregate.cells],
+        "cells": [result_to_data(cell) for cell in aggregate.cells],
     }
 
 
@@ -125,7 +117,7 @@ def aggregate_from_data(data: Dict) -> PopulationAggregate:
     return PopulationAggregate(
         population_seed=data["population_seed"],
         days=data["days"],
-        cells=[population_from_data(cell) for cell in data["cells"]],
+        cells=[result_from_data(cell) for cell in data["cells"]],
     )
 
 

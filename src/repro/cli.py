@@ -39,6 +39,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import typing
 from typing import List, Optional
 
 from repro.analysis import (
@@ -322,8 +323,12 @@ def cmd_population(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    try:
+        values = [_coerce(args.parameter, v) for v in args.values]
+    except ValueError as exc:
+        print(f"sweep: {exc}", file=sys.stderr)
+        return 2
     trace = _trace_for(args)
-    values = [_coerce(v) for v in args.values]
     points = sweep_parameter(SIM_PARAMETERS, args.parameter, values, [trace],
                              jobs=args.jobs,
                              checkpoint_dir=args.checkpoint_dir,
@@ -353,13 +358,18 @@ def cmd_service(args) -> int:
     return 0
 
 
-def _coerce(text: str):
-    for conv in (int, float):
-        try:
-            return conv(text)
-        except ValueError:
-            continue
-    return text
+def _coerce(name: str, text: str):
+    """Parse one ``sweep --values`` entry as SeerParameters.<name>'s type."""
+    kind = typing.get_type_hints(SeerParameters)[name]
+    problem = f"cannot parse {text!r} as {kind.__name__} (the type of {name})"
+    if kind is bool:
+        if text.lower() not in ("true", "false"):
+            raise ValueError(problem + "; use true or false")
+        return text.lower() == "true"
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(problem) from None
 
 
 def build_parser() -> argparse.ArgumentParser:

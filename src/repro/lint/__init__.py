@@ -19,7 +19,7 @@ from repro.lint.engine import (
     run_lint,
 )
 from repro.lint.flow import Cfg, ProjectFlow, build_cfg
-from repro.lint.project import PROJECT_RULES
+from repro.lint.concurrency import PROJECT_RULES
 from repro.lint.rules import FILE_RULES
 
 __all__ = [

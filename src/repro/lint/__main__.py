@@ -12,7 +12,7 @@ import sys
 from typing import Optional, Sequence
 
 from repro.lint.engine import LintConfig, render_json, render_text, run_lint
-from repro.lint.project import PROJECT_RULES
+from repro.lint.concurrency import PROJECT_RULES
 from repro.lint.rules import FILE_RULES
 
 

@@ -36,6 +36,7 @@ __all__ = [
     "BlockingInEventLoop",
     "LockSetRaces",
     "OrphanedTask",
+    "PROJECT_RULES",
     "ResourceSafety",
 ]
 
@@ -678,3 +679,11 @@ class ResourceSafety(Rule):
                 continue   # `name is None` guards -- not an escape
             return True
         return False
+
+
+# The whole-project rules: RL008 and RL009 are the only ones, so their
+# module holds the registry every entry point reads.
+PROJECT_RULES: Tuple[ProjectRule, ...] = (
+    BlockingInEventLoop(),
+    LockSetRaces(),
+)

@@ -7,9 +7,10 @@ every PR since the parallel runner has depended on:
 * **bit-determinism** -- the same grid cell must produce the same bytes
   in every process, on every host, at every pool size (rules
   RL001-RL004);
-* **lossless persistence** -- every checkpointed dataclass round-trips
-  exactly (RL006), plus annotation completeness for the strictly-typed
-  core (RL007);
+* **annotation completeness** -- in the strictly-typed core (RL007).
+  Lossless persistence needs no rule: the checkpoint codec
+  (``repro.simulation.serde``) derives every payload from the
+  dataclass fields and rejects a field type JSON cannot round-trip;
 * **concurrency & resource safety** -- per-function CFGs and a project
   call graph (``repro.lint.flow``) back rules for blocking calls in
   event-loop context, lock-set-inconsistent shared state, orphaned
@@ -90,13 +91,6 @@ class Finding:
 class LintConfig:
     """Knobs the rules read; tests override paths to point at fixtures."""
 
-    # RL006: the serde module and the checkpoint payload roots.
-    serde_module_path: str = "repro/simulation/serde.py"
-    serde_roots: Tuple[str, ...] = ("ShardSpec", "MissFreeResult",
-                                    "LiveResult", "PopulationCellResult")
-    # RL006: roots serialized by dataclasses.asdict rather than by a
-    # hand-written pair in the serde module (field types still checked).
-    asdict_roots: Tuple[str, ...] = ("ShardSpec",)
     # RL007: package prefixes held to complete annotations (the same
     # list pyproject.toml holds to mypy --strict).
     typed_core_prefixes: Tuple[str, ...] = (
@@ -180,7 +174,7 @@ def load_module(abspath: str, relpath: str) -> ModuleInfo:
 
 
 # ----------------------------------------------------------------------
-# rule base classes (subclassed in rules.py, project.py, concurrency.py)
+# rule base classes (subclassed in rules.py and concurrency.py)
 # ----------------------------------------------------------------------
 class Rule:
     """One per-file rule: an id, a name, and a module check."""
@@ -358,7 +352,7 @@ def run_lint(paths: Sequence[str],
     submission order and the merged list is sorted before filtering.
     Raises ValueError if *select* names an id no rule has.
     """
-    from repro.lint.project import PROJECT_RULES
+    from repro.lint.concurrency import PROJECT_RULES
     from repro.lint.rules import FILE_RULES
 
     config = config or LintConfig()

@@ -59,8 +59,8 @@ DAY = 86400.0
 WEEK = 7 * DAY
 
 #: The value types a SeerParameters field may hold.  Spelled out (not
-#: ``object``) so serde can prove every checkpointed override
-#: round-trips losslessly through JSON (lint rule RL006).
+#: ``object``): the checkpoint codec (:mod:`repro.simulation.serde`)
+#: refuses to build for a field JSON cannot round-trip.
 ParamValue = Union[int, float, str, bool]
 
 

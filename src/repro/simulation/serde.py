@@ -6,7 +6,15 @@ checkpoints every completed grid cell to disk and reloads it on
 uninterrupted one, serialization must be *lossless*.  Everything here
 is therefore plain JSON of ints, floats and strings: Python's ``json``
 module round-trips both exactly (floats via shortest-repr), enums are
-stored by name, and nested dataclasses become tagged dictionaries.
+stored by name, and nested dataclasses become dictionaries.
+
+One codec serves every payload.  :func:`codec_for` derives it from a
+dataclass's fields and type hints the first time the class is seen,
+so a field is serialized because it exists -- there is no per-class
+list of fields to forget.  An annotation that would not survive JSON
+(``object``, a set, a dict keyed by anything but ``str``) raises
+``TypeError`` naming the class and the field when that codec is
+built, which is the one place lossless round-tripping is enforced.
 
 ``result_to_data``/``result_from_data`` dispatch on a ``"type"`` tag so
 the runner can checkpoint heterogeneous grids (miss-free cells, live
@@ -22,22 +30,32 @@ checkpoint store uses to detect corrupt or torn checkpoints.
 
 from __future__ import annotations
 
+import dataclasses
+import enum
+import functools
 import json
+import typing
 import zlib
-from typing import Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-from repro.core.hoard import MissSeverity
-from repro.simulation.live import (
-    DisconnectionOutcome,
-    LiveResult,
-    RecordedMiss,
-)
-from repro.simulation.missfree import MissFreeResult, WindowResult
+from repro.simulation.live import LiveResult
+from repro.simulation.missfree import MissFreeResult
 from repro.simulation.population import PopulationCellResult
-from repro.workload.sessions import Period, PeriodKind
 
 #: Anything the runner knows how to checkpoint.
 ShardResult = Union[MissFreeResult, LiveResult, PopulationCellResult, float]
+
+_Convert = Callable[[Any], Any]
+#: (encode, decode) for one annotation; None when the value is already
+#: its own JSON form and passes through untouched.
+_Codec = Optional[Tuple[_Convert, _Convert]]
+
+_SCALARS = frozenset({int, float, str, bool, type(None)})
+
+#: The ``"type"`` tag of each dataclass result.
+_TAGS: Dict[type, str] = {MissFreeResult: "missfree", LiveResult: "live",
+                          PopulationCellResult: "population"}
+_TAGGED: Dict[str, type] = {tag: cls for cls, tag in _TAGS.items()}
 
 
 def canonical_bytes(data: Dict) -> bytes:
@@ -66,185 +84,108 @@ def payload_fingerprint(data: Dict) -> str:
 
 
 # ----------------------------------------------------------------------
-# miss-free results
+# the codec
 # ----------------------------------------------------------------------
-def _window_to_data(window: WindowResult) -> Dict:
-    return {
-        "index": window.index,
-        "start": window.start,
-        "end": window.end,
-        "referenced_files": window.referenced_files,
-        "working_set_bytes": window.working_set_bytes,
-        "seer_bytes": window.seer_bytes,
-        "lru_bytes": window.lru_bytes,
-        "uncoverable_files": window.uncoverable_files,
-        "spy_bytes": window.spy_bytes,
-        "coda_bytes": window.coda_bytes,
-    }
+def _same(value: Any) -> Any:
+    return value
 
 
-def _window_from_data(data: Dict) -> WindowResult:
-    return WindowResult(**data)
+def _elementwise(element: _Codec, rebuild: Callable[[Any], Any]
+                 ) -> _Codec:
+    """Codec for a homogeneous list (``rebuild=list``) or tuple."""
+    if element is None:
+        return None if rebuild is list else (list, tuple)
+    encode, decode = element
+    return ((lambda value: [encode(item) for item in value]),
+            (lambda data: rebuild(decode(item) for item in data)))
 
 
-def missfree_to_data(result: MissFreeResult) -> Dict:
-    return {
-        "type": "missfree",
-        "machine": result.machine,
-        "window_seconds": result.window_seconds,
-        "use_investigators": result.use_investigators,
-        "seed": result.seed,
-        "windows": [_window_to_data(w) for w in result.windows],
-        "metrics": result.metrics,
-    }
+def _codec(hint: Any, where: str) -> _Codec:
+    """How values annotated *hint* travel through JSON."""
+    if hint in _SCALARS:
+        return None
+    if isinstance(hint, type) and issubclass(hint, enum.Enum):
+        members = hint
+        return (lambda value: value.name), (lambda name: members[name])
+    if isinstance(hint, type) and dataclasses.is_dataclass(hint):
+        nested = codec_for(hint)
+        return nested.encode, nested.decode
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    present = [arg for arg in args if arg is not type(None)]
+    if origin is Union and all(arg in _SCALARS for arg in present):
+        return None
+    if origin is Union and len(present) == 1:          # Optional[X]
+        inner = _codec(present[0], where)
+        if inner is None:
+            return None
+        encode, decode = inner
+        return ((lambda value: None if value is None else encode(value)),
+                (lambda data: None if data is None else decode(data)))
+    if origin is list and len(args) == 1:
+        return _elementwise(_codec(args[0], where), list)
+    if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
+        return _elementwise(_codec(args[0], where), tuple)
+    if origin is tuple and args:                      # Tuple[X, Y]
+        parts = [_codec(arg, where) or (_same, _same) for arg in args]
+        return ((lambda value: [part[0](item)
+                                for part, item in zip(parts, value)]),
+                (lambda data: tuple(part[1](item)
+                                    for part, item in zip(parts, data))))
+    if origin is dict and len(args) == 2 and args[0] is str:
+        value_codec = _codec(args[1], where)
+        if value_codec is None:
+            return None
+        encode, decode = value_codec
+        return ((lambda value: {k: encode(v) for k, v in value.items()}),
+                (lambda data: {k: decode(v) for k, v in data.items()}))
+    raise TypeError(
+        f"{where}: {hint!r} does not round-trip through JSON (use int, "
+        f"float, str, bool, None, an enum, a dataclass, or a List, "
+        f"Tuple[X, ...], Optional or str-keyed Dict of those)")
 
 
-def missfree_from_data(data: Dict) -> MissFreeResult:
-    return MissFreeResult(
-        machine=data["machine"],
-        window_seconds=data["window_seconds"],
-        use_investigators=data["use_investigators"],
-        seed=data["seed"],
-        windows=[_window_from_data(w) for w in data["windows"]],
-        metrics=data["metrics"],
-    )
+class DataclassCodec:
+    """Encode/decode one dataclass, field by field, in field order."""
+
+    def __init__(self, cls: Any) -> None:
+        hints = typing.get_type_hints(cls)
+        self.cls: type = cls
+        self.fields: List[Tuple[str, _Codec]] = [
+            (f.name, _codec(hints[f.name], f"{cls.__qualname__}.{f.name}"))
+            for f in dataclasses.fields(cls)]
+
+    def encode(self, value: Any) -> Dict[str, Any]:
+        return {name: getattr(value, name) if codec is None
+                else codec[0](getattr(value, name))
+                for name, codec in self.fields}
+
+    def decode(self, data: Dict[str, Any]) -> Any:
+        # A key an older payload lacks takes the field's default.
+        return self.cls(**{name: data[name] if codec is None
+                           else codec[1](data[name])
+                           for name, codec in self.fields if name in data})
 
 
-# ----------------------------------------------------------------------
-# live results
-# ----------------------------------------------------------------------
-def _period_to_data(period: Period) -> Dict:
-    return {"kind": period.kind.name, "start": period.start,
-            "end": period.end}
+@functools.lru_cache(maxsize=None)
+def codec_for(cls: type) -> DataclassCodec:
+    """The (cached) codec of dataclass *cls*; raises ``TypeError`` if a
+    field anywhere below it cannot round-trip through JSON."""
+    return DataclassCodec(cls)
 
 
-def _period_from_data(data: Dict) -> Period:
-    return Period(kind=PeriodKind[data["kind"]], start=data["start"],
-                  end=data["end"])
-
-
-def _miss_to_data(miss: RecordedMiss) -> Dict:
-    return {
-        "path": miss.path,
-        "time": miss.time,
-        "active_hours_in": miss.active_hours_in,
-        "severity": None if miss.severity is None else miss.severity.name,
-        "automatic": miss.automatic,
-    }
-
-
-def _miss_from_data(data: Dict) -> RecordedMiss:
-    severity = data["severity"]
-    return RecordedMiss(
-        path=data["path"], time=data["time"],
-        active_hours_in=data["active_hours_in"],
-        severity=None if severity is None else MissSeverity[severity],
-        automatic=data["automatic"])
-
-
-def _outcome_to_data(outcome: DisconnectionOutcome) -> Dict:
-    return {
-        "period": _period_to_data(outcome.period),
-        "active_hours": outcome.active_hours,
-        "hoard_bytes": outcome.hoard_bytes,
-        "manual_misses": [_miss_to_data(m) for m in outcome.manual_misses],
-        "automatic_misses": [_miss_to_data(m)
-                             for m in outcome.automatic_misses],
-        "fill_interrupted": outcome.fill_interrupted,
-    }
-
-
-def _outcome_from_data(data: Dict) -> DisconnectionOutcome:
-    return DisconnectionOutcome(
-        period=_period_from_data(data["period"]),
-        active_hours=data["active_hours"],
-        hoard_bytes=data["hoard_bytes"],
-        manual_misses=[_miss_from_data(m) for m in data["manual_misses"]],
-        automatic_misses=[_miss_from_data(m)
-                          for m in data["automatic_misses"]],
-        fill_interrupted=data.get("fill_interrupted", False))
-
-
-def live_to_data(result: LiveResult) -> Dict:
-    return {
-        "type": "live",
-        "machine": result.machine,
-        "hoard_budget": result.hoard_budget,
-        "outcomes": [_outcome_to_data(o) for o in result.outcomes],
-        "metrics": result.metrics,
-    }
-
-
-def live_from_data(data: Dict) -> LiveResult:
-    return LiveResult(
-        machine=data["machine"],
-        hoard_budget=data["hoard_budget"],
-        outcomes=[_outcome_from_data(o) for o in data["outcomes"]],
-        metrics=data["metrics"],
-    )
+def to_data(value: Any) -> Dict[str, Any]:
+    """JSON-safe dictionary form of a dataclass instance."""
+    return codec_for(type(value)).encode(value)
 
 
 # ----------------------------------------------------------------------
-# population cells
-# ----------------------------------------------------------------------
-def population_to_data(result: PopulationCellResult) -> Dict:
-    return {
-        "type": "population",
-        "machine": result.machine,
-        "activity": result.activity,
-        "n_disconnections": result.n_disconnections,
-        "uses_investigators": result.uses_investigators,
-        "hoard_budget": result.hoard_budget,
-        "window_seconds": result.window_seconds,
-        "windows": result.windows,
-        "referenced_files": result.referenced_files,
-        "mean_working_set": result.mean_working_set,
-        "mean_seer": result.mean_seer,
-        "mean_lru": result.mean_lru,
-        "mean_spy": result.mean_spy,
-        "mean_coda": result.mean_coda,
-        "disconnections": result.disconnections,
-        "failed_disconnections": result.failed_disconnections,
-        "automatic_detections": result.automatic_detections,
-        "median_first_miss_hours": result.median_first_miss_hours,
-        "metrics": result.metrics,
-    }
-
-
-def population_from_data(data: Dict) -> PopulationCellResult:
-    return PopulationCellResult(
-        machine=data["machine"],
-        activity=data["activity"],
-        n_disconnections=data["n_disconnections"],
-        uses_investigators=data["uses_investigators"],
-        hoard_budget=data["hoard_budget"],
-        window_seconds=data["window_seconds"],
-        windows=data["windows"],
-        referenced_files=data["referenced_files"],
-        mean_working_set=data["mean_working_set"],
-        mean_seer=data["mean_seer"],
-        mean_lru=data["mean_lru"],
-        mean_spy=data["mean_spy"],
-        mean_coda=data["mean_coda"],
-        disconnections=data["disconnections"],
-        failed_disconnections=data["failed_disconnections"],
-        automatic_detections=data["automatic_detections"],
-        median_first_miss_hours=data["median_first_miss_hours"],
-        metrics=data["metrics"],
-    )
-
-
-# ----------------------------------------------------------------------
-# dispatch
+# tagged results
 # ----------------------------------------------------------------------
 def result_to_data(result: ShardResult) -> Dict:
     """Serialize any shard result to a JSON-safe tagged dictionary."""
-    if isinstance(result, MissFreeResult):
-        return missfree_to_data(result)
-    if isinstance(result, LiveResult):
-        return live_to_data(result)
-    if isinstance(result, PopulationCellResult):
-        return population_to_data(result)
+    tag = _TAGS.get(type(result))
+    if tag is not None:
+        return {"type": tag, **to_data(result)}
     if isinstance(result, (int, float)) and not isinstance(result, bool):
         return {"type": "objective", "score": float(result)}
     raise TypeError(f"cannot serialize shard result: {type(result)!r}")
@@ -266,12 +207,11 @@ def comparable_data(result: ShardResult) -> Dict:
 def result_from_data(data: Dict) -> ShardResult:
     """Inverse of :func:`result_to_data`."""
     kind = data.get("type")
-    if kind == "missfree":
-        return missfree_from_data(data)
-    if kind == "live":
-        return live_from_data(data)
-    if kind == "population":
-        return population_from_data(data)
     if kind == "objective":
-        return data["score"]
-    raise ValueError(f"unknown shard result type: {kind!r}")
+        score: float = data["score"]
+        return score
+    cls = _TAGGED.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"unknown shard result type: {kind!r}")
+    result: ShardResult = codec_for(cls).decode(data)
+    return result

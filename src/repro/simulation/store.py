@@ -21,7 +21,6 @@ exercises them.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import sqlite3
@@ -30,7 +29,7 @@ from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
                     Tuple)
 
 from repro.observability import Metrics
-from repro.simulation.serde import payload_fingerprint
+from repro.simulation.serde import payload_fingerprint, to_data
 
 if TYPE_CHECKING:
     from repro.simulation.runner import ShardSpec
@@ -43,14 +42,6 @@ SCHEMA_VERSION = 1
 #: Entries ``put`` buffers before it commits them in one transaction
 #: itself; callers that need an entry durable sooner call ``flush``.
 BATCH_SIZE = 32
-
-
-def spec_to_data(spec: "ShardSpec") -> Dict:
-    """JSON-safe dictionary form of a spec (tuples become lists)."""
-    data = dataclasses.asdict(spec)
-    data["parameter_overrides"] = [
-        [name, value] for name, value in spec.parameter_overrides]
-    return data
 
 
 @dataclass
@@ -221,7 +212,7 @@ class SqliteStore:
         self._pending.append((
             spec.shard_id,
             payload_fingerprint(result_data),
-            json.dumps(spec_to_data(spec), sort_keys=True),
+            json.dumps(to_data(spec), sort_keys=True),
             elapsed_seconds,
             json.dumps(result_data),
         ))
@@ -284,7 +275,7 @@ class SqliteStore:
         return (entry.schema_version == SCHEMA_VERSION
                 and isinstance(entry.result, dict)
                 and payload_fingerprint(entry.result) == entry.fingerprint
-                and (spec is None or entry.spec_data == spec_to_data(spec)))
+                and (spec is None or entry.spec_data == to_data(spec)))
 
     def _validate(self, entry: CheckpointEntry,
                   spec: Optional["ShardSpec"]) -> bool:

@@ -15,9 +15,18 @@ class TestParser:
             build_parser().parse_args(["missfree", "Z"])
 
     def test_coerce(self):
-        assert _coerce("10") == 10 and isinstance(_coerce("10"), int)
-        assert _coerce("0.5") == 0.5
-        assert _coerce("abc") == "abc"
+        # Each value is parsed as the swept field's own type.
+        assert _coerce("max_neighbors", "10") == 10
+        assert isinstance(_coerce("max_neighbors", "10"), int)
+        assert _coerce("kf_fraction", "0.5") == 0.5
+        assert isinstance(_coerce("investigator_weight", "2"), float)
+        assert _coerce("use_geometric_mean", "FALSE") is False
+        assert _coerce("use_geometric_mean", "true") is True
+        for name, text in (("use_geometric_mean", "0"),
+                           ("max_neighbors", "1.5"),
+                           ("kf_fraction", "abc")):
+            with pytest.raises(ValueError, match=name):
+                _coerce(name, text)
 
 
 class TestCommands:
@@ -74,6 +83,36 @@ class TestCommands:
         assert "no_such_param" in captured.err
         assert "max_neighbors" in captured.err
         assert "kf_fraction" in captured.err
+
+    def test_sweep_false_runs_false(self, capsys, monkeypatch):
+        # `--values False` once reached SeerParameters as the truthy
+        # string 'False', so both points ran with the flag on.
+        from repro.tuning import sweep_parameter
+        points = []
+
+        def recorded(*args, **kwargs):
+            points.extend(sweep_parameter(*args, **kwargs))
+            return points
+        monkeypatch.setattr("repro.cli.sweep_parameter", recorded)
+        assert main(["sweep", "E", "--days", "1",
+                     "--parameter", "normalize_shared_counts",
+                     "--values", "True", "False"]) == 0
+        flags = [point.result.parameters.normalize_shared_counts
+                 for point in points]
+        assert flags[0] is True and flags[1] is False
+        assert "normalize_shared_counts=False" in capsys.readouterr().out
+
+    def test_sweep_unparseable_value_exits_2(self, capsys, monkeypatch):
+        def no_trace(args):
+            raise AssertionError("trace generated for a bad value")
+        monkeypatch.setattr("repro.cli._trace_for", no_trace)
+        assert main(["sweep", "E", "--days", "1",
+                     "--parameter", "normalize_shared_counts",
+                     "--values", "True", "no"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'no'" in captured.err
+        assert "normalize_shared_counts" in captured.err
 
     def test_figure2_parallel_identical_to_serial(self, capsys):
         assert main(["figure2", "--machines", "E", "--days", "7",

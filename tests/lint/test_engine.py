@@ -110,3 +110,7 @@ class TestSelect:
             run_lint([str(path)], select=["RL003", "RL010"])
         assert main([str(path), "--select", "RL010"]) == 2
         assert "RL010" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="RL006"):
+            run_lint([str(path)], select=["RL006"])
+        assert main([str(path), "--select", "RL006"]) == 2
+        assert "RL006" in capsys.readouterr().err

@@ -10,7 +10,8 @@ import pytest
 from repro.core.seer import Seer
 from repro.faults import FLAKY, NO_FAULTS, profile_from_name
 from repro.simulation.live import simulate_live_usage
-from repro.simulation.serde import comparable_data, live_from_data, live_to_data
+from repro.simulation.serde import (comparable_data, result_from_data,
+                                   result_to_data)
 from repro.workload import generate_machine_trace, machine_profile
 from repro.workload.sessions import Schedule
 
@@ -100,7 +101,7 @@ class TestFaultedReplay:
     def test_fill_interrupted_survives_serde(self, trace):
         result = simulate_live_usage(trace, fault_profile="hostile",
                                      fault_seed=1)
-        round_tripped = live_from_data(live_to_data(result))
+        round_tripped = result_from_data(result_to_data(result))
         assert [o.fill_interrupted for o in round_tripped.outcomes] == \
             [o.fill_interrupted for o in result.outcomes]
 

@@ -10,8 +10,9 @@ from repro.simulation.runner import (
     reproduction_grid,
     run_shards,
 )
-from repro.simulation.serde import comparable_data, result_to_data
-from repro.simulation.store import SqliteStore, spec_to_data
+from repro.simulation.serde import (codec_for, comparable_data,
+                                   result_to_data, to_data)
+from repro.simulation.store import SqliteStore
 
 from tests.simulation.checkpoints import delete_rows
 
@@ -46,12 +47,10 @@ class TestShardSpecFaults:
 
     def test_spec_data_round_trip(self):
         spec = ShardSpec("live", **FAULTED)
-        data = spec_to_data(spec)
+        data = to_data(spec)
         assert data["fault_profile"] == "flaky"
         assert data["fault_seed"] == 2
-        rebuilt = ShardSpec(**{**data, "parameter_overrides": tuple(
-            tuple(pair) for pair in data["parameter_overrides"])})
-        assert rebuilt == spec
+        assert codec_for(ShardSpec).decode(data) == spec
 
     def test_reproduction_grid_faults_live_cells_only(self):
         shards = reproduction_grid(["E"], days=5.0, seed=1,

@@ -1,6 +1,11 @@
-"""Lossless JSON round-trips for checkpointed simulation results."""
+"""Lossless JSON round-trips for checkpointed simulation results, and
+the codec's refusal to build for a field type JSON cannot round-trip."""
 
+import dataclasses
+import enum
 import json
+from dataclasses import dataclass
+from typing import Dict, Optional, Set, Tuple
 
 import pytest
 
@@ -11,7 +16,10 @@ from repro.simulation.live import (
     RecordedMiss,
 )
 from repro.simulation.missfree import MissFreeResult, WindowResult
+from repro.simulation.population import PopulationCellResult
+from repro.simulation.runner import ShardSpec
 from repro.simulation.serde import (
+    codec_for,
     comparable_data,
     result_from_data,
     result_to_data,
@@ -98,3 +106,89 @@ class TestDispatch:
         data = comparable_data(make_missfree())
         assert "metrics" not in data
         assert data["machine"] == "C"
+
+
+# Scratch payload classes: one lossless graph, and one class per way a
+# field can fail to round-trip through JSON.
+class Colour(enum.Enum):
+    RED = "red"
+    BLUE = "blue"
+
+
+@dataclass(frozen=True)
+class Leaf:
+    name: str
+    weight: float
+
+
+@dataclass(frozen=True)
+class Root:
+    seed: int
+    label: Optional[str]
+    leaves: Tuple[Leaf, ...]
+    totals: Dict[str, int]
+
+
+@dataclass(frozen=True)
+class Painted:
+    colour: Colour
+    shades: Tuple[Colour, ...]
+
+
+@dataclass(frozen=True)
+class HoldsObject:
+    # The hazard the codec exists for: `object` says nothing about
+    # how the value would come back.
+    value: object
+
+
+@dataclass(frozen=True)
+class HoldsSet:
+    members: Set[str]
+
+
+@dataclass(frozen=True)
+class HoldsIntKeys:
+    by_id: Dict[int, str]
+
+
+@dataclass(frozen=True)
+class HoldsNestedSet:
+    inner: HoldsSet
+
+
+class TestCodec:
+    @pytest.mark.parametrize("root", [ShardSpec, MissFreeResult,
+                                      LiveResult, PopulationCellResult],
+                             ids=lambda cls: cls.__name__)
+    def test_builds_for_every_checkpoint_root(self, root):
+        codec = codec_for(root)
+        assert [name for name, _ in codec.fields] == \
+            [field.name for field in dataclasses.fields(root)]
+
+    def test_lossless_graph_round_trips(self):
+        root = Root(seed=3, label=None,
+                    leaves=(Leaf("a", 0.1 + 0.2), Leaf("b", 2.0)),
+                    totals={"x": 1})
+        data = json.loads(json.dumps(codec_for(Root).encode(root)))
+        assert data["leaves"][1] == {"name": "b", "weight": 2.0}
+        assert codec_for(Root).decode(data) == root
+
+    def test_enum_field_round_trips_by_name(self):
+        painted = Painted(colour=Colour.RED,
+                          shades=(Colour.BLUE, Colour.RED))
+        data = json.loads(json.dumps(codec_for(Painted).encode(painted)))
+        assert data == {"colour": "RED", "shades": ["BLUE", "RED"]}
+        assert codec_for(Painted).decode(data) == painted
+
+    @pytest.mark.parametrize("cls, field, detail", [
+        (HoldsObject, "HoldsObject.value", "object"),
+        (HoldsSet, "HoldsSet.members", "Set"),
+        (HoldsIntKeys, "HoldsIntKeys.by_id", "Dict"),
+        (HoldsNestedSet, "HoldsSet.members", "Set"),
+    ], ids=["object", "set", "int-dict-key", "nested-set"])
+    def test_field_json_cannot_round_trip_is_rejected(self, cls, field,
+                                                      detail):
+        with pytest.raises(TypeError, match=field) as excinfo:
+            codec_for(cls)
+        assert detail in str(excinfo.value)

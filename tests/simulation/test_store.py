@@ -17,12 +17,12 @@ import pytest
 
 from repro.observability import Metrics
 from repro.simulation.runner import DAY, ShardSpec
-from repro.simulation.serde import canonical_bytes, payload_fingerprint
+from repro.simulation.serde import (canonical_bytes, payload_fingerprint,
+                                   to_data)
 from repro.simulation.store import (
     BATCH_SIZE,
     SCHEMA_VERSION,
     SqliteStore,
-    spec_to_data,
 )
 
 
@@ -51,7 +51,7 @@ class TestSqliteStore:
         assert entry.elapsed_seconds == 0.0
         assert entry.schema_version == SCHEMA_VERSION
         assert entry.fingerprint == payload_fingerprint(data_for(0))
-        assert entry.spec_data == spec_to_data(spec)
+        assert entry.spec_data == to_data(spec)
 
     def test_single_file_on_disk(self, tmp_path):
         with SqliteStore(str(tmp_path)) as store:
