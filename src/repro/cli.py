@@ -324,7 +324,14 @@ def cmd_population(args) -> int:
 
 def cmd_sweep(args) -> int:
     try:
+        _check_sweepable(args.parameter)
         values = [_coerce(args.parameter, v) for v in args.values]
+        for text, value in zip(args.values, values):
+            try:
+                SIM_PARAMETERS.with_changes(**{args.parameter: value})
+            except ValueError as exc:
+                raise ValueError(f"{args.parameter}={text} is rejected: "
+                                 f"{exc}") from None
     except ValueError as exc:
         print(f"sweep: {exc}", file=sys.stderr)
         return 2
@@ -356,6 +363,24 @@ def cmd_service(args) -> int:
     if args.metrics:
         _print_metrics(counters)
     return 0
+
+
+def _check_sweepable(name: str) -> None:
+    """Refuse a parameter the sweep's setup leaves without effect: it
+    scores miss-free windows under SIM_PARAMETERS, with no investigators
+    and no disconnection schedule."""
+    reason = None
+    if name in ("kn", "kf") and SIM_PARAMETERS.normalize_shared_counts:
+        reason = (f"the sweep normalizes shared counts, so clustering "
+                  f"compares {name}_fraction, not {name}")
+    elif name == "investigator_weight":
+        reason = "the sweep's objective runs no investigators"
+    elif name == "minimum_disconnection_seconds":
+        reason = ("the sweep's objective replays fixed windows, not a "
+                  "disconnection schedule")
+    if reason is not None:
+        raise ValueError(f"sweeping {name} cannot move the objective: "
+                         f"{reason}")
 
 
 def _coerce(name: str, text: str):

@@ -46,17 +46,19 @@ Counts reused across builds
 ---------------------------
 
 A pair's effective count is the raw shared count (a function of the two
-neighbor sets), plus the investigator term, minus the directory term (a
-function of the two paths), optionally divided by a denominator (a
-function of the two sets).  Only the investigator term varies between
-builds of one correlator, whose parameters are fixed.  So a build
-reuses each count of the previous build whose pair has no relation
-strength and whose two endpoints' neighbor sets are unchanged; that
-count is bit-identical to a fresh one.  Counts of pairs with relation
-strength are computed fresh every build and never stored, or one would
-outlive its relation.  A file whose list appears, disappears or differs
-counts as changed.  Fids make this sound across renames: a path keeps
-its fid, and a renamed file's new path gets a new one.
+neighbor sets), plus the investigator term (a function of the pair's
+relation strength), minus the directory term (a function of the two
+paths), optionally divided by a denominator (a function of the two
+sets); the correlator's parameters are fixed.  So one rule serves every
+examined pair, listed or related: a build reuses the previous build's
+count when neither endpoint's neighbor set changed and the pair's
+strength equals the previous build's (a pair with no relation has
+strength 0.0 in both).  That count is bit-identical to a fresh one.  A
+file whose list appears, disappears or differs counts as changed.  Fids
+make this sound across renames: a path keeps its fid, and a renamed
+file's new path gets a new one.  A build whose relations equal the
+previous build's -- a Seer's, until its filesystem changes -- also
+keeps the previous strength table instead of interning them again.
 """
 
 from __future__ import annotations
@@ -174,14 +176,16 @@ class ClusterSet:
 PairTable = Dict[int, Dict[int, float]]
 
 _NO_NEIGHBORS: FrozenSet[int] = frozenset()
+_NO_ROW: Dict[int, float] = {}     # an absent PairTable row; never written
 
 
 class SharedNeighborPass:
     """The modified Jarvis-Patrick algorithm over one arena's fids.
 
     One instance serves every build of a correlator: it keeps the last
-    build's neighbor sets and relation-free counts, for the next build
-    to reuse (``counts_reused``; the rest are ``counts_computed``).
+    build's neighbor sets, relations, strength table and counts, for the
+    next build to reuse (``counts_reused``; the rest are
+    ``counts_computed``).
     """
 
     def __init__(self, arena: NeighborArena,
@@ -190,6 +194,8 @@ class SharedNeighborPass:
         self._parameters = parameters
         self._rows: Dict[int, Set[int]] = {}
         self._counts: PairTable = {}
+        self._relations: List[Relation] = []
+        self._strengths: PairTable = {}
         self.counts_computed = 0
         self.counts_reused = 0
 
@@ -203,15 +209,20 @@ class SharedNeighborPass:
         fids = arena._fids
         dropped = frozenset(fids[path] for path in exclude if path in fids)
         rows = arena.neighbor_fids(now, stale_after, dropped)
-        strengths: PairTable = {}
-        for relation in relations:
-            members = [arena.intern(path) for path in relation.files]
-            for index, first in enumerate(members):
-                for second in members[index + 1:]:
-                    for a, b in ((first, second), (second, first)):
-                        row = strengths.setdefault(a, {})
-                        row[b] = row.get(b, 0.0) + relation.strength
-        return self._pass(rows, strengths, arena._paths, arena._dirs)
+        current = list(relations)
+        strengths = self._strengths
+        if current != self._relations:
+            strengths = {}
+            for relation in current:
+                members = [arena.intern(path) for path in relation.files]
+                for index, first in enumerate(members):
+                    for second in members[index + 1:]:
+                        for a, b in ((first, second), (second, first)):
+                            row = strengths.setdefault(a, {})
+                            row[b] = row.get(b, 0.0) + relation.strength
+        clusters = self._pass(rows, strengths, arena._paths, arena._dirs)
+        self._relations = current
+        return clusters
 
     def _pass(self, rows: Dict[int, Set[int]], strengths: PairTable,
               paths: List[str], dirs: List[Tuple[str, ...]]) -> ClusterSet:
@@ -245,7 +256,11 @@ class SharedNeighborPass:
                 count /= float(size if size < cap else cap) if size else 1.0
             return count
 
+        # One rule for every examined pair: reuse the stored count when
+        # neither endpoint's set changed and the pair's strength equals
+        # the previous build's (absent counts as 0.0).
         previous_rows, previous_counts = self._rows, self._counts
+        previous_strengths = self._strengths
         changed = {fid for fid, neighbors in rows.items()
                    if previous_rows.get(fid) != neighbors}
         changed.update(fid for fid in previous_rows if fid not in rows)
@@ -256,29 +271,30 @@ class SharedNeighborPass:
         by_path = paths.__getitem__
         for a in sorted(rows, key=by_path):
             neighbors_a = rows[a]
-            relation_row = strengths.get(a)
+            relation_row = strengths.get(a, _NO_ROW)
+            previous_row = previous_strengths.get(a, _NO_ROW)
+            # Only a row whose strengths moved checks them pair by pair.
+            moved = (relation_row is not previous_row
+                     and relation_row != previous_row)
             stored = None if a in changed else previous_counts.get(a)
             row_counts = counts[a] = {}
             for b in sorted(neighbors_a, key=by_path):
                 if b == a:
                     continue
-                if relation_row is not None and b in relation_row:
+                strength = relation_row.get(b, 0.0) if relation_row else 0.0
+                count = (stored.get(b) if stored is not None
+                         and b not in changed else None)
+                if count is not None and moved \
+                        and strength != previous_row.get(b, 0.0):
+                    count = None
+                if count is None:
                     count = effective_count(
                         a, b, neighbors_a, rows.get(b, _NO_NEIGHBORS),
-                        relation_row[b])
+                        strength)
                     computed += 1
                 else:
-                    reuse = (stored.get(b) if stored is not None
-                             and b not in changed else None)
-                    if reuse is None:
-                        count = effective_count(
-                            a, b, neighbors_a, rows.get(b, _NO_NEIGHBORS),
-                            0.0)
-                        computed += 1
-                    else:
-                        count = reuse
-                        reused += 1
-                    row_counts[b] = count
+                    reused += 1
+                row_counts[b] = count
                 if count >= near:
                     near_pairs.append((a, b))
                 elif count >= far:
@@ -290,14 +306,23 @@ class SharedNeighborPass:
              if a != b and b not in rows.get(a, _NO_NEIGHBORS)),
             key=lambda pair: (paths[pair[0]], paths[pair[1]]))
         for a, b in relation_pairs:
-            count = effective_count(a, b, rows.get(a, _NO_NEIGHBORS),
-                                    rows.get(b, _NO_NEIGHBORS), strengths[a][b])
-            computed += 1
+            strength = strengths[a][b]
+            count = None
+            if a not in changed and b not in changed and strength == \
+                    previous_strengths.get(a, _NO_ROW).get(b, 0.0):
+                count = previous_counts.get(a, _NO_ROW).get(b)
+            if count is None:
+                count = effective_count(a, b, rows.get(a, _NO_NEIGHBORS),
+                                        rows.get(b, _NO_NEIGHBORS), strength)
+                computed += 1
+            else:
+                reused += 1
+            counts.setdefault(a, {})[b] = count
             if count >= near:
                 near_pairs.append((a, b))
             elif count >= far:
                 far_pairs.append((a, b))
-        self._rows, self._counts = rows, counts
+        self._rows, self._counts, self._strengths = rows, counts, strengths
         self.counts_computed, self.counts_reused = computed, reused
 
         members = set(rows).union(*rows.values())

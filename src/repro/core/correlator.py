@@ -145,9 +145,10 @@ class Correlator:
         so a shared library cannot act as a bridge that merges all
         projects into one giant cluster.
 
-        The pass reuses each pair count of the previous build whose
-        pair has no relation strength and whose two filtered neighbor
-        sets are unchanged (see :mod:`repro.core.clustering`).
+        The pass reuses each pair count of the previous build whose two
+        filtered neighbor sets are unchanged and whose relation
+        strength (0.0 without a relation) is the previous build's (see
+        :mod:`repro.core.clustering`).
         """
         with self.metrics.timed("correlator.cluster_build"):
             now: Optional[int] = None

@@ -11,13 +11,13 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
-                    Sequence, Set)
+                    Sequence, Set, Tuple)
 
 from repro.core.clustering import ClusterSet, Relation
 from repro.core.correlator import Correlator, ObservedReference
 from repro.core.hoard import HoardManager, HoardSelection, MissLog, MissSeverity
 from repro.core.parameters import DEFAULT_PARAMETERS, SeerParameters
-from repro.fs import FileSystemError
+from repro.fs import FileSystem, FileSystemError
 from repro.observer.control_file import ControlConfig
 from repro.observer.filters import MeaninglessStrategy
 from repro.observer.observer import Observer
@@ -53,8 +53,9 @@ class Seer:
         trace sink; pass ``attach=False`` to drive the observer
         manually (e.g. replaying a saved trace).
     investigators:
-        External investigators (section 3.2); each is invoked at
-        cluster time and contributes :class:`Relation` groups.
+        External investigators (section 3.2); each contributes
+        :class:`Relation` groups at cluster time, rescanning only after
+        its filesystem has changed.
     """
 
     def __init__(self, kernel: Optional["Kernel"] = None,
@@ -68,6 +69,8 @@ class Seer:
         self.miss_log = MissLog()
         self._kernel = kernel
         self._investigators = list(investigators)
+        self._relations: List[Relation] = []
+        self._relations_key: List[Tuple[FileSystem, int]] = []
         self._hoard_manager = HoardManager(parameters)
         self.current_hoard: Optional[HoardSelection] = None
         self._disconnected = False
@@ -165,11 +168,22 @@ class Seer:
     # clustering and hoarding
     # ------------------------------------------------------------------
     def investigate(self) -> List[Relation]:
-        """Run all external investigators, collecting their relations."""
-        relations: List[Relation] = []
-        for investigator in self._investigators:
-            relations.extend(investigator.investigate())
-        return relations
+        """All external investigators' relations, in investigator order.
+
+        An investigator's relations are a function of the filesystem
+        under its root, so the last scan's relations are kept, keyed by
+        each investigator's ``(fs, fs.generation)``; the investigators
+        run again (``investigators.scans``) only once a key has moved.
+        """
+        key = [(investigator.fs, investigator.fs.generation)
+               for investigator in self._investigators]
+        if key != self._relations_key:
+            relations: List[Relation] = []
+            for investigator in self._investigators:
+                relations.extend(investigator.investigate())
+            self._relations, self._relations_key = relations, key
+            self.metrics.incr("investigators.scans")
+        return list(self._relations)
 
     def build_clusters(self) -> ClusterSet:
         # Frequently-referenced files are eliminated from relationship

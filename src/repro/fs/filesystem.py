@@ -21,7 +21,7 @@ _MAX_SYMLINK_DEPTH = 16
 class FileSystemError(Exception):
     """Base class for filesystem failures; carries the offending path."""
 
-    def __init__(self, path: str, message: str = ""):
+    def __init__(self, path: str, message: str = "") -> None:
         self.path = path
         super().__init__(message or f"{type(self).__name__}: {path}")
 
@@ -114,12 +114,17 @@ class FileSystem:
     Every method that changes the tree's shape (``mkdir``, ``create``,
     ``unlink``, ``rmdir``, ``rename``) clears the memo; ``write`` edits
     the inode in place and keeps it.  Failed lookups are not cached.
+
+    ``generation`` counts changes: each of those methods and ``write``
+    raise it, and no read moves it.  Whatever a reader derives from the
+    tree stays valid while ``(filesystem, generation)`` is unchanged.
     """
 
     def __init__(self) -> None:
         self._root = Inode.directory()
         self._clock = 0.0
         self._resolved: Dict[Tuple[str, bool], Inode] = {}
+        self.generation = 0
 
     # ------------------------------------------------------------------
     # time
@@ -194,6 +199,11 @@ class FileSystem:
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
+    def _reshaped(self) -> None:
+        """After a shape change: drop the memo, raise the generation."""
+        self._resolved.clear()
+        self.generation += 1
+
     def mkdir(self, path: str, parents: bool = False) -> None:
         """Create a directory.  With *parents*, create ancestors too."""
         normalized = paths.normalize(path)
@@ -209,7 +219,7 @@ class FileSystem:
         if name in parent.children:
             raise AlreadyExists(normalized)
         parent.children[name] = Inode.directory()
-        self._resolved.clear()
+        self._reshaped()
 
     def create(self, path: str, size: int = 0, content: Optional[str] = None,
                kind: FileKind = FileKind.REGULAR, link_target: Optional[str] = None,
@@ -235,7 +245,7 @@ class FileSystem:
         if existing is not None:
             node.version = existing.version + 1
         parent.children[name] = node
-        self._resolved.clear()
+        self._reshaped()
         return node
 
     def write(self, path: str, size: Optional[int] = None, content: Optional[str] = None) -> None:
@@ -250,6 +260,7 @@ class FileSystem:
             node.size = size
         node.version += 1
         node.mtime = self._clock
+        self.generation += 1
 
     def unlink(self, path: str) -> None:
         """Remove a non-directory object."""
@@ -261,7 +272,7 @@ class FileSystem:
         if node.kind is FileKind.DIRECTORY:
             raise IsADirectory(path)
         del parent.children[name]
-        self._resolved.clear()
+        self._reshaped()
 
     def rmdir(self, path: str) -> None:
         """Remove an empty directory."""
@@ -275,7 +286,7 @@ class FileSystem:
         if node.children:
             raise FileSystemError(path, f"directory not empty: {path}")
         del parent.children[name]
-        self._resolved.clear()
+        self._reshaped()
 
     def rename(self, old_path: str, new_path: str) -> None:
         """Atomically move *old_path* to *new_path* (replacing a file)."""
@@ -291,7 +302,7 @@ class FileSystem:
             raise IsADirectory(new_path)
         del old_parent.children[old_name]
         new_parent.children[new_name] = node
-        self._resolved.clear()
+        self._reshaped()
         node.mtime = self._clock
 
     def symlink(self, target: str, link_path: str) -> None:

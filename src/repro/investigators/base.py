@@ -9,7 +9,7 @@ a sufficiently strong relation forces files into one cluster.
 from __future__ import annotations
 
 import abc
-from typing import Iterable, List
+from typing import Iterable, List, Optional
 
 from repro.core.clustering import Relation
 from repro.fs import FileSystem
@@ -22,7 +22,7 @@ class Investigator(abc.ABC):
     strength: float = 2.0
 
     def __init__(self, filesystem: FileSystem, root: str = "/",
-                 strength: float = None) -> None:
+                 strength: Optional[float] = None) -> None:
         self.fs = filesystem
         self.root = root
         if strength is not None:
@@ -30,7 +30,12 @@ class Investigator(abc.ABC):
 
     @abc.abstractmethod
     def investigate(self) -> List[Relation]:
-        """Scan and return the discovered relations."""
+        """Scan and return the discovered relations.
+
+        The relations must be a function of the filesystem under
+        ``root``: :meth:`repro.core.seer.Seer.investigate` reuses them
+        until ``self.fs.generation`` moves, without calling this again.
+        """
 
     def _files_under_root(self) -> Iterable[str]:
         if not self.fs.exists(self.root):

@@ -16,7 +16,7 @@ import re
 from typing import List, Optional, Sequence
 
 from repro.core.clustering import Relation
-from repro.fs import FileSystemError
+from repro.fs import FileSystem, FileSystemError
 from repro.fs.paths import dirname, join, normalize, split_extension
 from repro.investigators.base import Investigator
 
@@ -31,9 +31,9 @@ class CIncludeInvestigator(Investigator):
     strength = 3.0  # a #include "indicates a very strong inter-file
                     # relationship" (section 3.2)
 
-    def __init__(self, filesystem, root: str = "/",
+    def __init__(self, filesystem: FileSystem, root: str = "/",
                  include_path: Sequence[str] = ("/usr/include",),
-                 strength: float = None) -> None:
+                 strength: Optional[float] = None) -> None:
         super().__init__(filesystem, root, strength)
         self.include_path = list(include_path)
 

@@ -10,9 +10,10 @@ only in extension, for configurable groups of extensions.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.clustering import Relation
+from repro.fs import FileSystem
 from repro.fs.paths import dirname, split_extension
 from repro.investigators.base import Investigator
 
@@ -29,9 +30,9 @@ class NamingInvestigator(Investigator):
 
     strength = 2.0
 
-    def __init__(self, filesystem, root: str = "/",
+    def __init__(self, filesystem: FileSystem, root: str = "/",
                  extension_groups: Sequence[Sequence[str]] = DEFAULT_EXTENSION_GROUPS,
-                 strength: float = None) -> None:
+                 strength: Optional[float] = None) -> None:
         super().__init__(filesystem, root, strength)
         self.extension_groups = [tuple(group) for group in extension_groups]
 

@@ -385,17 +385,19 @@ class OrderStableIteration(Rule):
 # RL007 -- typed core
 # ----------------------------------------------------------------------
 class TypedCore(Rule):
-    """The strictly-typed core must carry complete annotations.
+    """The typed core must carry complete annotations.
 
-    CI enforces ``mypy --strict`` on the core package list; this rule
+    CI enforces ``mypy --strict`` on most of the typed core; this rule
     is the dependency-free local mirror of its ``disallow_untyped_defs``
     /``disallow_incomplete_defs`` half, so a missing annotation fails
-    ``python -m repro.lint`` before a PR ever reaches CI.
+    ``python -m repro.lint`` before a PR ever reaches CI.  It also
+    covers ``repro.fs`` and ``repro.investigators``, which mypy still
+    ratchets but the typed Seer depends on.
     """
 
     id = "RL007"
     name = "typed-core"
-    description = ("function in a strictly-typed core package missing "
+    description = ("function in a typed-core package missing "
                    "parameter or return annotations")
 
     def check_module(self, module: ModuleInfo,
@@ -432,12 +434,12 @@ class TypedCore(Rule):
             yield self.finding(
                 module, node,
                 f"`{node.name}` missing parameter annotation(s): "
-                f"{', '.join(missing)} (package is mypy --strict)")
+                f"{', '.join(missing)} (typed core: mypy --strict rules)")
         if node.returns is None:
             yield self.finding(
                 module, node,
                 f"`{node.name}` missing return annotation "
-                f"(package is mypy --strict)")
+                f"(typed core: mypy --strict rules)")
 
 
 # Imported at the bottom: concurrency.py needs Rule (via engine) but

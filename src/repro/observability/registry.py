@@ -71,6 +71,8 @@ METRICS: Tuple[MetricSpec, ...] = (
                "examined-pair shared-neighbor counts computed afresh"),
     MetricSpec("cluster.counts_reused", "counter",
                "examined-pair counts reused from the previous build"),
+    MetricSpec("investigators.scans", "counter",
+               "investigator passes run (an unchanged tree reuses the last)"),
     # -- parallel experiment runner ------------------------------------
     MetricSpec("runner.shards_total", "counter",
                "grid cells requested for the sweep"),

@@ -114,6 +114,41 @@ class TestCommands:
         assert "'no'" in captured.err
         assert "normalize_shared_counts" in captured.err
 
+    def test_sweep_rejected_value_exits_2(self, capsys, monkeypatch):
+        # SeerParameters rejects kn_fraction 0.1 (kf_fraction is 0.55):
+        # the sweep once dropped that point without a word and exited 0.
+        def no_trace(args):
+            raise AssertionError("trace generated for a rejected value")
+        monkeypatch.setattr("repro.cli._trace_for", no_trace)
+        assert main(["sweep", "E", "--days", "1",
+                     "--parameter", "kn_fraction",
+                     "--values", "0.1", "0.7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "kn_fraction=0.1" in captured.err
+        assert "must exceed kf_fraction" in captured.err
+
+    @pytest.mark.parametrize("parameter, values, reason", [
+        ("kn", ["4", "8"], "compares kn_fraction"),
+        ("kf", ["1", "3"], "compares kf_fraction"),
+        ("investigator_weight", ["0.5", "4"], "runs no investigators"),
+        ("minimum_disconnection_seconds", ["60", "6000"],
+         "not a disconnection schedule"),
+    ])
+    def test_sweep_inert_parameter_exits_2(self, capsys, monkeypatch,
+                                           parameter, values, reason):
+        # Each of these once printed the same score at every value.
+        def no_trace(args):
+            raise AssertionError("trace generated for an inert parameter")
+        monkeypatch.setattr("repro.cli._trace_for", no_trace)
+        assert main(["sweep", "E", "--days", "1", "--parameter", parameter,
+                     "--values", *values]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"sweeping {parameter} cannot move the objective" \
+            in captured.err
+        assert reason in captured.err
+
     def test_figure2_parallel_identical_to_serial(self, capsys):
         assert main(["figure2", "--machines", "E", "--days", "7",
                      "--jobs", "2"]) == 0

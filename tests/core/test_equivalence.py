@@ -81,14 +81,19 @@ streams = st.lists(events(), min_size=30, max_size=150)
 #: count reuse.
 recluster_chunks = st.lists(events(), min_size=1, max_size=150)
 
-#: Investigator relations for one build; drawn per build, so a relation
-#: can appear in one build and vanish in the next.
+#: Investigator relations for one build.
 relation_sets = st.lists(
     st.builds(Relation,
               files=st.lists(st.sampled_from(PATHS), min_size=2,
                              max_size=3, unique=True).map(tuple),
               strength=st.sampled_from([1.0, 2.0])),
     max_size=2)
+
+#: Relations for four builds, each picked from two drawn sets: builds
+#: often repeat the previous set, as a Seer's do between filesystem
+#: changes, and a relation can still appear, vanish or change strength.
+relation_schedules = st.tuples(relation_sets, relation_sets).flatmap(
+    lambda sets: st.lists(st.sampled_from(sets), min_size=4, max_size=4))
 
 #: The paper's absolute kn/kf with the directory term on: the knobs
 #: the explicit examples were written for.
@@ -267,7 +272,7 @@ NO_EXCLUDES = [frozenset()] * 4
        excludes=st.lists(
            st.frozensets(st.sampled_from(PATHS), max_size=2),
            min_size=4, max_size=4),
-       relations=st.lists(relation_sets, min_size=4, max_size=4),
+       relations=relation_schedules,
        cutoff=st.one_of(st.just(0), st.integers(min_value=1, max_value=30)),
        knobs=clustering_knobs())
 # A relation vanishes while both its files' lists stay unchanged: the
@@ -276,6 +281,24 @@ NO_EXCLUDES = [frozenset()] * 4
                  [("close", 1, "/p/a", "", 0)]],
          excludes=NO_EXCLUDES,
          relations=[[Relation(("/q/d", "/p/a"), strength=2.0)], [], [], []],
+         cutoff=0, knobs=ABSOLUTE)
+# /q/d and /p/a list each other, so both directions of the pair are
+# examined through unchanged lists.  The relation's strength drops, so
+# a stored count with the old strength would keep a far pair (1.0).
+@example(chunks=[[("point", 1, "/q/d", "", 0), ("point", 1, "/p/a", "", 0),
+                  ("point", 1, "/q/d", "", 0)],
+                 [("close", 1, "/q/d", "", 0)]],
+         excludes=NO_EXCLUDES,
+         relations=[[Relation(("/q/d", "/p/a"), strength=1.0)],
+                    [Relation(("/q/d", "/p/a"), strength=0.5)], [], []],
+         cutoff=0, knobs=ABSOLUTE)
+# The same pair holds a stored relation-free count (0.0) when a relation
+# first appears on it.
+@example(chunks=[[("point", 1, "/q/d", "", 0), ("point", 1, "/p/a", "", 0),
+                  ("point", 1, "/q/d", "", 0)],
+                 [("close", 1, "/q/d", "", 0)]],
+         excludes=NO_EXCLUDES,
+         relations=[[], [Relation(("/q/d", "/p/a"), strength=1.0)], [], []],
          cutoff=0, knobs=ABSOLUTE)
 # /p/c's entries go stale, so it drops out of the lists while /p/a's
 # unchanged list still names it: the dropped file counts as changed.
@@ -291,10 +314,11 @@ def test_incremental_recluster_matches_full(chunks, excludes, relations,
     Each build is compared with a fresh path-keyed pass (the oracle)
     over the same correlator's neighbor lists (stale-filtered under a
     cutoff), filtered by the same exclude set, with the same relations.
-    The exclude set and the relations change between builds, and under
-    a cutoff files drop out of the lists as their entries go stale; the
-    streams carry renames and deletes.  Counts run in both modes, with
-    the directory term on and off.
+    The exclude set changes between builds, the relations often repeat
+    and sometimes change, and under a cutoff files drop out of the
+    lists as their entries go stale; the streams carry renames and
+    deletes.  Counts run in both modes, with the directory term on and
+    off.
     """
     parameters = SeerParameters(
         max_neighbors=3, lookback_window=6, compensation_distance=6,
@@ -303,6 +327,7 @@ def test_incremental_recluster_matches_full(chunks, excludes, relations,
     fresh = OracleClustering(correlator.store, parameters)
     start = 0
     examined = 0
+    relation_reused = False
     for index, chunk in enumerate(chunks):
         ingest(chunk, None, correlator=correlator, start_seq=start)
         start += len(chunk)
@@ -311,14 +336,23 @@ def test_incremental_recluster_matches_full(chunks, excludes, relations,
                                  now=correlator._reference_counter,
                                  stale_after=cutoff or None)
         examined += fresh.counts_computed
+        stored = correlator._clustering._counts
         assert_same_clusters(
             correlator.build_clusters(relations=relations[index],
                                       exclude=exclude or None),
             expected)
+        # A reused count is the stored float object itself.
+        counts = correlator._clustering._counts
+        relation_reused = relation_reused or any(
+            count is stored.get(a, {}).get(b)
+            for a, row in correlator._clustering._strengths.items()
+            for b, count in counts.get(a, {}).items() if b in row)
     reused = correlator.metrics.counter("cluster.counts_reused")
     assert reused + correlator.metrics.counter("cluster.counts_computed") \
         == examined
     event("reuses a count" if reused else "reuses no count")
+    event("reuses a relation-pair count" if relation_reused
+          else "reuses no relation-pair count")
 
 
 @settings(max_examples=100, deadline=None)

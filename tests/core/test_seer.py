@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import MissSeverity, Relation, Seer, SeerParameters
 from repro.fs import FileKind
+from repro.investigators import CIncludeInvestigator, MakefileInvestigator
 from repro.kernel import Kernel
 from repro.simulation import simulate_live_usage, simulate_miss_free
 from repro.workload import generate_machine_trace, machine_profile
@@ -152,12 +153,70 @@ class TestInvestigatorIntegration:
         kernel, seer, user = world
 
         class StubInvestigator:
+            fs = kernel.fs
+
             def investigate(self):
                 return [Relation(files=("/x", "/y"), strength=100.0)]
 
         seer._investigators.append(StubInvestigator())
         clusters = seer.build_clusters()
         assert clusters.same_cluster("/x", "/y")
+
+
+def _investigators(fs):
+    return [CIncludeInvestigator(fs, "/home/u"),
+            MakefileInvestigator(fs, "/home/u")]
+
+
+def _scanned(fs):
+    return [relation for investigator in _investigators(fs)
+            for relation in investigator.investigate()]
+
+
+class TestInvestigationCache:
+    """Investigators rescan only after their filesystem changes."""
+
+    @pytest.fixture
+    def source_tree(self, world):
+        kernel, _, _ = world
+        kernel.fs.write("/home/u/code/main.c", content='#include "defs.h"\n')
+        kernel.fs.create("/home/u/code/Makefile", content="prog: main.c\n")
+        seer = Seer(kernel, parameters=small_params(),
+                    investigators=_investigators(kernel.fs), attach=False)
+        return kernel.fs, seer
+
+    def test_unchanged_tree_scans_once(self, source_tree):
+        fs, seer = source_tree
+        first = seer.build_clusters()
+        second = seer.build_clusters()
+        assert seer.metrics.counter("investigators.scans") == 1
+        assert seer.investigate() == _scanned(fs)
+        assert first.as_sets() == second.as_sets()
+
+    @pytest.mark.parametrize("change", [
+        lambda fs: fs.write("/home/u/code/util.c",
+                            content='#include "defs.h"\n'),
+        lambda fs: fs.write("/home/u/code/Makefile",
+                            content="prog: main.c util.c\n"),
+        lambda fs: fs.create("/home/u/code/extra.c",
+                             content='#include "defs.h"\n'),
+        lambda fs: fs.rename("/home/u/code/main.c", "/home/u/code/app.c"),
+        lambda fs: fs.unlink("/home/u/code/main.c"),
+    ], ids=["write-c-source", "write-makefile", "create", "rename",
+            "unlink"])
+    def test_change_under_root_rescans_once(self, source_tree, change):
+        fs, seer = source_tree
+        before = seer.build_clusters().files()
+        change(fs)
+        after = seer.build_clusters().files()
+        seer.build_clusters()
+        assert seer.metrics.counter("investigators.scans") == 2
+        relations = _scanned(fs)
+        assert seer.investigate() == relations
+        # No file is referenced, so the clusters hold the relations'
+        # files alone: the build saw the new relations.
+        assert after == {path for relation in relations
+                         for path in relation.files} != before
 
 
 class TestSizeFunction:

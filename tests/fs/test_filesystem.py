@@ -322,6 +322,12 @@ def _lookups(fs, path):
     return answers
 
 
+def _tree(fs):
+    """Every object's facts, in walk order."""
+    return [(path, node.kind, node.size, node.version, node.link_target,
+             node.content) for path, node in fs.walk()]
+
+
 class TestLookupMemoDifferential:
     @given(st.data())
     @settings(max_examples=100, deadline=None)
@@ -331,10 +337,15 @@ class TestLookupMemoDifferential:
         for _ in range(data.draw(st.integers(1, 30))):
             existing = [path for path, _ in fs.walk()][1:]
             name, *args = data.draw(_fs_step(existing))
+            before, generation = _tree(fs), fs.generation
             try:
                 _STEPS[name](fs, *args)
             except FileSystemError:
                 pass
+            # Every step that changes the tree raises the generation.
+            if _tree(fs) != before:
+                assert fs.generation > generation, (name, args)
+            generation = fs.generation
             seen.update(existing)
             seen.update(arg for arg in args if isinstance(arg, str))
             fresh = fs.snapshot()
@@ -342,6 +353,8 @@ class TestLookupMemoDifferential:
                 for spelling in (path, path + "/."):
                     assert _lookups(fs, spelling) == _lookups(fresh, spelling), \
                         (name, args, spelling)
+            # ... and no read moves it.
+            assert fs.generation == generation
 
 
 _names = st.lists(
