@@ -11,7 +11,8 @@ instead.  This module turns a stream of those cells into one report:
   an anecdote;
 * **bootstrap confidence bands** -- 95 % percentile-bootstrap
   intervals on every headline mean, seeded and fully deterministic
-  (the same aggregate renders the same bytes on every host);
+  (the same aggregate renders the same bytes on every host and
+  interpreter), drawn in bulk with numpy in bounded blocks;
 * **strata** -- the same comparison cut by activity regime and by
   disconnection regime, including the machines that never disconnect.
 
@@ -28,11 +29,18 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.simulation.population import PopulationCellResult
 from repro.simulation.runner import ShardOutcome
 from repro.simulation.serde import result_from_data, result_to_data
 
 MB = 1024 * 1024
+
+#: Most uniform draws one block of resamples holds (8 MiB of float64).
+#: A band draws whole resamples a block at a time, so its memory stays
+#: bounded however many machines times resamples it needs.
+BLOCK_VALUES = 1 << 20
 
 #: The four ranked-hoard algorithms a population cell scores, in
 #: report order, with the working set (the optimal bound) first.
@@ -143,17 +151,66 @@ def bootstrap_band(values: Sequence[float], seed: int,
                    confidence: float = 0.95) -> Tuple[float, float]:
     """Percentile-bootstrap confidence interval for the mean.
 
-    Deterministic: the resampling RNG is seeded (RL002), so the same
-    values and seed produce the same band in every process.
+    Deterministic: the resampling stream is seeded (RL002), so the
+    same values and seed produce the same band in every process.  The
+    band is bit for bit the one a ``random.Random(seed)`` drawing
+    ``choices(values, k=n)`` per resample gives (the oracle in
+    ``tests/oracle/bootstrap.py``), for finite floats and for ints whose
+    sums stay below 2**53:
+
+    * numpy's legacy MT19937 starts from ``Random(seed)``'s state, and
+      ``random_sample`` yields the same doubles as ``Random.random``;
+    * each index is ``floor(u * n)``, as ``choices`` computes it;
+    * each resample's total is summed left to right, one column at a
+      time, as ``sum()`` did on Python 3.11 (numpy's ``sum`` is
+      pairwise, and 3.12's ``sum()`` is compensated);
+    * resamples are drawn in blocks of at most :data:`BLOCK_VALUES`
+      values, which concatenate exactly since the stream is
+      sequential.
+
+    Raises ``ValueError`` unless ``resamples >= 1`` and ``0 <
+    confidence < 1``.
     """
+    return _band(values, seed, resamples, confidence, _generator())
+
+
+def _generator() -> np.random.RandomState:
+    """A generator for :func:`_band`, which overwrites its state; build
+    one per report, since building it costs more than a small band."""
+    return np.random.RandomState(0)
+
+
+def _band(values: Sequence[float], seed: int, resamples: int,
+          confidence: float,
+          generator: np.random.RandomState) -> Tuple[float, float]:
+    if resamples < 1:
+        raise ValueError(f"resamples must be at least 1, got {resamples}")
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
     if not values:
         return 0.0, 0.0
     if len(values) == 1:
         return values[0], values[0]
-    rng = random.Random(seed)
+    _, key, _ = random.Random(seed).getstate()
+    # A tuple key: set_state reads one an order of magnitude faster
+    # than an ndarray key.
+    generator.set_state(("MT19937", key[:-1], key[-1], 0, 0.0))
     n = len(values)
-    means = sorted(sum(rng.choices(values, k=n)) / n
-                   for _ in range(resamples))
+    pool = np.asarray(values, dtype=np.float64)
+    per_block = max(1, BLOCK_VALUES // n)
+    blocks: List[np.ndarray] = []
+    for first in range(0, resamples, per_block):
+        rows = min(per_block, resamples - first)
+        draws = generator.random_sample((rows, n))
+        draws *= n
+        # The cast truncates, which is floor for these non-negative
+        # products.
+        sample = pool[draws.astype(np.intp)]
+        totals = np.zeros(rows)
+        for column in sample.T:
+            totals += column
+        blocks.append(totals / n)
+    means = np.sort(np.concatenate(blocks), kind="stable").tolist()
     tail = (1.0 - confidence) / 2.0 * 100.0
     return percentile(means, tail), percentile(means, 100.0 - tail)
 
@@ -177,15 +234,16 @@ def _bar(value: float, scale: float, width: int = 30) -> str:
 
 
 def _headline_section(aggregate: PopulationAggregate, seed: int,
-                      resamples: int) -> List[str]:
+                      resamples: int,
+                      generator: np.random.RandomState) -> List[str]:
     lines = ["Mean miss-free hoard size, 95% bootstrap band "
              f"({resamples} resamples)", ""]
     seer_mean = _mean(aggregate.column(lambda c: c.mean_seer))
     for label, extract in _SIZE_COLUMNS:
         values = aggregate.column(extract)
         mean = _mean(values)
-        low, high = bootstrap_band(values, band_seed(seed, label),
-                                   resamples=resamples)
+        low, high = _band(values, band_seed(seed, label), resamples,
+                          0.95, generator)
         versus = ""
         if label not in ("working set", "SEER") and seer_mean > 0:
             versus = f"  ({mean / seer_mean:5.2f}x SEER)"
@@ -274,13 +332,14 @@ def _stratum_line(label: str,
 
 
 def _effectiveness_section(aggregate: PopulationAggregate, seed: int,
-                           resamples: int) -> List[str]:
+                           resamples: int,
+                           generator: np.random.RandomState) -> List[str]:
     disconnections = sum(c.disconnections for c in aggregate.cells)
     failed = sum(c.failed_disconnections for c in aggregate.cells)
     automatic = sum(c.automatic_detections for c in aggregate.cells)
     rates = aggregate.column(lambda c: c.failure_rate)
-    low, high = bootstrap_band(rates, band_seed(seed, "failure_rate"),
-                               resamples=resamples)
+    low, high = _band(rates, band_seed(seed, "failure_rate"), resamples,
+                      0.95, generator)
     first_miss = [c.median_first_miss_hours for c in aggregate.cells
                   if c.median_first_miss_hours > 0]
     lines = ["Deployment effectiveness (live replay of each machine's "
@@ -302,7 +361,10 @@ def _effectiveness_section(aggregate: PopulationAggregate, seed: int,
 def render_population_report(aggregate: PopulationAggregate,
                              bootstrap_seed: int = 0,
                              resamples: int = 1000) -> str:
-    """The full population report, deterministic byte-for-byte."""
+    """The full population report, deterministic byte-for-byte.
+
+    Its six bands share one generator (see :func:`bootstrap_band`).
+    """
     if not aggregate.cells:
         return "Population report: (no machines)"
     window = aggregate.window_seconds
@@ -316,12 +378,14 @@ def render_population_report(aggregate: PopulationAggregate,
         f"  investigators on {investigators} machines; {zero} machines "
         f"never disconnect",
     ]
+    generator = _generator()
     sections = [
         header,
-        _headline_section(aggregate, bootstrap_seed, resamples),
+        _headline_section(aggregate, bootstrap_seed, resamples, generator),
         _percentile_section(aggregate),
         _curve_section(aggregate),
         _strata_section(aggregate),
-        _effectiveness_section(aggregate, bootstrap_seed, resamples),
+        _effectiveness_section(aggregate, bootstrap_seed, resamples,
+                               generator),
     ]
     return "\n\n".join("\n".join(section) for section in sections)

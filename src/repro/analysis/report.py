@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from repro.analysis.figures import render_figure2, render_figure3
 from repro.analysis.tables import (
@@ -23,6 +23,10 @@ from repro.analysis.tables import (
 )
 from repro.simulation.live import LiveResult
 from repro.simulation.missfree import MissFreeResult
+
+if TYPE_CHECKING:
+    from repro.observability import Metrics
+    from repro.simulation.runner import ShardOutcome
 
 DAY = 86400.0
 WEEK = 7 * DAY
@@ -103,10 +107,11 @@ def run_reproduction(machines: Sequence[str] = ("C", "D", "F"),
                      days: float = 28.0, seed: int = 1,
                      include_live: bool = True,
                      include_investigators: bool = True,
-                     progress=None, jobs: int = 1,
+                     progress: Optional[Callable[[str], None]] = None,
+                     jobs: int = 1,
                      checkpoint_dir: Optional[str] = None,
                      resume: bool = False,
-                     metrics=None,
+                     metrics: Optional[Metrics] = None,
                      fault_profile: Optional[str] = None,
                      fault_seed: int = 0) -> ReproductionReport:
     """Run the evaluation for *machines* and return the report.
@@ -132,7 +137,7 @@ def run_reproduction(machines: Sequence[str] = ("C", "D", "F"),
                                fault_profile=fault_profile,
                                fault_seed=fault_seed)
 
-    def consume(outcome):
+    def consume(outcome: ShardOutcome) -> None:
         if outcome.spec.kind == "missfree":
             report.missfree.append(outcome.result)
         elif outcome.spec.kind == "live":

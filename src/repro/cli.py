@@ -248,6 +248,11 @@ def cmd_population(args) -> int:
     )
     from repro.workload import PopulationSpec, SampleStats, sample_population
 
+    if args.action in ("run", "report") and args.resamples < 1:
+        # Checked before the sweep: a band of no resamples is no band.
+        print(f"population: --resamples must be at least 1, got "
+              f"{args.resamples}", file=sys.stderr)
+        return 2
     if args.action == "report":
         if not args.load:
             print("population report requires --load FILE (the output of "

@@ -93,7 +93,8 @@ class LintConfig:
 
     # RL007: the typed core, held to complete annotations: the packages
     # mypy holds to --strict, plus fs and investigators, which the
-    # Seer's relation cache depends on (mypy still ratchets those two).
+    # Seer's relation cache depends on, and analysis, which renders the
+    # population report (mypy still ratchets those three).
     typed_core_prefixes: Tuple[str, ...] = (
         "repro/kernel/",
         "repro/tracing/",
@@ -107,6 +108,7 @@ class LintConfig:
         "repro/workload/",
         "repro/fs/",
         "repro/investigators/",
+        "repro/analysis/",
     )
 
 

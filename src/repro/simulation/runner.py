@@ -449,8 +449,9 @@ def run_shards(shards: Sequence[ShardSpec], jobs: int = 1,
                 entry = state.get(spec)
                 if entry is None:   # store damaged between put and join
                     raise RuntimeError(
-                        f"checkpoint for {spec.shard_id} vanished from "
-                        f"the store before the join")
+                        f"checkpoint for {spec.shard_id} is missing or "
+                        f"unusable at the join; the store changed while "
+                        f"the sweep ran")
                 data = entry.result
             outcome = ShardOutcome(
                 spec=spec, result=result_from_data(data),

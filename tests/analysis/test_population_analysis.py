@@ -5,8 +5,14 @@ milliseconds; the end-to-end pipeline (sampler -> runner -> report) is
 pinned byte-for-byte by ``tests/golden/test_golden_population.py``.
 """
 
-import pytest
+import math
+from unittest import mock
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.analysis import population
 from repro.analysis.population import (
     MB,
     PopulationAggregate,
@@ -19,6 +25,7 @@ from repro.analysis.population import (
 )
 from repro.simulation.population import PopulationCellResult
 from repro.simulation.runner import ShardOutcome, ShardSpec
+from tests.oracle import bootstrap as oracle
 
 
 def make_cell(index: int, activity: float = 0.3,
@@ -93,6 +100,82 @@ class TestBootstrapBand:
         # Pinned: a drifting bootstrap seed would silently change
         # every committed report band.
         assert band_seed(0, "SEER") == 2823377612
+
+    @pytest.mark.parametrize("values", [[], [4.2], [1.0, 2.0, 3.0]])
+    @pytest.mark.parametrize("resamples", [0, -5])
+    def test_rejects_resamples_below_one(self, values, resamples):
+        # A band of no resamples once came back as (0.0, 0.0), which
+        # does not even contain the mean.
+        with pytest.raises(ValueError, match=f"got {resamples}"):
+            bootstrap_band(values, 1, resamples=resamples)
+
+    @pytest.mark.parametrize("confidence",
+                             [0.0, 1.0, 1.5, -0.25, math.nan])
+    def test_rejects_confidence_outside_the_unit_interval(self,
+                                                          confidence):
+        with pytest.raises(ValueError, match="confidence"):
+            bootstrap_band([1.0, 2.0, 3.0], 1, confidence=confidence)
+
+    def test_render_rejects_resamples_below_one(self):
+        with pytest.raises(ValueError, match="resamples"):
+            render_population_report(make_aggregate(3), resamples=0)
+
+
+#: Non-negative finite floats (bounded so that 64 of them cannot sum to
+#: infinity) mixed with small ints, as a report column may hold.
+band_values = st.lists(
+    st.one_of(st.floats(min_value=0.0, max_value=1e300),
+              st.integers(min_value=0, max_value=1000)),
+    max_size=64)
+
+
+class TestBootstrapMatchesOracle:
+    """The numpy resampler returns bit for bit the pure-Python loop's
+    band (``tests/oracle/bootstrap.py``)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(values=band_values,
+           seed=st.integers(min_value=0, max_value=2**32 - 1),
+           resamples=st.integers(min_value=1, max_value=300),
+           confidence=st.sampled_from([0.5, 0.9, 0.95, 0.99]),
+           block=st.one_of(st.none(), st.integers(min_value=1,
+                                                  max_value=200)))
+    @example(values=[1.5, 2.25], seed=0, resamples=1000, confidence=0.95,
+             block=None)
+    @example(values=[0.1, 7, 2.5], seed=3, resamples=999, confidence=0.9,
+             block=None)
+    @example(values=[float(v) * 0.37 for v in range(17)], seed=11,
+             resamples=500, confidence=0.95, block=None)
+    @example(values=[3.3] * 9, seed=5, resamples=40, confidence=0.5,
+             block=None)
+    @example(values=[0.0, 4.0, 0.0, 1e-300, 2], seed=8, resamples=60,
+             confidence=0.99, block=None)
+    @example(values=[1.0, 2.0, 4.0, 8.0], seed=2**40 + 3, resamples=50,
+             confidence=0.95, block=None)
+    @example(values=[1.0, 2.0, 4.0, 8.0], seed=-77, resamples=50,
+             confidence=0.95, block=None)
+    # Blocks of three resamples of three draws: ten resamples cross
+    # three block boundaries, and the last block is short.
+    @example(values=[0.5, 1.75, 3.0], seed=12, resamples=10,
+             confidence=0.9, block=9)
+    def test_band_equals_the_oracle(self, values, seed, resamples,
+                                    confidence, block):
+        expected = oracle.bootstrap_band(values, seed, resamples,
+                                         confidence)
+        patched = population.BLOCK_VALUES if block is None else block
+        with mock.patch.object(population, "BLOCK_VALUES", patched):
+            assert bootstrap_band(values, seed, resamples,
+                                  confidence) == expected
+
+    def test_one_generator_serves_many_bands(self):
+        """A report reuses one generator for its six bands: each band
+        starts from its own seed's state, whatever ran before it."""
+        generator = population._generator()
+        columns = [[float(v) for v in range(20)], [0.5, 9.0, 2.0],
+                   [1.0] * 4 + [3.0] * 3]
+        for seed, values in enumerate(columns * 2):
+            assert population._band(values, seed, 200, 0.95, generator) \
+                == oracle.bootstrap_band(values, seed, 200, 0.95)
 
 
 class TestAggregate:

@@ -268,6 +268,37 @@ class TestPopulationCommand:
         assert main(["population", "report"]) == 2
         assert "--load" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("resamples", ["0", "-4"])
+    def test_run_rejects_resamples_below_one_before_sampling(
+            self, capsys, monkeypatch, resamples):
+        # This once ran the whole sweep, then printed a [0.00, 0.00]
+        # band for every column and exited 0.
+        def no_sample(*args, **kwargs):
+            raise AssertionError("population sampled for a bad --resamples")
+        monkeypatch.setattr("repro.workload.sample_population", no_sample)
+        assert main(["population", "run", "--machines", "3", "--days", "1",
+                     "--resamples", resamples]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--resamples must be at least 1, got {resamples}" \
+            in captured.err
+
+    @pytest.mark.parametrize("resamples", ["0", "-4"])
+    def test_report_rejects_resamples_below_one_before_loading(
+            self, tmp_path, capsys, monkeypatch, resamples):
+        def no_load(data):
+            raise AssertionError("scorecards loaded for a bad --resamples")
+        monkeypatch.setattr("repro.analysis.population.aggregate_from_data",
+                            no_load)
+        saved = tmp_path / "population.json"
+        saved.write_text("{}", encoding="utf-8")
+        assert main(["population", "report", "--load", str(saved),
+                     "--resamples", resamples]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--resamples must be at least 1, got {resamples}" \
+            in captured.err
+
     def test_checkpoint_resume_reuses_every_cell(self, tmp_path, capsys):
         checkpoint_dir = str(tmp_path / "ckpt")
         arguments = ["population", "--machines", "3", "--seed", "7",

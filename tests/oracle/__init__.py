@@ -1,4 +1,4 @@
-"""The paper transcription of SEER's correlator, kept as a test oracle.
+"""The implementations ``src/`` replaced, kept as test oracles.
 
 ``repro.core`` ships one correlator engine, the fused
 :class:`~repro.core.arena.ColumnarEngine` over the interned
@@ -19,9 +19,15 @@ replaced, so each can be checked against it:
 * :mod:`tests.oracle.engine` -- ``ReferenceEngine``, which wires the
   distance and neighbor layers together, and ``oracle_correlator``, a
   production :class:`~repro.core.correlator.Correlator` running on
-  them and on the path-keyed pass.
+  them and on the path-keyed pass;
+* :mod:`tests.oracle.bootstrap` -- the population report's
+  percentile-bootstrap loop, one ``random.choices`` call per resample,
+  which the numpy resampler
+  :func:`~repro.analysis.population.bootstrap_band` replaced.
 
 The differential suite ``tests/core/test_equivalence.py`` compares the
-shipped engine and pass with these; ``tests/oracle/test_isolation.py``
-keeps production code from importing anything here.
+shipped engine and pass with these, and
+``tests/analysis/test_population_analysis.py`` the resampler with its
+loop; ``tests/oracle/test_isolation.py`` keeps production code from
+importing anything here.
 """

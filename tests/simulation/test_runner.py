@@ -296,6 +296,49 @@ class TestRunShardsStore:
         assert [comparable_data(o.result) for o in streamed] == \
             [comparable_data(o.result) for o in plain]
 
+    @staticmethod
+    def _damage_at_join(root, shards, damage, seen=None):
+        """A consumer that, on seeing cell 0, damages cell 1's row
+        (calling *seen* first)."""
+        def consume(outcome):
+            if outcome.spec.shard_id == shards[0].shard_id:
+                if seen is not None:
+                    seen()
+                damage(root, [shards[1].shard_id])
+        return consume
+
+    def test_join_raises_when_a_row_is_deleted(self, tmp_path):
+        shards = small_grid()
+        root = str(tmp_path)
+        run_shards(shards, jobs=1, checkpoint_dir=root)
+        with pytest.raises(RuntimeError,
+                           match=f"checkpoint for {shards[1].shard_id} "
+                                 f"is missing or unusable at the join"):
+            run_shards(shards, jobs=1, checkpoint_dir=root, resume=True,
+                       consume=self._damage_at_join(root, shards,
+                                                    delete_rows))
+
+    def test_join_raises_and_counts_a_tampered_row(self, tmp_path):
+        shards = small_grid()
+        root = str(tmp_path)
+        run_shards(shards, jobs=1, checkpoint_dir=root)
+        metrics = Metrics()
+        counted = []
+
+        def discarded():
+            counted.append(metrics.snapshot().get(
+                "runner.store.corrupt_discarded", 0))
+
+        with pytest.raises(RuntimeError,
+                           match=f"checkpoint for {shards[1].shard_id} "
+                                 f"is missing or unusable at the join"):
+            run_shards(shards, jobs=1, checkpoint_dir=root, resume=True,
+                       metrics=metrics,
+                       consume=self._damage_at_join(root, shards,
+                                                    tamper_rows, discarded))
+        discarded()
+        assert counted == [0, 1]
+
     def test_consume_without_store_buffers_in_memory(self):
         shards = small_grid()
         streamed = []
