@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 import typing
 from typing import List, Optional
@@ -248,11 +249,6 @@ def cmd_population(args) -> int:
     )
     from repro.workload import PopulationSpec, SampleStats, sample_population
 
-    if args.action in ("run", "report") and args.resamples < 1:
-        # Checked before the sweep: a band of no resamples is no band.
-        print(f"population: --resamples must be at least 1, got "
-              f"{args.resamples}", file=sys.stderr)
-        return 2
     if args.action == "report":
         if not args.load:
             print("population report requires --load FILE (the output of "
@@ -557,9 +553,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The domain of every numeric argument: (dest, test, requirement).
+#: ``figure2`` and ``report`` take ``--machines`` as names, not a count.
+_DOMAINS = (
+    ("days", lambda days: math.isfinite(days) and days > 0,
+     "positive and finite"),
+    ("machines", lambda machines: machines >= 1, "at least 1"),
+    ("jobs", lambda jobs: jobs >= 1, "at least 1"),
+    ("resamples", lambda resamples: resamples >= 1, "at least 1"),
+)
+
+
+def _domain_error(args: argparse.Namespace) -> Optional[str]:
+    """Why a parsed numeric argument is out of its domain, if one is."""
+    for name, test, requirement in _DOMAINS:
+        value = getattr(args, name, None)
+        if isinstance(value, (int, float)) and not test(value):
+            shown = f"{value:g}" if isinstance(value, float) else value
+            return f"--{name} must be {requirement}, got {shown}"
+    return None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Checked before any handler runs, so a bad value never generates a
+    # trace, runs a sweep or reads a file.
+    problem = _domain_error(args)
+    if problem is not None:
+        print(f"{args.command}: {problem}", file=sys.stderr)
+        return 2
     return args.handler(args)
 
 

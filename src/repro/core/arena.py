@@ -64,10 +64,13 @@ _DIRTY_MEAN = -1.0
 class NeighborArena:
     """Interned, columnar neighbor state shared by engine and store."""
 
-    def __init__(self, parameters: SeerParameters = DEFAULT_PARAMETERS,
-                 metrics: Optional[Metrics] = None) -> None:
+    def __init__(self,
+                 parameters: SeerParameters = DEFAULT_PARAMETERS) -> None:
         self._parameters = parameters
-        self._metrics = metrics
+        #: Fast rejects by the worst-entry bound not yet recorded as
+        #: ``neighbor.bound_skips``; ColumnarEngine.open records them
+        #: once per open, off the per-candidate path.
+        self.bound_skips = 0
         self._fids: Dict[str, int] = {}
         self._paths: List[str] = []
         #: fid -> its directory's components (``directory_parts``),
@@ -200,8 +203,8 @@ class NeighborArena:
                         if best_path is None or path < best_path:
                             best_path, best_fid = path, fid
                 return best_fid
-        elif self._metrics is not None:
-            self._metrics.incr("neighbor.bound_skips")
+        else:
+            self.bound_skips += 1
         threshold = self._parameters.aging_threshold
         if now - self._oldest[owner] > threshold:
             aged_key: Optional[Tuple[float, str]] = None
@@ -631,6 +634,9 @@ class ColumnarEngine:
         last_open[fid] = index
         open_count[fid] = open_count.get(fid, 0) + 1
 
+        skips = arena.bound_skips
+        if skips:
+            arena.bound_skips = 0
         metrics = self._metrics
         if metrics is not None:
             if pairs:
@@ -644,6 +650,8 @@ class ColumnarEngine:
                 metrics.incr("neighbor.evictions", evictions)
             if rejections:
                 metrics.incr("neighbor.rejections", rejections)
+            if skips:
+                metrics.incr("neighbor.bound_skips", skips)
         return fid
 
     def close(self, pid: int, path: str) -> None:

@@ -102,7 +102,7 @@ class Correlator:
                  metrics: Optional[Metrics] = None) -> None:
         self._parameters = parameters
         self.metrics = metrics if metrics is not None else Metrics()
-        arena = NeighborArena(parameters, metrics=self.metrics)
+        arena = NeighborArena(parameters)
         self.store = ArenaStore(arena)
         self._engine = ColumnarEngine(arena, parameters, metrics=self.metrics)
         self._clustering = SharedNeighborPass(arena, parameters)

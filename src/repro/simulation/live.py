@@ -41,12 +41,15 @@ from repro.faults import FaultInjector, FaultProfile, profile_from_name
 from repro.fs.paths import dirname
 from repro.replication.base import RetryPolicy
 from repro.simulation.missfree import (
-    _is_relevant_reference,
-    build_investigators,
+    _REFERENCED,
+    MissFreeScorer,
     make_size_function,
+    mark_relevance,
+    replay,
+    replay_seer,
 )
 from repro.simulation.stats import SummaryStatistics, summarize
-from repro.tracing.events import Operation
+from repro.tracing.events import Operation, TraceRecord
 from repro.workload.generator import GeneratedTrace
 from repro.workload.projects import FileRole
 from repro.workload.sessions import (
@@ -217,19 +220,86 @@ def _reconnect_sync_attempts(injector: FaultInjector,
         injector.note_retry(policy.backoff_for(attempt))
 
 
+def _miss_check(trace: GeneratedTrace, seer: Seer,
+                outcome: DisconnectionOutcome, hoard_files: Set[str],
+                known_before: Set[str], relevance: bytearray
+                ) -> Callable[[int, TraceRecord], None]:
+    """The per-record miss check of one disconnection.
+
+    *relevance* holds the records' flags
+    (:func:`~repro.simulation.missfree.mark_relevance`); a miss is a
+    content reference to a file SEER knew before the disconnection
+    but did not hoard.
+    """
+    period = outcome.period
+    created_locally: Set[str] = set()
+    missed_projects: Set[str] = set()
+    missed_files: Set[str] = set()
+
+    def check(index: int, record: TraceRecord) -> None:
+        if record.op is Operation.CREATE and record.ok:
+            created_locally.add(record.path)
+            return
+        if not relevance[index] & _REFERENCED:
+            return
+        path = record.path
+        if path in hoard_files or path in created_locally or \
+                path in missed_files:
+            return
+        if path not in known_before:
+            return   # a genuinely new file, not a hoarding failure
+        missed_files.add(path)
+        active_in = _active_hours_in(period, trace.schedule, record.time)
+        # Automatic detection: SEER knew the file existed.
+        outcome.automatic_misses.append(RecordedMiss(
+            path=path, time=record.time, active_hours_in=active_in,
+            severity=None, automatic=True))
+        seer.miss_log.record_automatic(path, record.time)
+        # Manual recording: the user notices the first miss in each
+        # project, records it, and switches away (section 5.2.2).
+        severity = _severity_for(trace, path)
+        project = dirname(path)
+        if severity is not None and project not in missed_projects:
+            missed_projects.add(project)
+            outcome.manual_misses.append(RecordedMiss(
+                path=path, time=record.time, active_hours_in=active_in,
+                severity=severity, automatic=False))
+            seer.miss_log.record_manual(path, record.time, severity)
+
+    return check
+
+
+def _first_at_or_after(records: List[TraceRecord], start: int,
+                       time: float) -> int:
+    """The index of the first record from *start* on stamped at or
+    after *time* (``len(records)`` if none is)."""
+    index = start
+    while index < len(records) and records[index].time < time:
+        index += 1
+    return index
+
+
 def simulate_live_usage(trace: GeneratedTrace,
                         parameters: Optional[SeerParameters] = None,
                         hoard_budget: Optional[int] = None,
                         use_investigators: bool = False,
                         size_seed: int = 0,
                         fault_profile: Union[FaultProfile, str, None] = None,
-                        fault_seed: int = 0) -> LiveResult:
+                        fault_seed: int = 0,
+                        scorer: Optional[MissFreeScorer] = None
+                        ) -> LiveResult:
     """Run the live deployment measurement for one machine.
 
     *fault_profile* (a :class:`~repro.faults.FaultProfile` or its
     name) turns on deterministic fault injection seeded by
     *fault_seed*; ``None`` and the inert ``none`` profile reproduce
     the fault-free replay exactly.
+
+    *scorer*, a :class:`~repro.simulation.missfree.MissFreeScorer` of
+    the same trace, rides this replay: it scores its windows from this
+    replay's Seer as the records pass, so one ingest serves both
+    measurements (:func:`~repro.simulation.population
+    .simulate_population_cell`).
     """
     if parameters is None:
         from repro.simulation import SIM_PARAMETERS
@@ -237,11 +307,7 @@ def simulate_live_usage(trace: GeneratedTrace,
     budget = hoard_budget if hoard_budget is not None \
         else scaled_hoard_budget(trace)
     sizes = make_size_function(trace, size_seed)
-    investigators = build_investigators(trace) if use_investigators else []
-    from repro.simulation import simulation_control
-    seer = Seer(kernel=trace.kernel, parameters=parameters,
-                control=simulation_control(),
-                investigators=investigators, attach=False)
+    seer = replay_seer(trace, parameters, use_investigators)
 
     if isinstance(fault_profile, str):
         fault_profile = profile_from_name(fault_profile)
@@ -256,16 +322,18 @@ def simulate_live_usage(trace: GeneratedTrace,
         trace.schedule, minimum_seconds=parameters.minimum_disconnection_seconds)
     result = LiveResult(machine=trace.machine.name, hoard_budget=budget)
 
-    record_index = 0
     records = trace.records
+    # Without a scorer, only disconnected records are flagged.
+    relevance = scorer.relevance if scorer is not None \
+        else bytearray(len(records))
+    position = 0
     for period in schedule.periods:
         if period.kind is PeriodKind.SUSPENDED:
             continue
+        stop = _first_at_or_after(records, position, period.end)
         if period.kind is PeriodKind.CONNECTED:
-            while record_index < len(records) and \
-                    records[record_index].time < period.end:
-                seer.observer.handle_record(records[record_index])
-                record_index += 1
+            replay(seer, trace, position, stop, scorer)
+            position = stop
             continue
 
         # Disconnection imminent: recompute the hoard (section 2).
@@ -282,44 +350,14 @@ def simulate_live_usage(trace: GeneratedTrace,
             active_hours=trace.schedule.active_disconnected_time(period) / HOUR,
             hoard_bytes=hoard_bytes,
             fill_interrupted=fill_interrupted)
-        created_locally: Set[str] = set()
-        missed_projects: Set[str] = set()
-        missed_files: Set[str] = set()
         known_before = seer.correlator.known_files() | selection.files \
             | seer.always_hoard_paths()
-        while record_index < len(records) and \
-                records[record_index].time < period.end:
-            record = records[record_index]
-            record_index += 1
-            seer.observer.handle_record(record)
-            if record.op is Operation.CREATE and record.ok:
-                created_locally.add(record.path)
-                continue
-            if not _is_relevant_reference(record, trace):
-                continue
-            path = record.path
-            if path in hoard_files or path in created_locally or \
-                    path in missed_files:
-                continue
-            if path not in known_before:
-                continue   # a genuinely new file, not a hoarding failure
-            missed_files.add(path)
-            active_in = _active_hours_in(period, trace.schedule, record.time)
-            # Automatic detection: SEER knew the file existed.
-            outcome.automatic_misses.append(RecordedMiss(
-                path=path, time=record.time, active_hours_in=active_in,
-                severity=None, automatic=True))
-            seer.miss_log.record_automatic(path, record.time)
-            # Manual recording: the user notices the first miss in each
-            # project, records it, and switches away (section 5.2.2).
-            severity = _severity_for(trace, path)
-            project = dirname(path)
-            if severity is not None and project not in missed_projects:
-                missed_projects.add(project)
-                outcome.manual_misses.append(RecordedMiss(
-                    path=path, time=record.time, active_hours_in=active_in,
-                    severity=severity, automatic=False))
-                seer.miss_log.record_manual(path, record.time, severity)
+        if scorer is None:
+            mark_relevance(trace, relevance, position, stop)
+        replay(seer, trace, position, stop, scorer,
+               _miss_check(trace, seer, outcome, hoard_files, known_before,
+                           relevance))
+        position = stop
         seer.reconnect()
         if injector is not None:
             _reconnect_sync_attempts(injector, retry_policy)
@@ -327,8 +365,6 @@ def simulate_live_usage(trace: GeneratedTrace,
     # Records stamped after the final schedule period still belong to
     # the trace: feed them to the observer so end-of-trace correlator
     # state and ingest metrics do not undercount.
-    while record_index < len(records):
-        seer.observer.handle_record(records[record_index])
-        record_index += 1
+    replay(seer, trace, position, len(records), scorer)
     result.metrics = seer.metrics.snapshot()
     return result

@@ -8,6 +8,13 @@ for each period the mean working set, the miss-free hoard size under
 SEER's clustering manager, and under strict LRU.  File sizes are real
 when available, otherwise drawn from the geometric distribution of
 section 5.1.2; several seeds are run and results carry 99 % CIs.
+
+Every replay runs one record loop, :func:`replay`, which feeds the
+records to one Seer.  A :class:`MissFreeScorer` rides it and scores
+each window as the loop passes the window's start.
+:func:`simulate_miss_free` replays for the scorer alone; a population
+cell lets the scorer ride its live replay
+(:mod:`repro.simulation.population`), so one ingest serves both.
 """
 
 from __future__ import annotations
@@ -181,6 +188,219 @@ def build_investigators(trace: GeneratedTrace) -> List[Investigator]:
     ]
 
 
+def replay_seer(trace: GeneratedTrace, parameters: SeerParameters,
+                use_investigators: bool) -> Seer:
+    """The Seer a replay of *trace* feeds: the simulated deployments'
+    control file, the trace's investigators when asked for, and no
+    kernel attachment (the replay hands it the records)."""
+    investigators = build_investigators(trace) if use_investigators else []
+    from repro.simulation import simulation_control
+    return Seer(kernel=trace.kernel, parameters=parameters,
+                control=simulation_control(),
+                investigators=investigators, attach=False)
+
+
+# Relevance flags, one byte per record (mark_relevance): read by the
+# needed sets, the LRU, CODA and SPY feeds and the live miss check.
+_LRU_FED = 1       # relevant under _LRU_FEED_OPS
+_REFERENCED = 2    # relevant under _REFERENCE_OPS (implies _LRU_FED)
+
+
+def mark_relevance(trace: GeneratedTrace, flags: bytearray,
+                   start: int, stop: int) -> None:
+    """Flag ``trace.records[start:stop]`` in *flags*, with one
+    :func:`_is_relevant_reference` call per record.
+
+    The call asks with ``_LRU_FEED_OPS``.  ``_REFERENCE_OPS`` is a
+    subset of those, and the call's other tests do not read the op, so
+    a record relevant to LRU is a content reference exactly when its op
+    is one.
+    """
+    records = trace.records
+    for index in range(start, stop):
+        record = records[index]
+        if _is_relevant_reference(record, trace, _LRU_FEED_OPS):
+            flags[index] = (_LRU_FED | _REFERENCED
+                            if record.op in _REFERENCE_OPS else _LRU_FED)
+
+
+class MissFreeScorer:
+    """The miss-free measurement of one trace, riding a replay of it.
+
+    The scorer owns what section 5.2.1 adds to a replay: the window
+    plan, the strict-LRU, SPY UTILITY and CODA baselines, and the
+    scoring of each window.  SEER is the replay's :class:`Seer`: once
+    the records before a window are ingested, :meth:`score_window`
+    clusters them (``Seer.build_clusters``) and sizes SEER's hoard
+    (``HoardManager.miss_free_size``).  The baselines read the raw
+    stream, not the Seer, so each is fed its records in order just
+    before a window is scored.
+
+    SEER's always-hoard set here is the observer's alone.  A live
+    replay driving the same Seer adds the misses it records to
+    ``Seer.always_hoard_paths``; a fixed-window disconnection records
+    none.
+    """
+
+    def __init__(self, trace: GeneratedTrace, window_seconds: float,
+                 parameters: Optional[SeerParameters] = None,
+                 use_investigators: bool = False,
+                 seed: int = 0,
+                 include_spy: bool = False,
+                 include_coda: bool = False) -> None:
+        if parameters is None:
+            from repro.simulation import SIM_PARAMETERS
+            parameters = SIM_PARAMETERS
+        self.result = MissFreeResult(trace.machine.name, window_seconds,
+                                     use_investigators, seed)
+        self._trace = trace
+        self._sizes = make_size_function(trace, seed)
+        self._hoard_manager = HoardManager(parameters)
+        records = trace.records
+        #: Every record's relevance flags, read by a live replay too.
+        self.relevance = bytearray(len(records))
+        mark_relevance(trace, self.relevance, 0, len(records))
+
+        # The window plan.  Boundaries accumulate by repeated addition,
+        # and a window ends at the first record at or past its boundary.
+        self._start_time = records[0].time if records else 0.0
+        boundaries: List[int] = []
+        self._needed: List[Set[str]] = []
+        needed: Set[str] = set()
+        boundary = self._start_time + window_seconds
+        for index, record in enumerate(records):
+            while record.time >= boundary:
+                boundaries.append(index)
+                self._needed.append(needed)
+                needed = set()
+                boundary += window_seconds
+            if self.relevance[index] & _REFERENCED:
+                needed.add(record.path)
+        self._needed.append(needed)
+        # Window k + 1 is scored where window k ends, unless nothing in
+        # it is referenced (a vacation: excluded, sec. 5.1.1).
+        self._ends = [(end, index) for index, end in enumerate(boundaries)
+                      if self._needed[index + 1]]
+        self._scored = 0
+        #: Record index of the last window boundary.  Replayed alone,
+        #: the scorer's trace is ingested up to here: no window follows.
+        self.last_boundary = boundaries[-1] if boundaries else 0
+
+        self._lru_recency: Dict[str, int] = {}
+        self._lru_counter = 0
+        self._spy = SpyUtilityManager() if include_spy else None
+        self._coda = (CodaPriorityManager(CodaVariant.BOUNDED)
+                      if include_coda else None)
+        self._fed = 0   # records fed to the baselines so far
+
+    @property
+    def next_window_end(self) -> Optional[int]:
+        """The record index where the next window to score ends, or
+        ``None`` once every window is scored."""
+        if self._scored < len(self._ends):
+            return self._ends[self._scored][0]
+        return None
+
+    def score_window(self, seer: Seer) -> None:
+        """Score the window after :attr:`next_window_end` from *seer*,
+        which has ingested every record before that index."""
+        end, index = self._ends[self._scored]
+        self._scored += 1
+        self._feed(end)
+        needed = self._needed[index + 1]
+        sizes = self._sizes
+        hoard_manager = self._hoard_manager
+        lru_recency = self._lru_recency
+        clusters = seer.build_clusters()
+        recency = seer.correlator.recency()
+        always = seer.observer.always_hoard_paths()
+        # First pass identifies files each algorithm could not have
+        # known about; both are then measured on the common coverable
+        # set, so neither is charged for the other's blind spots.
+        _, seer_uncoverable = hoard_manager.miss_free_size(
+            clusters, sizes, recency, set(needed), always_hoard=always)
+        _, lru_uncoverable = lru_miss_free_size(lru_recency, set(needed), sizes)
+        uncoverable = seer_uncoverable | lru_uncoverable
+        coverable = needed - uncoverable
+        seer_bytes, _ = hoard_manager.miss_free_size(
+            clusters, sizes, recency, set(coverable), always_hoard=always)
+        lru_bytes, _ = lru_miss_free_size(lru_recency, set(coverable), sizes)
+        spy_bytes = 0
+        if self._spy is not None:
+            spy_bytes, _ = self._spy.miss_free_size(set(coverable), sizes)
+        coda_bytes = 0
+        if self._coda is not None:
+            coda_bytes, _ = self._coda.miss_free_size(set(coverable), sizes)
+        window_seconds = self.result.window_seconds
+        self.result.windows.append(WindowResult(
+            index=index,
+            start=self._start_time + index * window_seconds,
+            end=self._start_time + (index + 1) * window_seconds,
+            referenced_files=len(needed),
+            working_set_bytes=working_set_size(coverable, sizes),
+            seer_bytes=seer_bytes,
+            lru_bytes=lru_bytes,
+            uncoverable_files=len(uncoverable),
+            spy_bytes=spy_bytes,
+            coda_bytes=coda_bytes))
+
+    def _feed(self, stop: int) -> None:
+        """Feed the baselines every record before *stop*."""
+        records = self._trace.records
+        flags = self.relevance
+        lru_recency = self._lru_recency
+        counter = self._lru_counter
+        coda = self._coda
+        for index in range(self._fed, stop):
+            if flags[index]:
+                path = records[index].path
+                counter += 1
+                lru_recency[path] = counter
+                if coda is not None:
+                    coda.reference(path)
+        self._lru_counter = counter
+        if self._spy is not None:
+            for index in range(self._fed, stop):
+                _feed_spy(self._spy, records[index], flags[index])
+        self._fed = stop
+
+
+def replay(seer: Seer, trace: GeneratedTrace, start: int, stop: int,
+           scorer: Optional[MissFreeScorer] = None,
+           check: Optional[Callable[[int, TraceRecord], None]] = None
+           ) -> None:
+    """Feed ``trace.records[start:stop]`` to *seer*'s observer, in order.
+
+    This is the one record loop of every replay.  *scorer* scores each
+    of its windows that ends by *stop*, as soon as the records before
+    the window are in; *check* sees each record, with its index, after
+    the observer has.
+    """
+    records = trace.records
+    handle = seer.observer.handle_record
+    while scorer is not None:
+        end = scorer.next_window_end
+        if end is None or end > stop:
+            break
+        _ingest(handle, records, start, end, check)
+        scorer.score_window(seer)
+        start = end
+    _ingest(handle, records, start, stop, check)
+
+
+def _ingest(handle: Callable[[TraceRecord], None],
+            records: Sequence[TraceRecord], start: int, stop: int,
+            check: Optional[Callable[[int, TraceRecord], None]]) -> None:
+    if check is None:
+        for record in records[start:stop]:
+            handle(record)
+        return
+    for index in range(start, stop):
+        record = records[index]
+        handle(record)
+        check(index, record)
+
+
 def simulate_miss_free(trace: GeneratedTrace, window_seconds: float,
                        parameters: Optional[SeerParameters] = None,
                        use_investigators: bool = False,
@@ -191,7 +411,8 @@ def simulate_miss_free(trace: GeneratedTrace, window_seconds: float,
 
     At each window boundary the hoard is recomputed from everything
     observed so far, and the three measures are evaluated against the
-    set of files referenced in the *following* window.
+    set of files referenced in the *following* window.  The replay
+    stops at the last boundary: no scored window follows it.
 
     *include_coda* also scores the CODA priority baseline (BOUNDED
     variant, section 6.2's "global bound" reading) with **no hoard
@@ -206,93 +427,20 @@ def simulate_miss_free(trace: GeneratedTrace, window_seconds: float,
     if not trace.records:
         return MissFreeResult(trace.machine.name, window_seconds,
                               use_investigators, seed)
-
-    sizes = make_size_function(trace, seed)
-    investigators = build_investigators(trace) if use_investigators else []
-    from repro.simulation import simulation_control
-    seer = Seer(kernel=trace.kernel, parameters=parameters,
-                control=simulation_control(),
-                investigators=investigators, attach=False)
-    hoard_manager = HoardManager(parameters)
-
-    # Pre-slice the trace into windows.
-    start_time = trace.records[0].time
-    windows: List[List[TraceRecord]] = []
-    needed_sets: List[Set[str]] = []
-    current: List[TraceRecord] = []
-    needed: Set[str] = set()
-    boundary = start_time + window_seconds
-    for record in trace.records:
-        while record.time >= boundary:
-            windows.append(current)
-            needed_sets.append(needed)
-            current, needed = [], set()
-            boundary += window_seconds
-        current.append(record)
-        if _is_relevant_reference(record, trace):
-            needed.add(record.path)
-    windows.append(current)
-    needed_sets.append(needed)
-
-    lru_recency: Dict[str, int] = {}
-    lru_counter = 0
-    spy = SpyUtilityManager() if include_spy else None
-    coda = CodaPriorityManager(CodaVariant.BOUNDED) if include_coda else None
-
-    result = MissFreeResult(trace.machine.name, window_seconds,
-                            use_investigators, seed)
-    for index in range(len(windows) - 1):
-        for record in windows[index]:
-            seer.observer.handle_record(record)
-            if _is_relevant_reference(record, trace, ops=_LRU_FEED_OPS):
-                lru_counter += 1
-                lru_recency[record.path] = lru_counter
-                if coda is not None:
-                    coda.reference(record.path)
-            if spy is not None:
-                _feed_spy(spy, record, trace)
-        needed = needed_sets[index + 1]
-        if not needed:
-            continue   # unused period (vacation): excluded (sec. 5.1.1)
-        clusters = seer.build_clusters()
-        always = seer.always_hoard_paths()
-        # First pass identifies files each algorithm could not have
-        # known about; both are then measured on the common coverable
-        # set, so neither is charged for the other's blind spots.
-        _, seer_uncoverable = hoard_manager.miss_free_size(
-            clusters, sizes, seer.correlator.recency(), set(needed),
-            always_hoard=always)
-        _, lru_uncoverable = lru_miss_free_size(lru_recency, set(needed), sizes)
-        uncoverable = seer_uncoverable | lru_uncoverable
-        coverable = needed - uncoverable
-        seer_bytes, _ = hoard_manager.miss_free_size(
-            clusters, sizes, seer.correlator.recency(), set(coverable),
-            always_hoard=always)
-        lru_bytes, _ = lru_miss_free_size(lru_recency, set(coverable), sizes)
-        spy_bytes = 0
-        if spy is not None:
-            spy_bytes, _ = spy.miss_free_size(set(coverable), sizes)
-        coda_bytes = 0
-        if coda is not None:
-            coda_bytes, _ = coda.miss_free_size(set(coverable), sizes)
-        result.windows.append(WindowResult(
-            index=index,
-            start=start_time + index * window_seconds,
-            end=start_time + (index + 1) * window_seconds,
-            referenced_files=len(needed),
-            working_set_bytes=working_set_size(coverable, sizes),
-            seer_bytes=seer_bytes,
-            lru_bytes=lru_bytes,
-            uncoverable_files=len(uncoverable),
-            spy_bytes=spy_bytes,
-            coda_bytes=coda_bytes))
-    result.metrics = seer.metrics.snapshot()
-    return result
+    seer = replay_seer(trace, parameters, use_investigators)
+    scorer = MissFreeScorer(trace, window_seconds, parameters=parameters,
+                            use_investigators=use_investigators, seed=seed,
+                            include_spy=include_spy,
+                            include_coda=include_coda)
+    replay(seer, trace, 0, scorer.last_boundary, scorer)
+    scorer.result.metrics = seer.metrics.snapshot()
+    return scorer.result
 
 
 def _feed_spy(spy: SpyUtilityManager, record: TraceRecord,
-              trace: GeneratedTrace) -> None:
-    """Drive the SPY UTILITY baseline from raw trace records.
+              flag: int) -> None:
+    """Drive the SPY UTILITY baseline from one raw trace record and its
+    relevance flags.
 
     SPY tracks process execution trees; it has no meaningless-process
     or frequent-file machinery, so it sees the raw stream like LRU.
@@ -303,5 +451,5 @@ def _feed_spy(spy: SpyUtilityManager, record: TraceRecord,
         spy.on_exec(record.pid, record.path)
     elif record.op is Operation.EXIT:
         spy.on_exit(record.pid)
-    elif _is_relevant_reference(record, trace):
+    elif flag & _REFERENCED:
         spy.on_access(record.pid, record.path)

@@ -5,21 +5,29 @@ machines through the parallel runner.  Checkpointing a full
 :class:`~repro.simulation.missfree.MissFreeResult` plus
 :class:`~repro.simulation.live.LiveResult` per machine would make the
 grid join O(cells x windows); a ``population`` cell instead reduces
-both replays *inside the worker* to this flat scorecard, so checkpoint
+both measurements *inside the worker* to this flat scorecard, so checkpoint
 payloads stay a few hundred bytes and population aggregation is
 O(machines) no matter how long the traces run.
 
-Each cell runs two passes over one generated trace:
+Each cell replays its generated trace once, through one
+:class:`~repro.core.seer.Seer`, for two measurements:
 
-* a **miss-free pass** (:func:`~repro.simulation.missfree
-  .simulate_miss_free` with every baseline enabled) scoring SEER,
-  strict LRU, SPY UTILITY and CODA over fixed simulated disconnection
-  windows (paper section 5.2.1);
-* a **live pass** (:func:`~repro.simulation.live.simulate_live_usage`)
-  replaying the machine's own calibrated disconnection schedule --
-  optionally under fault injection -- for the deployment-effectiveness
-  measures of Tables 4-5 (failed disconnections, automatic detections,
-  time to first miss).
+* the **live replay** (:func:`~repro.simulation.live.simulate_live_usage`)
+  drives the Seer through the machine's own calibrated disconnection
+  schedule -- optionally under fault injection -- for the
+  deployment-effectiveness measures of Tables 4-5 (failed
+  disconnections, automatic detections, time to first miss);
+* a **miss-free scorer** (:class:`~repro.simulation.missfree
+  .MissFreeScorer` with every baseline enabled) rides the same record
+  loop and scores SEER, strict LRU, SPY UTILITY and CODA over fixed
+  simulated disconnection windows (paper section 5.2.1).
+
+The observer's and correlator's state after a record depends on
+neither measurement, so sharing the ingest changes no result: each
+cell equals the two separate passes it replaced, byte for byte
+(``tests/simulation/test_replay_equivalence.py`` checks them against
+``tests/oracle/replay.py``).  The cell's ``metrics`` count the one
+ingest.
 
 CODA runs the BOUNDED variant with *no hoard profiles loaded*: the
 paper's finding (section 6.2) is precisely that CODA's formula needs
@@ -33,9 +41,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.parameters import SeerParameters
-from repro.observability.registry import DERIVED_SUFFIXES
-from repro.simulation.live import LiveResult, simulate_live_usage
-from repro.simulation.missfree import MissFreeResult, simulate_miss_free
+from repro.simulation.live import simulate_live_usage
+from repro.simulation.missfree import MissFreeScorer
+# Kept as a module attribute only for benchmarks/e2e/tests/test_tracer.py.
+from repro.simulation.missfree import simulate_miss_free  # noqa: F401
 from repro.workload.generator import GeneratedTrace
 
 __all__ = [
@@ -72,7 +81,7 @@ class PopulationCellResult:
     failed_disconnections: int
     automatic_detections: int
     median_first_miss_hours: float  # 0.0 when no miss ever occurred
-    # Ingestion-pipeline counters merged across both passes
+    # Ingestion-pipeline counters of the cell's one replay
     # (see repro.observability); surfaced by the CLI's --metrics flag.
     metrics: Optional[Dict[str, float]] = None
 
@@ -98,19 +107,6 @@ def _median(values: Sequence[float]) -> float:
     return (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
-def _merged_metrics(miss: MissFreeResult,
-                    live: LiveResult) -> Dict[str, float]:
-    """One snapshot for the cell: miss-free pass counters plus the
-    live pass's plain counters (fault injection reports through the
-    live pass, so ``faults.*`` must survive the merge)."""
-    merged: Dict[str, float] = dict(miss.metrics or {})
-    for name, value in (live.metrics or {}).items():
-        if name.endswith(DERIVED_SUFFIXES):
-            continue
-        merged[name] = merged.get(name, 0.0) + value
-    return merged
-
-
 def simulate_population_cell(trace: GeneratedTrace,
                              window_seconds: float,
                              parameters: Optional[SeerParameters] = None,
@@ -118,21 +114,22 @@ def simulate_population_cell(trace: GeneratedTrace,
                              size_seed: int = 0,
                              fault_profile: Optional[str] = None,
                              fault_seed: int = 0) -> PopulationCellResult:
-    """Run both passes for one machine and reduce them to a scorecard.
+    """Replay one machine's trace once and reduce it to a scorecard.
 
-    Deterministic for a fixed trace and arguments: both passes consume
+    Deterministic for a fixed trace and arguments: the replay consumes
     only seeded randomness, so the same cell computed serially, in a
     worker process, or restored from a checkpoint is byte-identical.
     """
-    miss = simulate_miss_free(trace, window_seconds, parameters=parameters,
-                              use_investigators=use_investigators,
-                              seed=size_seed, include_spy=True,
-                              include_coda=True)
+    scorer = MissFreeScorer(trace, window_seconds, parameters=parameters,
+                            use_investigators=use_investigators,
+                            seed=size_seed, include_spy=True,
+                            include_coda=True)
     live = simulate_live_usage(trace, parameters=parameters,
                                use_investigators=use_investigators,
                                size_seed=size_seed,
                                fault_profile=fault_profile,
-                               fault_seed=fault_seed)
+                               fault_seed=fault_seed, scorer=scorer)
+    miss = scorer.result
     first_miss: List[float] = live.first_miss_hours()
     return PopulationCellResult(
         machine=trace.machine.name,
@@ -152,5 +149,5 @@ def simulate_population_cell(trace: GeneratedTrace,
         failed_disconnections=live.failures_any_severity(),
         automatic_detections=live.automatic_detections(),
         median_first_miss_hours=_median(first_miss),
-        metrics=_merged_metrics(miss, live),
+        metrics=live.metrics,
     )

@@ -321,3 +321,65 @@ class TestPopulationCommand:
         assert "Population report: 2 machines" in captured.out
         assert "fault profile 'flaky'" in captured.err
         assert "faults.injected_total" in captured.err
+
+
+class TestArgumentDomains:
+    """Every numeric argument is checked in one place, after parsing and
+    before any handler makes a trace, samples a fleet or reads a file:
+    a value outside its domain gets a message and exit status 2."""
+
+    @pytest.fixture(autouse=True)
+    def nothing_generated(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a handler ran for an argument out of "
+                                 "its domain")
+        for target in ("repro.cli.generate_machine_trace",
+                       "repro.workload.generate_machine_trace",
+                       "repro.workload.sample_population"):
+            monkeypatch.setattr(target, refuse)
+
+    @pytest.mark.parametrize("argv, message", [
+        # Each of these printed a report of an impossible deployment
+        # and exited 0, or died with a ValueError traceback (exit 1).
+        (["missfree", "C", "--days", "-1"],
+         "missfree: --days must be positive and finite, got -1"),
+        (["live", "C", "--days", "-1"],
+         "live: --days must be positive and finite, got -1"),
+        (["population", "run", "--machines", "2", "--days", "-1"],
+         "population: --days must be positive and finite, got -1"),
+        (["population", "run", "--machines", "0", "--days", "1"],
+         "population: --machines must be at least 1, got 0"),
+        (["figure2", "--machines", "C", "--days", "1", "--jobs", "0"],
+         "figure2: --jobs must be at least 1, got 0"),
+        (["figure2", "--machines", "C", "--days", "0"],
+         "figure2: --days must be positive and finite, got 0"),
+        (["missfree", "C", "--days", "nan"],
+         "missfree: --days must be positive and finite, got nan"),
+        (["generate", "C", "--days", "inf", "-o", "unused.txt"],
+         "generate: --days must be positive and finite, got inf"),
+        (["report", "--machines", "C", "--days", "1", "--jobs", "-2"],
+         "report: --jobs must be at least 1, got -2"),
+        (["sweep", "C", "--days", "1", "--parameter", "max_neighbors",
+          "--values", "10", "--jobs", "0"],
+         "sweep: --jobs must be at least 1, got 0"),
+        (["live", "C", "--days", "1", "--jobs", "0"],
+         "live: --jobs must be at least 1, got 0"),
+        (["population", "sample", "--machines", "-3"],
+         "population: --machines must be at least 1, got -3"),
+    ])
+    def test_out_of_domain_exits_2_before_any_work(self, capsys, argv,
+                                                   message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == message
+
+    def test_smallest_legal_values_reach_the_handler(self, monkeypatch):
+        reached = []
+        # build_parser binds the handler when main calls it.
+        monkeypatch.setattr("repro.cli.cmd_population",
+                            lambda args: reached.append(args) or 0)
+        assert main(["population", "run", "--machines", "1",
+                     "--days", "0.001", "--jobs", "1",
+                     "--resamples", "1"]) == 0
+        assert [args.machines for args in reached] == [1]

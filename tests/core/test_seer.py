@@ -9,7 +9,8 @@ from repro.core import MissSeverity, Relation, Seer, SeerParameters
 from repro.fs import FileKind
 from repro.investigators import CIncludeInvestigator, MakefileInvestigator
 from repro.kernel import Kernel
-from repro.simulation import simulate_live_usage, simulate_miss_free
+from repro.simulation import (simulate_live_usage, simulate_miss_free,
+                              simulate_population_cell)
 from repro.workload import generate_machine_trace, machine_profile
 
 
@@ -278,7 +279,8 @@ class TestFinishedReplayFreesSeer:
     @pytest.mark.parametrize("simulate", [
         lambda trace: simulate_miss_free(trace, 86400.0),
         lambda trace: simulate_live_usage(trace),
-    ], ids=["missfree", "live"])
+        lambda trace: simulate_population_cell(trace, 86400.0),
+    ], ids=["missfree", "live", "population"])
     def test_seer_and_correlator_freed_with_gc_disabled(self, monkeypatch,
                                                         simulate):
         trace = generate_machine_trace(machine_profile("C"), seed=1, days=7)
