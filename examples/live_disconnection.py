@@ -1,16 +1,14 @@
-"""A live disconnection, end to end, with a replication substrate.
+"""Live disconnections, end to end: the paper's section 5.2.2 study.
 
-Drives a short deployment of machine F, fills the hoard through the
-RUMOR replication substrate before a disconnection, works disconnected
-(misses are detected and logged with the paper's severities), then
-reconnects and reconciles -- including a conflict when the "server"
-copy changed during the disconnection.
+Replays six weeks of machine F: SEER fills the hoard before every
+disconnection, the disconnected work is checked for misses, and each
+failed disconnection is graded with the paper's severities, together
+with how many hours of work passed before its first miss.
 
 Run:  python examples/live_disconnection.py
 """
 
 from repro.core.hoard import MissSeverity
-from repro.replication import AccessOutcome, Rumor
 from repro.simulation.live import scaled_hoard_budget, simulate_live_usage
 from repro.workload import generate_machine_trace, machine_profile
 
@@ -38,33 +36,6 @@ def main():
     if first:
         print(f"hours to first miss (failed disconnections only): "
               f"{', '.join(f'{h:.1f}' for h in sorted(first))}")
-    print()
-
-    # Now one disconnection by hand, through the replication substrate.
-    replication = Rumor(trace.kernel.fs)
-    hoarded = replication.set_hoard(
-        {path for path, _ in trace.kernel.fs.iter_files("/home/u/src")})
-    print(f"RUMOR fetched {len(hoarded)} files "
-          f"({replication.hoard_bytes() / MB:.2f} MB) into the hoard")
-    replication.disconnect()
-
-    some_file = sorted(hoarded)[0]
-    print(f"disconnected: editing {some_file} locally...")
-    replication.local_update(some_file, size=4_096)
-    print("  ...while a colleague changes the server copy (conflict!)")
-    trace.kernel.fs.write(some_file, size=9_999)
-
-    miss_path = "/home/u/Mail/inbox"
-    outcome = replication.access(miss_path)
-    print(f"access to unhoarded {miss_path}: {outcome.outcome.value} "
-          f"(RUMOR can tell a miss from a nonexistent file)")
-    assert outcome.outcome is AccessOutcome.MISS
-
-    conflicts = replication.reconnect()
-    print(f"reconnected: {len(conflicts)} conflict(s) detected")
-    for conflict in conflicts:
-        print(f"  {conflict.path}: winner={conflict.winner} "
-              f"({conflict.detail})")
 
 
 if __name__ == "__main__":

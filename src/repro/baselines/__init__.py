@@ -13,7 +13,7 @@
 """
 
 from repro.baselines.coda_priority import CodaPriorityManager, CodaVariant, HoardProfile
-from repro.baselines.lru import LruManager, lru_miss_free_size
+from repro.baselines.lru import lru_miss_free_size
 from repro.baselines.optimal import working_set, working_set_size
 from repro.baselines.spy_utility import AccessTree, SpyUtilityManager
 
@@ -22,7 +22,6 @@ __all__ = [
     "CodaPriorityManager",
     "CodaVariant",
     "HoardProfile",
-    "LruManager",
     "SpyUtilityManager",
     "lru_miss_free_size",
     "working_set",

@@ -15,7 +15,7 @@ miss-free hoard size, implemented verbatim in
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Mapping, Set, Tuple
+from typing import Callable, List, Mapping, Set, Tuple
 
 SizeFunction = Callable[[str], int]
 
@@ -44,49 +44,3 @@ def lru_miss_free_size(recency: Mapping[str, float], needed: Set[str],
                             if path in marked)
     prefix = ranking[:last_marked_index + 1]
     return sum(sizes(path) for path in prefix), needed - known
-
-
-class LruManager:
-    """A hoard manager that fills the hoard with the most recent files.
-
-    This is the early-systems behaviour the paper contrasts with; it is
-    also the live baseline used by the ablation benchmarks.
-    """
-
-    def __init__(self) -> None:
-        self._recency: Dict[str, float] = {}
-        self._counter = 0
-
-    def reference(self, path: str) -> None:
-        """Record one reference to *path*."""
-        self._counter += 1
-        self._recency[path] = self._counter
-
-    def observe_recency(self, recency: Mapping[str, float]) -> None:
-        """Bulk-load recency state (e.g. from a correlator)."""
-        self._recency.update(recency)
-        if self._recency:
-            self._counter = max(self._counter, int(max(self._recency.values())))
-
-    def recency(self) -> Dict[str, float]:
-        return dict(self._recency)
-
-    def build(self, sizes: SizeFunction, budget: int,
-              always_hoard: Iterable[str] = ()) -> Set[str]:
-        """Pick the most recent files that fit within *budget* bytes."""
-        hoard: Set[str] = set()
-        total = 0
-        for path in sorted(set(always_hoard)):
-            hoard.add(path)
-            total += sizes(path)
-        for path in lru_ranking(self._recency):
-            if path in hoard:
-                continue
-            size = sizes(path)
-            if total + size <= budget:
-                hoard.add(path)
-                total += size
-        return hoard
-
-    def miss_free_size(self, needed: Set[str], sizes: SizeFunction) -> Tuple[int, Set[str]]:
-        return lru_miss_free_size(self._recency, needed, sizes)

@@ -1,8 +1,8 @@
 """SEER's core: semantic distance, clustering, hoard selection.
 
 This package implements the paper's primary contribution (sections 3
-and parts of 4): the three semantic-distance definitions, the online
-geometric-mean data reduction, the bounded neighbor tables, the
+and parts of 4): the lifetime semantic distance (Definition 3), the
+online geometric-mean data reduction, the bounded neighbor tables, the
 per-process correlator, the modified Jarvis-Patrick shared-neighbor
 clustering with external-information adjustment, and the
 whole-projects-only hoard manager with miss accounting.
@@ -20,14 +20,7 @@ from repro.core.clustering import (
     SharedNeighborPass,
 )
 from repro.core.correlator import Action, Correlator, ObservedReference
-from repro.core.distance import (
-    DistanceSummary,
-    RefKind,
-    Reference,
-    SequenceDistanceCalculator,
-    opens,
-    temporal_distances,
-)
+from repro.core.distance import DistanceSummary
 from repro.core.hoard import (
     HoardManager,
     HoardMiss,
@@ -55,14 +48,9 @@ __all__ = [
     "MissLog",
     "MissSeverity",
     "ObservedReference",
-    "RefKind",
-    "Reference",
     "Relation",
     "Seer",
     "SeerParameters",
-    "SequenceDistanceCalculator",
     "SharedNeighborPass",
-    "opens",
     "rank_clusters",
-    "temporal_distances",
 ]

@@ -3,7 +3,9 @@
 This is the top-level object a deployment creates.  It attaches to a
 simulated kernel's trace stream, digests references continuously, and
 on demand (typically just before disconnection, or periodically)
-computes clusters and fills the hoard through a replication substrate.
+computes clusters and chooses the hoard's contents.  Moving the chosen
+files onto the laptop is the replication system's job (section 2),
+which this reproduction does not simulate.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ if TYPE_CHECKING:   # heavy/cyclic imports used only in annotations
     from repro.investigators.base import Investigator
     from repro.kernel.syscalls import Kernel
     from repro.observability import Metrics
-    from repro.replication.base import ReplicationSystem
 
 SizeFunction = Callable[[str], int]
 
@@ -227,11 +228,4 @@ class Seer:
             clusters, sizes, self.correlator.recency(), budget,
             always_hoard=self.always_hoard_paths())
         self.current_hoard = selection
-        return selection
-
-    def fill_replica(self, replication: "ReplicationSystem",
-                     budget: int) -> HoardSelection:
-        """Build a hoard and hand it to a replication substrate."""
-        selection = self.build_hoard(budget)
-        replication.set_hoard(selection.files)
         return selection

@@ -1,14 +1,13 @@
-"""Deterministic fault injection for the replication substrates.
+"""Deterministic fault injection for the live-usage replay.
 
 SEER exists to survive *unplanned* disconnection, so the harness must
 be able to express more than the happy path: surprise disconnections
-mid-hoard-fill, synchronizations that fail and back off, gossip that
-drops or delays reconciliations, servers that stall during a fill.
-This package provides the seedable :class:`FaultInjector` that every
-:class:`~repro.replication.base.ReplicationSystem` and the
-:class:`~repro.replication.gossip.RumorNetwork` accept, the named
-:class:`FaultProfile` levels the CLI exposes as ``--fault-profile``,
-and their exact JSON round-trip for runner checkpoints.
+mid-hoard-fill, synchronizations that fail and back off, servers that
+stall or fail reads during a fill.  This package provides the seedable
+:class:`FaultInjector` the live replay (and the service daemon) draw
+their decisions from, the named :class:`FaultProfile` levels the CLI
+exposes as ``--fault-profile``, and the bounded-attempts
+:class:`RetryPolicy` a profile's backoff settings describe.
 
 See docs/fault-injection.md for the profile catalogue, the
 retry/backoff policy and the no-fault golden-equivalence guarantee.
@@ -22,9 +21,8 @@ from repro.faults.profile import (
     NO_FAULTS,
     PROFILES,
     FaultProfile,
-    profile_from_data,
+    RetryPolicy,
     profile_from_name,
-    profile_to_data,
 )
 
 __all__ = [
@@ -35,7 +33,6 @@ __all__ = [
     "PROFILES",
     "FaultInjector",
     "FaultProfile",
-    "profile_from_data",
+    "RetryPolicy",
     "profile_from_name",
-    "profile_to_data",
 ]

@@ -3,7 +3,7 @@
 One :class:`FaultInjector` carries a :class:`~repro.faults.profile.
 FaultProfile`, a private ``random.Random`` stream, and (optionally) a
 shared :class:`repro.observability.Metrics` registry.  Every decision
--- drop this reconciliation?  fail this read?  cut the fill after how
+-- fail this synchronization?  fail this read?  cut the fill after how
 many files? -- is a pure function of ``(profile, seed, draw order)``,
 so a fault run replays exactly under the same seed, which is what the
 kill/resume checkpoint property tests and the CI fault matrix rely on.
@@ -12,8 +12,8 @@ Two invariants keep the golden outputs safe:
 
 * an **inert** profile never draws a random number, so attaching a
   ``none`` injector is indistinguishable from attaching nothing;
-* the injector only *decides*; the wrapped code performs (or skips)
-  the work, so no fault can corrupt state the substrate didn't already
+* the injector only *decides*; the replay performs (or skips) the
+  work, so no fault can corrupt state the replay does not already
   model.
 
 Injected faults are counted under the ``faults.`` metrics namespace
@@ -30,7 +30,7 @@ from repro.observability import Metrics
 
 
 class FaultInjector:
-    """Seeded decision source for all four fault classes."""
+    """Seeded decision source for all three fault classes."""
 
     def __init__(self, profile: FaultProfile = NO_FAULTS, seed: int = 0,
                  metrics: Optional[Metrics] = None) -> None:
@@ -91,25 +91,7 @@ class FaultInjector:
         self.metrics.incr("faults.sync_gave_up")
 
     # ------------------------------------------------------------------
-    # (c) gossip-plane faults
-    # ------------------------------------------------------------------
-    def gossip_dropped(self) -> bool:
-        return self._chance(self.profile.gossip_drop_probability,
-                            "faults.gossip_dropped")
-
-    def gossip_duplicated(self) -> bool:
-        return self._chance(self.profile.gossip_duplicate_probability,
-                            "faults.gossip_duplicated")
-
-    def gossip_delay_rounds(self) -> int:
-        """0 for an on-time reconciliation, else rounds of delay."""
-        if not self._chance(self.profile.gossip_delay_probability,
-                            "faults.gossip_delayed"):
-            return 0
-        return self._rng.randint(1, self.profile.gossip_max_delay_rounds)
-
-    # ------------------------------------------------------------------
-    # (d) slow/flaky server reads during hoard fills
+    # (c) slow/flaky server reads during hoard fills
     # ------------------------------------------------------------------
     def read_fails(self) -> bool:
         failed = self._chance(self.profile.read_failure_probability,

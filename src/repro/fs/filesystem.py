@@ -73,7 +73,8 @@ class Inode:
 
     ``size`` is in bytes.  ``content`` is optional small text, present
     only where an external investigator needs to parse it.  ``version``
-    counts modifications and is what the replication substrates compare.
+    counts modifications, so a re-created or rewritten inode can be
+    told from the one a stale lookup would return.
     """
 
     kind: FileKind
@@ -343,7 +344,7 @@ class FileSystem:
         return sum(1 for _ in self.iter_files(path))
 
     # ------------------------------------------------------------------
-    # cloning (used by replication substrates to model replicas)
+    # cloning (a fresh tree with no lookup memo, e.g. as a test reference)
     # ------------------------------------------------------------------
     def snapshot(self) -> "FileSystem":
         """Return a deep copy of this filesystem."""

@@ -234,12 +234,13 @@ _ORDER_SENSITIVE_CALLS = frozenset({"list", "tuple", "enumerate", "iter"})
 class OrderStableIteration(Rule):
     """Iterating a set straight into ordered output is a latent flake.
 
-    A ``set`` of paths or replica ids has no stable order -- it varies
+    A ``set`` of paths or tenant ids has no stable order -- it varies
     with insertion history and (for strings) the per-process hash salt.
-    Feeding one into a list, an emission loop, or gossip pairing order
-    without ``sorted()`` reproduces only by accident.  Dict views are
-    insertion-ordered in CPython >= 3.7 and are deliberately exempt;
-    only genuinely unordered set expressions are flagged.
+    Feeding one into a list, an emission loop, or a hoard fill's
+    transfer order without ``sorted()`` reproduces only by accident.
+    Dict views are insertion-ordered in CPython >= 3.7 and are
+    deliberately exempt; only genuinely unordered set expressions are
+    flagged.
     """
 
     id = "RL004"

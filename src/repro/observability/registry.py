@@ -134,21 +134,15 @@ METRICS: Tuple[MetricSpec, ...] = (
     MetricSpec("faults.partial_fill_bytes", "counter",
                "bytes left unfetched by interrupted fills"),
     MetricSpec("faults.sync_failures", "counter",
-               "synchronize() attempts that failed"),
+               "reintegration synchronization attempts that failed"),
     MetricSpec("faults.sync_retries", "counter",
-               "synchronize() retries under the backoff policy"),
+               "synchronization retries under the backoff policy"),
     MetricSpec("faults.backoff_ms", "counter",
                "milliseconds of injected retry backoff"),
     MetricSpec("faults.sync_gave_up", "counter",
                "synchronizations abandoned after exhausting retries"),
-    MetricSpec("faults.gossip_dropped", "counter",
-               "scheduled reconciliations that never happened"),
-    MetricSpec("faults.gossip_duplicated", "counter",
-               "reconciliations that ran twice (retransmit)"),
-    MetricSpec("faults.gossip_delayed", "counter",
-               "reconciliations deferred by injected delay"),
     MetricSpec("faults.reads_failed", "counter",
-               "server reads failed during hoard fills / walks"),
+               "server reads failed during hoard fills"),
     MetricSpec("faults.read_latency_ms", "counter",
                "milliseconds of injected slow-read latency"),
     # -- hoard daemon (repro.service) ------------------------------------

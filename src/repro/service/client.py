@@ -9,10 +9,10 @@ differential and fault tests rely on:
   a tenant-monotonic ``seq`` (clients own their own event streams, so
   the counter lives here);
 * **reconnect with resend** -- when the connection dies before a
-  batch's ack arrives, the client reconnects under the PR 4
-  :class:`~repro.replication.base.RetryPolicy` backoff schedule and
-  resends the unacknowledged batch.  The daemon's seq dedupe turns
-  this at-least-once delivery into exactly-once application, so a
+  batch's ack arrives, the client reconnects under the
+  :class:`~repro.faults.RetryPolicy` backoff schedule and resends
+  the unacknowledged batch.  The daemon's seq dedupe turns this
+  at-least-once delivery into exactly-once application, so a
   flaky network changes nothing about tenant state.
 
 One client instance serves one tenant and must be used from a single
@@ -25,8 +25,8 @@ import asyncio
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.correlator import ObservedReference
+from repro.faults import RetryPolicy
 from repro.observability import Metrics
-from repro.replication.base import RetryPolicy
 from repro.service import protocol
 
 

@@ -26,7 +26,9 @@ tenant's correlator state in the runner's
 tenant during the graceful drain that ``stop()`` performs.  A store
 failure on a ``checkpoint`` request is answered with a
 ``checkpoint-failed`` error; the connection stays open.  A restarted
-daemon restores tenants lazily on first contact.
+daemon restores tenants lazily on first contact; a store failure on
+that read is answered with a ``restore-failed`` error, and the next
+request retries it.
 
 Fault injection: a non-inert :class:`~repro.faults.FaultProfile`
 drives server-side adversity -- connections dropped mid-stream (after
@@ -292,14 +294,21 @@ class HoardDaemon:
 
         The registry is re-checked after the await -- two connections
         racing to create the same tenant must converge on one actor
-        (the loser's restore read is discarded).
+        (the loser's restore read is discarded).  A store failure on
+        the read becomes a ``restore-failed`` error reply and registers
+        no actor, so the tenant's next request reads the store again.
         """
         actor = self._actors.get(tenant)
         if actor is not None:
             return actor
         if self._store is None or not self.resume:
             return self._register_actor(tenant, None)
-        entry = await self._store_call(self._store_entry, tenant)
+        try:
+            entry = await self._store_call(self._store_entry, tenant)
+        except (OSError, sqlite3.Error) as error:
+            raise protocol.ProtocolError(
+                "restore-failed",
+                f"restore of tenant {tenant!r} failed: {error}") from error
         actor = self._actors.get(tenant)
         if actor is not None:
             return actor

@@ -37,9 +37,9 @@ from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 from repro.core.hoard import HoardSelection, MissSeverity
 from repro.core.parameters import SeerParameters
 from repro.core.seer import Seer
-from repro.faults import FaultInjector, FaultProfile, profile_from_name
+from repro.faults import (FaultInjector, FaultProfile, RetryPolicy,
+                          profile_from_name)
 from repro.fs.paths import dirname
-from repro.replication.base import RetryPolicy
 from repro.simulation.missfree import (
     _REFERENCED,
     MissFreeScorer,

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.baselines.lru import LruManager, lru_miss_free_size, lru_ranking
+from repro.baselines.lru import lru_miss_free_size, lru_ranking
 
 
 def sizes_of(mapping):
@@ -86,47 +86,3 @@ class TestMissFreeSize:
             hoard.add(path)
             total += sizes(path)
         assert (needed - uncoverable) <= hoard or size == 0
-
-
-class TestLruManager:
-    def test_reference_ordering(self):
-        manager = LruManager()
-        for name in ("a", "b", "a"):
-            manager.reference(name)
-        assert lru_ranking(manager.recency()) == ["a", "b"]
-
-    def test_build_respects_budget(self):
-        manager = LruManager()
-        for name in ("a", "b", "c"):
-            manager.reference(name)
-        sizes = sizes_of({"a": 10, "b": 10, "c": 10})
-        hoard = manager.build(sizes, budget=20)
-        assert hoard == {"b", "c"}   # the two most recent
-
-    def test_build_skips_too_big_keeps_filling(self):
-        manager = LruManager()
-        for name in ("small-old", "big", "recent"):
-            manager.reference(name)
-        sizes = sizes_of({"small-old": 5, "big": 100, "recent": 5})
-        hoard = manager.build(sizes, budget=12)
-        assert hoard == {"recent", "small-old"}
-
-    def test_always_hoard_first(self):
-        manager = LruManager()
-        manager.reference("a")
-        sizes = sizes_of({"a": 10, "/lib": 10})
-        hoard = manager.build(sizes, budget=10, always_hoard=["/lib"])
-        assert hoard == {"/lib"}
-
-    def test_observe_recency_bulk(self):
-        manager = LruManager()
-        manager.observe_recency({"x": 5, "y": 9})
-        manager.reference("z")   # must land after y
-        assert lru_ranking(manager.recency())[0] == "z"
-
-    def test_miss_free_size_method(self):
-        manager = LruManager()
-        for name in ("a", "b"):
-            manager.reference(name)
-        size, _ = manager.miss_free_size({"a"}, sizes_of({"a": 1, "b": 2}))
-        assert size == 3

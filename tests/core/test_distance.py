@@ -12,15 +12,15 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.distance import (
-    DistanceSummary,
+from repro.core.distance import DistanceSummary
+from tests.oracle.distance import (
+    LifetimeDistanceCalculator,
     RefKind,
     Reference,
     SequenceDistanceCalculator,
     opens,
     temporal_distances,
 )
-from tests.oracle.distance import LifetimeDistanceCalculator
 
 
 def as_dict(pairs):

@@ -7,7 +7,6 @@ import pytest
 
 from repro.analysis import render_figure2, render_figure3, render_table3, render_table4
 from repro.core import Seer
-from repro.replication import CheapRumor, CodaReplication, Rumor
 from repro.simulation import SIM_PARAMETERS, simulation_control
 from repro.simulation.live import simulate_live_usage
 from repro.simulation.missfree import simulate_miss_free
@@ -42,19 +41,6 @@ class TestPipeline:
         selection = seer.build_hoard(budget=3 * 1024 * 1024)
         assert selection.files
         assert selection.total_bytes <= 3 * 1024 * 1024
-
-    def test_hoard_feeds_replication(self, trace):
-        seer = Seer(kernel=trace.kernel, parameters=SIM_PARAMETERS,
-                    control=simulation_control(), attach=False)
-        for record in trace.records:
-            seer.observer.handle_record(record)
-        for cls in (CheapRumor, Rumor, CodaReplication):
-            replication = cls(trace.kernel.fs)
-            selection = seer.fill_replica(replication, budget=2 * 1024 * 1024)
-            fetched = replication.hoarded_paths()
-            # Every hoarded path that still exists was fetched.
-            existing = {p for p in selection.files if trace.kernel.fs.exists(p)}
-            assert existing <= fetched | selection.files
 
     def test_figures_render_from_simulation(self, trace):
         daily = simulate_miss_free(trace, DAY)
@@ -94,20 +80,3 @@ class TestMissServicing:
                                 severity=MissSeverity.TASK_CHANGED)
         refill = seer.build_hoard(budget=10**9)
         assert victim in refill
-
-    def test_ficus_remote_accesses_feed_seer_hoard(self, trace):
-        # FICUS-style flow: connected remote accesses mark files that
-        # the next hoard fill should include (section 4.4).
-        from repro.replication import FicusReplication
-        seer = Seer(kernel=trace.kernel, parameters=SIM_PARAMETERS,
-                    control=simulation_control(), attach=False)
-        for record in trace.records:
-            seer.observer.handle_record(record)
-        ficus = FicusReplication(trace.kernel.fs)
-        ficus.set_hoard(set())
-        some_file = sorted(p for p, _ in trace.kernel.fs.iter_files("/home/u"))[0]
-        ficus.access(some_file)
-        selection = seer.build_hoard(budget=10**9)
-        wanted = ficus.remotely_accessed_paths() | selection.files
-        ficus.set_hoard(wanted)
-        assert some_file in ficus.hoarded_paths()

@@ -1,4 +1,4 @@
-"""Property-based fuzzing of the correlator, kernel and replication.
+"""Property-based fuzzing of the correlator, kernel and observer.
 
 These tests throw randomized event streams at whole subsystems and
 check structural invariants -- the things that must hold no matter
@@ -15,7 +15,6 @@ from repro.core.parameters import SeerParameters
 from repro.fs import FileSystem
 from repro.kernel import Kernel
 from repro.observer import Observer
-from repro.replication.rumor import RumorReplica
 
 # ----------------------------------------------------------------------
 # correlator fuzz
@@ -136,44 +135,3 @@ def test_kernel_observer_survive_any_syscalls(calls):
     # The observer forwarded a consistent stream; clustering never dies.
     assert observer.records_processed == kernel.records_emitted
     correlator.build_clusters()
-
-
-# ----------------------------------------------------------------------
-# replication convergence fuzz
-# ----------------------------------------------------------------------
-_REPLICA_OPS = st.lists(
-    st.tuples(st.sampled_from(["a", "b"]),                # which replica
-              st.sampled_from(["update", "reconcile"]),
-              st.sampled_from(["/f1", "/f2", "/f3"]),
-              st.integers(min_value=1, max_value=100)),
-    max_size=60)
-
-
-@settings(max_examples=40, deadline=None)
-@given(_REPLICA_OPS)
-def test_rumor_replicas_converge(operations):
-    replica_a = RumorReplica("a")
-    replica_b = RumorReplica("b")
-    for path in ("/f1", "/f2", "/f3"):
-        replica_a.store(path, size=1)
-    replica_b.reconcile_from(replica_a)
-
-    replicas = {"a": replica_a, "b": replica_b}
-    for name, op, path, size in operations:
-        replica = replicas[name]
-        if op == "update" and path in replica.files:
-            replica.update(path, size=size)
-        elif op == "reconcile":
-            other = replicas["b" if name == "a" else "a"]
-            replica.reconcile_from(other)
-
-    # A final full sync (pull both ways, twice to settle resolutions)
-    # must converge: same files, same sizes, comparable vectors.
-    for _ in range(3):
-        replica_a.reconcile_from(replica_b)
-        replica_b.reconcile_from(replica_a)
-    assert replica_a.paths() == replica_b.paths()
-    for path in replica_a.paths():
-        assert replica_a.files[path].size == replica_b.files[path].size
-        assert not replica_a.files[path].vector.concurrent_with(
-            replica_b.files[path].vector)

@@ -7,8 +7,12 @@ the arena's fids, :class:`~repro.core.clustering.SharedNeighborPass`.
 This package keeps the direct transcriptions of the paper they
 replaced, so each can be checked against it:
 
-* :mod:`tests.oracle.distance` -- Definition 3 (section 3.1.1), one
-  ``LifetimeDistanceCalculator`` per process stream;
+* :mod:`tests.oracle.distance` -- the three semantic distances of
+  section 3.1.1: Definition 3 as one ``LifetimeDistanceCalculator``
+  per process stream, and Definitions 1 and 2, which no shipped code
+  uses (``temporal_distances``, ``SequenceDistanceCalculator``), with
+  the ``Reference``/``RefKind`` events and the ``opens`` helper they
+  consume;
 * :mod:`tests.oracle.neighbors` -- the bounded neighbor tables of
   section 3.1.3 as ``NeighborTable`` objects in a ``NeighborStore``;
 * :mod:`tests.oracle.clustering` -- the path-keyed Jarvis-Patrick

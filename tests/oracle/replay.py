@@ -31,10 +31,10 @@ from repro.baselines.spy_utility import SpyUtilityManager
 from repro.core.hoard import HoardManager
 from repro.core.parameters import SeerParameters
 from repro.core.seer import Seer
-from repro.faults import FaultInjector, FaultProfile, profile_from_name
+from repro.faults import (FaultInjector, FaultProfile, RetryPolicy,
+                          profile_from_name)
 from repro.fs.paths import dirname
 from repro.observability.registry import DERIVED_SUFFIXES
-from repro.replication.base import RetryPolicy
 from repro.simulation.live import (
     DisconnectionOutcome,
     LiveResult,

@@ -1,44 +1,36 @@
-"""Fault injection on the replication substrates, plus the
-disconnection-robustness regression tests (satellites of the
-fault-injection harness):
+"""Faults where SEER meets the replication system.
 
-* deferred CODA callback breaks while disconnected;
-* ``set_hoard`` itemizing retained-dirty vs fetched and charging
-  retained bytes against the budget;
-* disconnected writes to non-hoarded paths surviving to
-  ``synchronize()``.
+SEER touches the replication system at two points: the hoard fill
+before a disconnection and the reintegration after it.  The
+reproduction simulates no replication transport; the live replay
+models both steps directly, and these tests check that model:
+
+* :func:`repro.simulation.live._faulted_fill` -- the fill, cut short
+  by a surprise disconnection or thinned by flaky reads;
+* :func:`repro.simulation.live._reconnect_sync_attempts` -- the
+  reintegration, retried under the bounded-attempts
+  :class:`~repro.faults.RetryPolicy`.  Its bookkeeping is what the
+  ``faults.sync_*`` and ``faults.backoff_ms`` counters of a faulted
+  ``live`` run report.
 """
 
-import pytest
+from repro.core.hoard import HoardSelection
+from repro.faults import (LOSSY, NO_FAULTS, FaultInjector, FaultProfile,
+                          RetryPolicy)
+from repro.simulation.live import (_faulted_fill, _reconnect_sync_attempts,
+                                   simulate_live_usage)
+from repro.workload import generate_machine_trace, machine_profile
 
-from repro.faults import NO_FAULTS, FaultInjector, FaultProfile
-from repro.fs import FileSystem
-from repro.replication import (
-    CheapRumor,
-    CodaReplication,
-    FicusReplication,
-    LittleWork,
-    Rumor,
-)
-from repro.replication.base import RetryPolicy
-
-ALL_SUBSTRATES = [CheapRumor, Rumor, CodaReplication, FicusReplication,
-                  LittleWork]
+SIZES = {"/proj/a": 10, "/proj/b": 20, "/proj/c": 30}
 
 
-@pytest.fixture
-def server():
-    fs = FileSystem()
-    fs.mkdir("/proj", parents=True)
-    fs.create("/proj/a", size=10)
-    fs.create("/proj/b", size=20)
-    fs.create("/proj/c", size=30)
-    return fs
+def _selection(paths):
+    return HoardSelection(files=set(paths),
+                          total_bytes=sum(SIZES[path] for path in paths))
 
 
-def _injector(metrics=None, **probabilities):
-    profile = FaultProfile(name="test", **probabilities)
-    return FaultInjector(profile, seed=1, metrics=metrics)
+def _injector(**probabilities):
+    return FaultInjector(FaultProfile(name="test", **probabilities), seed=1)
 
 
 class TestRetryPolicy:
@@ -68,254 +60,109 @@ class TestRetryPolicy:
 
 
 class TestFillFaults:
-    def test_interrupted_fill_leaves_disconnected(self, server):
-        replication = CheapRumor(server)
-        replication.inject_faults(_injector(fill_interrupt_probability=1.0))
-        requested = {"/proj/a", "/proj/b", "/proj/c"}
-        replication.set_hoard(requested)
-        fill = replication.last_fill
-        assert fill.interrupted
-        assert not replication.connected
-        assert fill.fetched | fill.skipped == requested
-        assert fill.skipped   # the cut always strands at least one file
-        assert replication.hoarded_paths() == fill.fetched
+    def test_interrupted_fill_leaves_disconnected(self):
+        # The user walks away mid-fill: the laptop leaves with only the
+        # files fetched before the cut.
+        requested = set(SIZES)
+        kept, kept_bytes, interrupted = _faulted_fill(
+            _injector(fill_interrupt_probability=1.0),
+            _selection(requested), SIZES.__getitem__)
+        assert interrupted
+        assert kept < requested   # the cut always strands at least one file
+        assert kept_bytes == sum(SIZES[path] for path in kept)
 
-    def test_partial_fill_bytes_counted(self, server):
+    def test_partial_fill_bytes_counted(self):
         injector = _injector(fill_interrupt_probability=1.0)
-        replication = CheapRumor(server)
-        replication.inject_faults(injector)
-        replication.set_hoard({"/proj/a", "/proj/b", "/proj/c"})
-        skipped_bytes = sum(server.size_of(path)
-                            for path in replication.last_fill.skipped)
+        kept, _, _ = _faulted_fill(injector, _selection(SIZES),
+                                   SIZES.__getitem__)
         snapshot = injector.metrics.snapshot()
         assert snapshot["faults.fill_interrupted"] == 1
-        assert snapshot["faults.partial_fill_bytes"] == skipped_bytes
+        assert snapshot["faults.partial_fill_bytes"] == \
+            sum(size for path, size in SIZES.items() if path not in kept)
 
-    def test_flaky_reads_skip_files_without_disconnecting(self, server):
-        replication = CheapRumor(server)
-        replication.inject_faults(_injector(read_failure_probability=1.0))
-        fetched = replication.set_hoard({"/proj/a", "/proj/b"})
-        assert fetched == set()
-        assert replication.last_fill.skipped == {"/proj/a", "/proj/b"}
-        assert not replication.last_fill.interrupted
-        assert replication.connected
+    def test_flaky_reads_skip_files_without_disconnecting(self):
+        injector = _injector(read_failure_probability=1.0)
+        kept, kept_bytes, interrupted = _faulted_fill(
+            injector, _selection({"/proj/a", "/proj/b"}), SIZES.__getitem__)
+        assert kept == set()
+        assert kept_bytes == 0
+        assert not interrupted
+        assert injector.metrics.snapshot()["faults.reads_failed"] == 2
 
-    def test_inert_injector_changes_nothing(self, server):
-        plain = CheapRumor(server)
-        inert = CheapRumor(server)
-        inert.inject_faults(FaultInjector(NO_FAULTS, seed=99))
-        requested = {"/proj/a", "/proj/b", "/proj/c"}
-        assert plain.set_hoard(requested) == inert.set_hoard(requested)
-        assert plain.hoarded == inert.hoarded
-        assert inert.faults.metrics.snapshot() == {}
+    def test_inert_injector_changes_nothing(self):
+        injector = FaultInjector(NO_FAULTS, seed=99)
+        selection = _selection(SIZES)
+        kept, kept_bytes, interrupted = _faulted_fill(
+            injector, selection, SIZES.__getitem__)
+        assert kept is selection.files
+        assert kept_bytes == selection.total_bytes
+        assert not interrupted
+        assert injector.metrics.snapshot() == {}
+
+
+class ScriptedSync:
+    """An injector whose first *failures* sync attempts fail."""
+
+    def __init__(self, failures):
+        self.failures = failures
+        self.attempts = 0
+        self.retries = []
+
+    def sync_attempt_fails(self):
+        self.attempts += 1
+        if self.failures:
+            self.failures -= 1
+            return True
+        return False
+
+    def note_retry(self, backoff_seconds):
+        self.retries.append(backoff_seconds)
+
+    def note_sync_gave_up(self):
+        raise AssertionError("should have succeeded")
 
 
 class TestSyncRetry:
-    def test_bounded_attempts_then_give_up(self, server):
+    def test_bounded_attempts_then_give_up(self):
         injector = _injector(sync_failure_probability=1.0)
-        replication = CheapRumor(server)
-        replication.inject_faults(injector)
-        report = replication.synchronize_with_retry()
-        assert not report.succeeded
-        assert report.attempts == replication.retry_policy.max_attempts == 3
-        # Backoff after attempts 1 and 2 (no wait after the last).
-        assert report.backoff_seconds == 1.0 + 2.0
+        _reconnect_sync_attempts(injector, RetryPolicy())
         snapshot = injector.metrics.snapshot()
         assert snapshot["faults.sync_failures"] == 3
+        # Backoff after attempts 1 and 2 (no wait after the last).
         assert snapshot["faults.sync_retries"] == 2
         assert snapshot["faults.backoff_ms"] == 3000
         assert snapshot["faults.sync_gave_up"] == 1
 
-    def test_failed_sync_keeps_dirty_state_for_later(self, server):
-        replication = CheapRumor(server)
-        replication.set_hoard({"/proj/a"})
-        replication.disconnect()
-        replication.local_update("/proj/a", size=55)
-        replication.inject_faults(_injector(sync_failure_probability=1.0))
-        conflicts = replication.reconnect()
-        assert conflicts == []
-        assert "/proj/a" in replication.dirty     # nothing lost, only late
-        assert server.size_of("/proj/a") == 10
-        # Once the network behaves, the retried sync pushes the update.
-        replication.faults = None
-        replication.synchronize()
-        assert server.size_of("/proj/a") == 55
-
-    def test_success_after_transient_failures(self, server):
-        class FlakyThenFine:
-            profile = FaultProfile(name="scripted")
-
-            def __init__(self, failures):
-                self.failures = failures
-                self.retries = []
-
-            def sync_attempt_fails(self):
-                if self.failures:
-                    self.failures -= 1
-                    return True
-                return False
-
-            def note_retry(self, backoff_seconds):
-                self.retries.append(backoff_seconds)
-
-            def note_sync_gave_up(self):
-                raise AssertionError("should have succeeded")
-
-        replication = CheapRumor(server)
-        replication.set_hoard({"/proj/a"})
-        replication.disconnect()
-        replication.local_update("/proj/a", size=77)
-        replication.connected = True
-        scripted = FlakyThenFine(failures=2)
-        replication.faults = scripted
-        report = replication.synchronize_with_retry(
-            RetryPolicy(max_attempts=4))
-        assert report.succeeded
-        assert report.attempts == 3
+    def test_success_after_transient_failures(self):
+        scripted = ScriptedSync(failures=2)
+        _reconnect_sync_attempts(scripted, RetryPolicy(max_attempts=4))
+        assert scripted.attempts == 3
         assert scripted.retries == [1.0, 2.0]
-        assert report.backoff_seconds == 3.0
-        assert server.size_of("/proj/a") == 77
 
-    def test_inject_faults_adopts_profile_policy(self, server):
-        profile = FaultProfile(name="t", max_sync_attempts=7,
+    def test_inject_faults_adopts_profile_policy(self):
+        # Every reconnection of the replay fails all seven attempts the
+        # profile allows, backing off 0.25 s, 0.5 s, ... 8 s in between.
+        profile = FaultProfile(name="t", sync_failure_probability=1.0,
+                               max_sync_attempts=7,
                                backoff_initial_seconds=0.25)
-        replication = CheapRumor(server)
-        replication.inject_faults(FaultInjector(profile))
-        assert replication.retry_policy.max_attempts == 7
-        assert replication.retry_policy.initial_backoff_seconds == 0.25
-
-
-class TestCodaDeferredCallbackBreaks:
-    """Satellite: a disconnected client cannot receive a callback
-    break; it keeps serving the stale copy and discovers the break at
-    reconnection."""
-
-    def test_connected_break_is_immediate(self, server):
-        replication = CodaReplication(server)
-        replication.set_hoard({"/proj/a"})
-        server.write("/proj/a", size=99)
-        replication.server_updated("/proj/a")
-        assert not replication.has_callback("/proj/a")
-
-    def test_disconnected_client_keeps_believing(self, server):
-        replication = CodaReplication(server)
-        replication.set_hoard({"/proj/a"})
-        replication.disconnect()
-        server.write("/proj/a", size=99)
-        replication.server_updated("/proj/a")
-        # The break message never reached the laptop: it still holds
-        # (what it thinks is) a valid callback and serves the file.
-        assert replication.has_callback("/proj/a")
-        assert replication.access("/proj/a").ok
-        assert replication.local_sizes["/proj/a"] == 10
-
-    def test_break_discovered_at_reconnection(self, server):
-        replication = CodaReplication(server)
-        replication.set_hoard({"/proj/a"})
-        replication.disconnect()
-        server.write("/proj/a", size=99)
-        replication.server_updated("/proj/a")
-        conflicts = replication.reconnect()
-        # Clean local copy: the deferred break just refreshes it.
-        assert conflicts == []
-        assert replication.local_sizes["/proj/a"] == 99
-        assert not replication._pending_breaks
-        assert replication.has_callback("/proj/a")   # re-established
-
-    def test_deferred_break_with_dirty_copy_is_conflict(self, server):
-        replication = CodaReplication(server)
-        replication.set_hoard({"/proj/a"})
-        replication.disconnect()
-        replication.local_update("/proj/a", size=11)
-        server.write("/proj/a", size=99)
-        replication.server_updated("/proj/a")
-        conflicts = replication.reconnect()
-        assert len(conflicts) == 1
-        assert conflicts[0].winner == "local"   # CODA keeps local for repair
-        assert server.size_of("/proj/a") == 11
-
-    def test_break_for_unhoarded_path_ignored(self, server):
-        replication = CodaReplication(server)
-        replication.set_hoard({"/proj/a"})
-        replication.disconnect()
-        replication.server_updated("/proj/b")
-        assert not replication._pending_breaks
+        trace = generate_machine_trace(machine_profile("E"), seed=1, days=3)
+        result = simulate_live_usage(trace, fault_profile=profile)
+        reconnections = len(result.outcomes)
+        assert reconnections > 0
+        assert result.metrics["faults.sync_failures"] == 7 * reconnections
+        assert result.metrics["faults.sync_retries"] == 6 * reconnections
+        assert result.metrics["faults.backoff_ms"] == 15750 * reconnections
+        assert result.metrics["faults.sync_gave_up"] == reconnections
 
 
 class TestHoardFillAccounting:
-    """Satellite: retained dirty files are not 'fetched' and their
-    bytes no longer escape the budget."""
-
-    @pytest.mark.parametrize("cls", [CheapRumor, Rumor, CodaReplication])
-    def test_retained_dirty_not_reported_as_fetched(self, server, cls):
-        replication = cls(server)
-        replication.set_hoard({"/proj/a"})
-        replication.local_update("/proj/a", size=15)
-        fetched = replication.set_hoard({"/proj/a", "/proj/b"})
-        assert fetched == {"/proj/b"}
-        fill = replication.last_fill
-        assert fill.retained == {"/proj/a"}
-        assert fill.bytes_retained == 15
-        assert fill.bytes_fetched == 20
-        assert fill.paths == replication.hoarded_paths() == \
-            {"/proj/a", "/proj/b"}
-
-    def test_retained_bytes_charged_against_budget(self, server):
-        replication = CheapRumor(server)
-        replication.set_hoard({"/proj/a"})
-        replication.local_update("/proj/a", size=25)
-        replication.set_hoard({"/proj/a", "/proj/b", "/proj/c"}, budget=50)
-        fill = replication.last_fill
-        # 25 retained + 20 fetched = 45; /proj/c (30) no longer fits.
-        assert fill.retained == {"/proj/a"}
-        assert fill.fetched == {"/proj/b"}
-        assert fill.skipped == {"/proj/c"}
-        assert replication.hoard_bytes() == 45 <= 50
-
-    def test_clean_fill_reports_everything_fetched(self, server):
-        replication = CheapRumor(server)
-        fill = replication.fill_hoard({"/proj/a", "/proj/b"})
-        assert fill.fetched == {"/proj/a", "/proj/b"}
-        assert not fill.retained and not fill.skipped
-        assert fill.total_bytes == 30
-
-
-class TestOfflineUpdates:
-    """Satellite: disconnected writes to non-hoarded paths are not
-    silently dropped; synchronize() replays or reports them."""
-
-    @pytest.mark.parametrize("cls", ALL_SUBSTRATES)
-    def test_offline_create_replayed_as_new_file(self, server, cls):
-        replication = cls(server)
-        replication.disconnect()
-        assert replication.local_update("/proj/new", size=42) is False
-        assert replication.offline_updates == {"/proj/new": 42}
-        conflicts = replication.reconnect()
-        assert conflicts == []
-        assert server.size_of("/proj/new") == 42
-        assert replication.offline_updates == {}
-
-    @pytest.mark.parametrize("cls", ALL_SUBSTRATES)
-    def test_offline_write_to_existing_path_is_conflict(self, server, cls):
-        replication = cls(server)
-        replication.disconnect()
-        replication.local_update("/proj/b", size=7)
-        conflicts = replication.reconnect()
-        offline = [c for c in conflicts if c.path == "/proj/b"]
-        assert len(offline) == 1
-        assert offline[0].winner == "server"
-        assert "non-hoarded" in offline[0].detail
-        assert server.size_of("/proj/b") == 20   # server copy kept
-
-    def test_connected_write_to_nonhoarded_not_recorded(self, server):
-        replication = CheapRumor(server)
-        assert replication.local_update("/proj/b", size=7) is False
-        assert replication.offline_updates == {}
-
-    def test_offline_create_under_missing_directory_reported(self, server):
-        replication = CheapRumor(server)
-        replication.disconnect()
-        replication.local_update("/nowhere/file", size=1)
-        conflicts = replication.reconnect()
-        assert len(conflicts) == 1
-        assert "offline create failed" in conflicts[0].detail
+    def test_clean_fill_reports_everything_fetched(self):
+        # LOSSY only fails synchronizations: its fills run to the end.
+        injector = FaultInjector(LOSSY, seed=1)
+        selection = _selection({"/proj/a", "/proj/b"})
+        kept, kept_bytes, interrupted = _faulted_fill(
+            injector, selection, SIZES.__getitem__)
+        assert kept == {"/proj/a", "/proj/b"}
+        assert kept_bytes == 30
+        assert not interrupted
+        assert injector.metrics.snapshot() == {}

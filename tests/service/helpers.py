@@ -14,7 +14,7 @@ import os
 from typing import Any, AsyncIterator, Callable, Coroutine, List, Tuple
 
 from repro.core.correlator import Action, ObservedReference
-from repro.replication.base import RetryPolicy
+from repro.faults import RetryPolicy
 from repro.service.client import ServiceClient
 from repro.service.daemon import HoardDaemon
 

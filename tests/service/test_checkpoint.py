@@ -4,7 +4,9 @@ The ``ok`` reply means the tenant's entry is committed to the store,
 where a separate reader sees it while the daemon keeps running.  When
 the store cannot write, the reply is a ``checkpoint-failed`` error
 frame on a connection that stays usable, never a dropped connection
-that the client would mistake for an unreachable daemon.
+that the client would mistake for an unreachable daemon.  A store that
+cannot be read when a new tenant is restored is answered the same way,
+with ``restore-failed``.
 """
 
 import contextlib
@@ -76,6 +78,36 @@ async def failed_write_is_an_error_frame(tmp_path):
 
 def test_failed_checkpoint_write_is_an_error_frame(tmp_path):
     run_async(failed_write_is_an_error_frame(tmp_path))
+
+
+async def failed_restore_read_is_an_error_frame(tmp_path):
+    async with daemon_on_socket(tmp_path,
+                                checkpoint_dir=str(tmp_path / "ckpt")) \
+            as (daemon, socket_path):
+        client = client_for("laptop", socket_path)
+        try:
+            await client.ping()
+            failed_read = sqlite3.OperationalError("disk I/O error")
+            with mock.patch.object(SqliteStore, "get",
+                                   side_effect=failed_read):
+                with pytest.raises(protocol.ProtocolError) as raised:
+                    await client.send_events(EVENTS, stamp=False)
+            assert raised.value.code == "restore-failed"
+            assert client.reconnects == 0
+            assert await client.ping()   # same connection, still served
+            assert daemon.metrics.counter("service.errors") == 1
+            # No actor was registered, so the next request reads the
+            # store again, and this time it answers.
+            assert daemon.tenants() == []
+            reply = await client.send_events(EVENTS, stamp=False)
+            assert reply["accepted"] == len(EVENTS)
+            assert client.reconnects == 0
+        finally:
+            await client.close()
+
+
+def test_failed_restore_read_is_an_error_frame(tmp_path):
+    run_async(failed_restore_read_is_an_error_frame(tmp_path))
 
 
 @contextlib.contextmanager

@@ -1,9 +1,8 @@
 """Fault convergence: adversity changes nothing once it stops.
 
-Mirrors the PR 4 gossip property at the service layer: client
-disconnects mid-batch, duplicated delivery after retry, and slow reads
-must all leave tenant state *byte-identical* to the fault-free run of
-the same stream.  The daemon's seeded :class:`~repro.faults.
+Client disconnects mid-batch, duplicated delivery after retry, and
+slow reads must all leave tenant state *byte-identical* to the
+fault-free run of the same stream.  The daemon's seeded :class:`~repro.faults.
 FaultInjector` cuts connections after an event batch is applied but
 before its ack -- the worst case for at-least-once delivery, forcing
 the client's resend down the dedupe path.
