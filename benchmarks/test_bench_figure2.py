@@ -62,7 +62,7 @@ def test_figure2_render(benchmark, output_dir):
         return results
 
     results = benchmark.pedantic(collect, rounds=1, iterations=1)
-    text = render_figure2(results, show_ci=False)
+    text = render_figure2(results)
     with open(os.path.join(output_dir, "figure2.txt"), "w") as stream:
         stream.write(text + "\n")
     # Headline claim: LRU's mean exceeds SEER's on every machine, and
@@ -96,9 +96,8 @@ def test_figure2_parallel_mode(benchmark, output_dir):
         lambda: run_shards(shards, jobs=4), rounds=1, iterations=1)
     parallel_seconds = time.perf_counter() - start
 
-    serial_text = render_figure2([o.result for o in serial], show_ci=False)
-    parallel_text = render_figure2([o.result for o in parallel],
-                                   show_ci=False)
+    serial_text = render_figure2([o.result for o in serial])
+    parallel_text = render_figure2([o.result for o in parallel])
     assert parallel_text == serial_text
 
     speedup = serial_seconds / parallel_seconds if parallel_seconds else 0.0

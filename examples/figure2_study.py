@@ -29,7 +29,7 @@ def main():
                                                   use_investigators=True))
         weekly = results[-3 if profile.uses_investigators else -1]
     print()
-    print(render_figure2(results, show_ci=False))
+    print(render_figure2(results))
     print()
     print(render_figure3(weekly))
 

@@ -8,10 +8,9 @@ working-set size.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.simulation.missfree import MissFreeResult
-from repro.simulation.stats import ci99_halfwidth
 
 MB = 1024 * 1024
 
@@ -22,13 +21,15 @@ def _bar(value: float, scale: float, width: int = 40) -> str:
 
 
 def render_figure2(results: Sequence[MissFreeResult],
-                   show_ci: bool = True) -> str:
+                   show_ci: bool = False) -> str:
     """Figure 2: mean working sets and miss-free hoard sizes.
 
     *results* holds one entry per (machine, window, investigators)
     combination -- or several per combination (different seeds), which
-    are averaged and given 99 % confidence intervals.
+    are averaged.
     """
+    # show_ci is ignored: benchmarks/e2e/replay.py and the golden test
+    # still pass it.
     grouped: Dict[Tuple[str, float, bool], List[MissFreeResult]] = {}
     for result in results:
         key = (result.machine, result.window_seconds, result.use_investigators)
@@ -37,34 +38,29 @@ def render_figure2(results: Sequence[MissFreeResult],
     rows = []
     for (machine, window, investigators), group in sorted(
             grouped.items(), key=lambda item: (item[0][0], item[0][2], item[0][1])):
-        ws = [r.mean_working_set for r in group]
-        seer = [r.mean_seer for r in group]
-        lru = [r.mean_lru for r in group]
         label = machine + ("*" if investigators else "")
         period = "daily" if window <= 2 * 86400 else "weekly"
         rows.append((label, period,
-                     sum(ws) / len(ws), ci99_halfwidth(ws),
-                     sum(seer) / len(seer), ci99_halfwidth(seer),
-                     sum(lru) / len(lru), ci99_halfwidth(lru)))
+                     sum(r.mean_working_set for r in group) / len(group),
+                     sum(r.mean_seer for r in group) / len(group),
+                     sum(r.mean_lru for r in group) / len(group)))
 
-    scale = max((row[6] for row in rows), default=1.0)
+    scale = max((row[4] for row in rows), default=1.0)
     lines = [
         "Figure 2: Mean working sets and miss-free hoard sizes",
         "(W = working set, S = additional space needed by SEER,",
         " L = additional space needed by LRU; * = with investigators)",
         "",
     ]
-    for label, period, ws, ws_ci, seer, seer_ci, lru, lru_ci in rows:
+    for label, period, ws, seer, lru in rows:
         ws_part = _bar(ws, scale)
         seer_part = _bar(max(0.0, seer - ws), scale).replace("#", "S")
         lru_part = _bar(max(0.0, lru - seer), scale).replace("#", "L")
-        ci = (f"  (ws +/- {ws_ci / MB:.2f}, seer +/- {seer_ci / MB:.2f}, "
-              f"lru +/- {lru_ci / MB:.2f} MB)") if show_ci and ws_ci else ""
         lines.append(
             f"{label:<3}{period:<7} |{ws_part}{seer_part}{lru_part}")
         lines.append(
             f"{'':10} ws={ws / MB:6.2f}  seer={seer / MB:6.2f}  "
-            f"lru={lru / MB:6.2f} MB{ci}")
+            f"lru={lru / MB:6.2f} MB")
     return "\n".join(lines)
 
 

@@ -91,7 +91,7 @@ class ReproductionReport:
                       render_table4(self.live), "",
                       render_table5(self.live), ""]
         if self.missfree:
-            lines += [render_figure2(self.missfree, show_ci=False), ""]
+            lines += [render_figure2(self.missfree), ""]
             weekly_f = [r for r in self.missfree
                         if r.window_seconds > 2 * DAY and
                         not r.use_investigators]

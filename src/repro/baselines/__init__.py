@@ -3,8 +3,9 @@
 * :mod:`repro.baselines.lru` -- strict LRU hoarding (the early systems
   [1, 9]) plus the exact miss-free-hoard-size recipe of section 5.1.2;
 * :mod:`repro.baselines.coda_priority` -- the CODA-inspired priority
-  formula in three variants (section 5.1.2 notes they performed worse
-  than LRU without ongoing hand management);
+  formula, read as bounded-age LRU with no hand-assigned offsets
+  (section 5.1.2 notes it performed worse than LRU without ongoing
+  hand management);
 * :mod:`repro.baselines.optimal` -- the clairvoyant working-set oracle,
   the lower bound every hoard size is measured against;
 * :mod:`repro.baselines.spy_utility` -- Tait et al.'s SPY UTILITY
@@ -12,7 +13,7 @@
   process-execution access trees, without SEER's semantic clustering.
 """
 
-from repro.baselines.coda_priority import CodaPriorityManager, CodaVariant, HoardProfile
+from repro.baselines.coda_priority import CodaPriorityManager
 from repro.baselines.lru import lru_miss_free_size
 from repro.baselines.optimal import working_set, working_set_size
 from repro.baselines.spy_utility import AccessTree, SpyUtilityManager
@@ -20,8 +21,6 @@ from repro.baselines.spy_utility import AccessTree, SpyUtilityManager
 __all__ = [
     "AccessTree",
     "CodaPriorityManager",
-    "CodaVariant",
-    "HoardProfile",
     "SpyUtilityManager",
     "lru_miss_free_size",
     "working_set",

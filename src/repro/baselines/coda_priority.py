@@ -6,123 +6,39 @@ global bound arranged that for older files the offset controlled the
 decision regardless of reference order.  The paper simulated "three
 schemes inspired by the formula used in CODA", all of which performed
 worse than LRU without the ongoing hand management they were designed
-to expect; results were therefore not reported.  We implement the three
-natural readings of the formula so the comparison can be reproduced:
+to expect; results were therefore not reported.
 
-* ``ADDITIVE``    priority = recency_rank_score + offset
-* ``BOUNDED``     like ADDITIVE, but age is clamped at a horizon
-                  beyond which only the offset matters (the "global
-                  bound" of section 6.2)
-* ``LEXICOGRAPHIC`` offset dominates; recency only breaks ties
+The experiments run the bounded reading with no hoard profile, which is
+what an unmanaged CODA user has: priority is the age in references,
+clamped at :data:`AGE_HORIZON` (the "global bound" of section 6.2), so
+files older than the horizon all tie and rank by path.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Set, Tuple
+from typing import Callable, Dict, List, Set, Tuple
 
 SizeFunction = Callable[[str], int]
 
-
-class CodaVariant(enum.Enum):
-    ADDITIVE = "additive"
-    BOUNDED = "bounded"
-    LEXICOGRAPHIC = "lexicographic"
-
-
-@dataclass
-class HoardProfile:
-    """A named set of path-prefix -> priority-offset rules.
-
-    CODA users switched projects by loading a new set of priorities
-    ("hoard profiles") for that project (section 6.2).
-    """
-
-    name: str
-    rules: Dict[str, float] = field(default_factory=dict)
-
-    def add_rule(self, prefix: str, offset: float) -> None:
-        self.rules[prefix] = offset
-
-    def offset_for(self, path: str) -> float:
-        best = 0.0
-        best_length = -1
-        for prefix, offset in self.rules.items():
-            if (path == prefix or path.startswith(prefix.rstrip("/") + "/")) \
-                    and len(prefix) > best_length:
-                best = offset
-                best_length = len(prefix)
-        return best
+#: References after which a file's age stops counting against it.
+AGE_HORIZON = 1000
 
 
 class CodaPriorityManager:
-    """LRU enhanced with user-assigned priority offsets."""
+    """Bounded-age LRU: CODA's priority formula with no offsets."""
 
-    def __init__(self, variant: CodaVariant = CodaVariant.ADDITIVE,
-                 age_horizon: int = 1000) -> None:
-        self.variant = variant
-        self.age_horizon = age_horizon
-        self._recency: Dict[str, float] = {}
+    def __init__(self) -> None:
+        self._recency: Dict[str, int] = {}
         self._counter = 0
-        self._profiles: List[HoardProfile] = []
 
-    # ------------------------------------------------------------------
-    # state feeds
-    # ------------------------------------------------------------------
     def reference(self, path: str) -> None:
         self._counter += 1
         self._recency[path] = self._counter
 
-    def observe_recency(self, recency: Mapping[str, float]) -> None:
-        self._recency.update(recency)
-        if self._recency:
-            self._counter = max(self._counter, int(max(self._recency.values())))
-
-    def load_profile(self, profile: HoardProfile) -> None:
-        """An attention shift: the user loads a project's profile."""
-        self._profiles.append(profile)
-
-    def unload_profile(self, name: str) -> None:
-        self._profiles = [p for p in self._profiles if p.name != name]
-
-    def offset_for(self, path: str) -> float:
-        return sum(profile.offset_for(path) for profile in self._profiles)
-
-    # ------------------------------------------------------------------
-    # the priority formula
-    # ------------------------------------------------------------------
-    def priority(self, path: str) -> Tuple[float, ...]:
-        """Larger sorts earlier (hoarded first)."""
-        last = self._recency.get(path, 0.0)
-        age = self._counter - last            # 0 = just referenced
-        offset = self.offset_for(path)
-        if self.variant is CodaVariant.ADDITIVE:
-            return (offset - age,)
-        if self.variant is CodaVariant.BOUNDED:
-            return (offset - min(age, self.age_horizon),)
-        return (offset, -age)                 # LEXICOGRAPHIC
-
     def ranking(self) -> List[str]:
-        return sorted(self._recency,
-                      key=lambda path: tuple(-v for v in self.priority(path))
-                      + (path,))
-
-    def build(self, sizes: SizeFunction, budget: int,
-              always_hoard: Iterable[str] = ()) -> Set[str]:
-        hoard: Set[str] = set()
-        total = 0
-        for path in sorted(set(always_hoard)):
-            hoard.add(path)
-            total += sizes(path)
-        for path in self.ranking():
-            if path in hoard:
-                continue
-            size = sizes(path)
-            if total + size <= budget:
-                hoard.add(path)
-                total += size
-        return hoard
+        """Most recent first; past the horizon, by path."""
+        return sorted(self._recency, key=lambda path: (
+            min(self._counter - self._recency[path], AGE_HORIZON), path))
 
     def miss_free_size(self, needed: Set[str], sizes: SizeFunction) -> Tuple[int, Set[str]]:
         """The generalization of section 5.1.2's recipe to any ranking."""

@@ -14,8 +14,8 @@ This module implements that mechanism as a comparison baseline:
 * trees are keyed by their root program, and repeated executions of
   the same program merge their access sets (the "union of access
   trees");
-* hoarding loads the most recently exercised trees, whole, until the
-  budget is reached.
+* hoarding loads the most recently exercised trees, whole; the
+  experiments measure the miss-free size this ranking needs.
 
 There is no semantic-distance layer, no overlap, and no
 multidimensional external information -- the limitations the paper
@@ -25,9 +25,13 @@ calls out.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 SizeFunction = Callable[[str], int]
+
+#: Programs treated as interactive shells: their children root new
+#: trees rather than extending a shell-wide mega-tree.
+SHELLS = frozenset({"sh", "bash", "csh", "init", ""})
 
 
 @dataclass
@@ -50,11 +54,7 @@ class SpyUtilityManager:
     accesses to the root's tree.
     """
 
-    def __init__(self, shells: Optional[Set[str]] = None) -> None:
-        # Programs treated as interactive shells: their children root
-        # new trees rather than extending a shell-wide mega-tree.
-        self.shells = shells if shells is not None else {"sh", "bash", "csh",
-                                                         "init", ""}
+    def __init__(self) -> None:
         self._trees: Dict[str, AccessTree] = {}
         self._root_of_pid: Dict[int, Optional[str]] = {}
         self._program_of_pid: Dict[int, str] = {}
@@ -75,7 +75,7 @@ class SpyUtilityManager:
         self._program_of_pid[pid] = program
         if self._root_of_pid.get(pid) is None:
             # Launched from a shell: this command roots a tree.
-            if program not in self.shells:
+            if program not in SHELLS:
                 tree = self._tree(program)
                 tree.executions += 1
                 tree.last_exercised = self._clock
@@ -94,7 +94,7 @@ class SpyUtilityManager:
         root = self._root_of_pid.get(pid)
         if root is None:
             program = self._program_of_pid.get(pid, "")
-            if program in self.shells:
+            if program in SHELLS:
                 return   # raw shell accesses belong to no project tree
             # An untracked non-shell process: root a tree for it.
             self._root_of_pid[pid] = root = program
@@ -132,22 +132,6 @@ class SpyUtilityManager:
     # ------------------------------------------------------------------
     # hoarding
     # ------------------------------------------------------------------
-    def build(self, sizes: SizeFunction, budget: int,
-              always_hoard: Iterable[str] = ()) -> Set[str]:
-        """Load whole access trees, most recent first, within budget."""
-        hoard: Set[str] = set()
-        total = 0
-        for path in sorted(set(always_hoard)):
-            hoard.add(path)
-            total += sizes(path)
-        for tree in self.ranked_trees():
-            new_files = sorted(tree.files - hoard)
-            added = sum(sizes(path) for path in new_files)
-            if total + added <= budget:
-                hoard.update(new_files)
-                total += added
-        return hoard
-
     def miss_free_size(self, needed: Set[str],
                        sizes: SizeFunction) -> Tuple[int, Set[str]]:
         """The section 5.1.2 recipe generalized to tree ranking."""

@@ -54,7 +54,6 @@ from repro.analysis import (
 from repro.core.parameters import SeerParameters
 from repro.observability import sort_metric_names
 from repro.simulation import SIM_PARAMETERS
-from repro.simulation.live import simulate_live_usage
 from repro.simulation.missfree import simulate_miss_free
 from repro.tracing import read_trace_file, summarize_trace, write_trace_file
 from repro.tuning import sweep_parameter
@@ -169,22 +168,14 @@ def cmd_missfree(args) -> int:
 
 
 def cmd_live(args) -> int:
-    if args.checkpoint_dir:
-        # Run the single live cell through the parallel runner so it is
-        # checkpointed (and resumable).
-        from repro.simulation.runner import ShardSpec, run_shards
-        spec = ShardSpec("live", args.machine, args.seed, args.days,
-                         fault_profile=args.fault_profile,
-                         fault_seed=args.fault_seed)
-        (outcome,) = run_shards([spec], jobs=args.jobs,
-                                checkpoint_dir=args.checkpoint_dir,
-                                resume=args.resume)
-        result = outcome.result
-    else:
-        trace = _trace_for(args)
-        result = simulate_live_usage(trace,
-                                     fault_profile=args.fault_profile,
-                                     fault_seed=args.fault_seed)
+    from repro.simulation.runner import ShardSpec, run_shards
+    spec = ShardSpec("live", args.machine, args.seed, args.days,
+                     fault_profile=args.fault_profile,
+                     fault_seed=args.fault_seed)
+    (outcome,) = run_shards([spec], jobs=args.jobs,
+                            checkpoint_dir=args.checkpoint_dir,
+                            resume=args.resume)
+    result = outcome.result
     if args.fault_profile:
         print(f"(fault profile {args.fault_profile!r}, "
               f"fault seed {args.fault_seed})", file=sys.stderr)
@@ -208,7 +199,7 @@ def cmd_figure2(args) -> int:
                           checkpoint_dir=args.checkpoint_dir,
                           resume=args.resume, metrics=metrics,
                           progress=lambda msg: print(msg, file=sys.stderr))
-    print(render_figure2([o.result for o in outcomes], show_ci=False))
+    print(render_figure2([o.result for o in outcomes]))
     if args.metrics:
         _print_metrics(metrics.snapshot())
     return 0
@@ -336,8 +327,8 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         print(f"sweep: {exc}", file=sys.stderr)
         return 2
-    trace = _trace_for(args)
-    points = sweep_parameter(SIM_PARAMETERS, args.parameter, values, [trace],
+    points = sweep_parameter(SIM_PARAMETERS, args.parameter, values,
+                             [args.machine], args.seed, args.days,
                              jobs=args.jobs,
                              checkpoint_dir=args.checkpoint_dir,
                              resume=args.resume)
@@ -554,13 +545,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 #: The domain of every numeric argument: (dest, test, requirement).
-#: ``figure2`` and ``report`` take ``--machines`` as names, not a count.
+#: ``figure2`` and ``report`` take ``--machines`` as names, not a count;
+#: ``service --max-runtime`` is unset (None) unless given.
 _DOMAINS = (
     ("days", lambda days: math.isfinite(days) and days > 0,
      "positive and finite"),
     ("machines", lambda machines: machines >= 1, "at least 1"),
     ("jobs", lambda jobs: jobs >= 1, "at least 1"),
     ("resamples", lambda resamples: resamples >= 1, "at least 1"),
+    ("queue_bound", lambda bound: bound >= 1, "at least 1"),
+    ("port", lambda port: 0 <= port <= 65535, "between 0 and 65535"),
+    ("max_runtime", lambda seconds: math.isfinite(seconds) and seconds > 0,
+     "positive and finite"),
 )
 
 
@@ -570,7 +566,8 @@ def _domain_error(args: argparse.Namespace) -> Optional[str]:
         value = getattr(args, name, None)
         if isinstance(value, (int, float)) and not test(value):
             shown = f"{value:g}" if isinstance(value, float) else value
-            return f"--{name} must be {requirement}, got {shown}"
+            flag = "--" + name.replace("_", "-")
+            return f"{flag} must be {requirement}, got {shown}"
     return None
 
 

@@ -133,9 +133,6 @@ class Correlator:
         """Last reference wall-clock time per file."""
         return dict(self._recency_time)
 
-    def last_reference(self, path: str) -> Optional[int]:
-        return self._recency.get(path)
-
     def build_clusters(self, relations: Sequence[Relation] = (),
                        exclude: Optional[Set[str]] = None) -> ClusterSet:
         """Run the clustering algorithm over the current neighbor tables.

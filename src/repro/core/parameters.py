@@ -9,7 +9,8 @@ frozen dataclass so experiments and ablations can sweep them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 
 @dataclass(frozen=True)
@@ -57,6 +58,11 @@ class SeerParameters:
     minimum_disconnection_seconds: float = 15 * 60.0  # 15-minute squash
 
     def __post_init__(self) -> None:
+        # NaN would slip through every comparison below.
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{spec.name} must be finite, got {value}")
         if self.kn <= self.kf:
             raise ValueError(f"kn ({self.kn}) must exceed kf ({self.kf})")
         if self.max_neighbors < 1:

@@ -11,9 +11,8 @@ which this reproduction does not simulate.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
-                    Sequence, Set, Tuple)
+from typing import (TYPE_CHECKING, Any, Callable, List, Optional, Sequence,
+                    Set, Tuple)
 
 from repro.core.clustering import ClusterSet, Relation
 from repro.core.correlator import Correlator, ObservedReference
@@ -75,13 +74,6 @@ class Seer:
         self._hoard_manager = HoardManager(parameters)
         self.current_hoard: Optional[HoardSelection] = None
         self._disconnected = False
-        # Automated periodic hoard filling (section 2): refill every
-        # interval of observed trace time, eliminating even the
-        # "disconnection imminent" notification.
-        self._refill_interval: Optional[float] = None
-        self._refill_budget: int = 0
-        self._next_refill: Optional[float] = None
-        self.refills_performed = 0
         filesystem = kernel.fs if kernel is not None else None
         process_table = kernel.processes if kernel is not None else None
         # The observer calls back through weak references, so no cycle
@@ -96,32 +88,13 @@ class Seer:
             kernel.add_sink(self.observer.handle_record)
 
     # ------------------------------------------------------------------
-    # reference handling and periodic refill (section 2)
+    # reference handling
     # ------------------------------------------------------------------
     def _handle_reference(self, reference: ObservedReference) -> None:
+        # Looked up per call rather than bound once, so a wrapped
+        # Correlator.handle (a traced run's ``correlator`` span) sees
+        # every reference.
         self.correlator.handle(reference)
-        if self._refill_interval is None or self._disconnected:
-            return
-        if self._next_refill is None:
-            # First observed reference starts the refill clock.
-            self._next_refill = reference.time + self._refill_interval
-            return
-        if reference.time >= self._next_refill:
-            self._next_refill = reference.time + self._refill_interval
-            self.build_hoard(self._refill_budget)
-            self.refills_performed += 1
-
-    def enable_periodic_refill(self, interval_seconds: float,
-                               budget: int) -> None:
-        """Refill the hoard every *interval_seconds* of observed time,
-        so the user never needs to announce a disconnection."""
-        if interval_seconds <= 0:
-            raise ValueError("refill interval must be positive")
-        self._refill_interval = interval_seconds
-        self._refill_budget = budget
-
-    def disable_periodic_refill(self) -> None:
-        self._refill_interval = None
 
     # ------------------------------------------------------------------
     # connectivity state (for automatic miss detection, section 4.4)
@@ -160,10 +133,6 @@ class Seer:
         ingestion pipeline (references/sec, prune and eviction counts,
         cluster-build latency)."""
         return self.correlator.metrics
-
-    def metrics_report(self) -> str:
-        """Render the pipeline counters for operators (CLI ``--metrics``)."""
-        return self.correlator.metrics.render()
 
     # ------------------------------------------------------------------
     # clustering and hoarding

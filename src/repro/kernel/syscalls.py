@@ -42,9 +42,6 @@ class Kernel:
         """Register a trace consumer (e.g. the SEER observer)."""
         self._sinks.append(sink)
 
-    def remove_sink(self, sink: TraceSink) -> None:
-        self._sinks.remove(sink)
-
     def exempt_process(self, process: Process) -> None:
         """Never trace *process* (SEER's own observer/correlator, sec. 4.10)."""
         self._untraced_pids.add(process.pid)

@@ -9,8 +9,8 @@
   section 5.2.2 (Tables 3-5): run the connectivity schedule, fill the
   hoard before each disconnection, count misses by severity and the
   time to first miss (active time only).
-* :mod:`repro.simulation.stats` -- means, medians, and the 99 %
-  confidence intervals the paper reports.
+* :mod:`repro.simulation.stats` -- the means, medians, standard
+  deviations and ranges of Tables 3 and 5.
 
 ``SIM_PARAMETERS`` is the parameter set the harness uses: the paper's
 published constants, with two scale corrections for a synthetic world
@@ -35,7 +35,7 @@ from repro.simulation.population import (
     PopulationCellResult,
     simulate_population_cell,
 )
-from repro.simulation.stats import SummaryStatistics, ci99_halfwidth, summarize
+from repro.simulation.stats import SummaryStatistics, summarize
 from repro.simulation.runner import (
     RunStats,
     ShardOutcome,
@@ -87,7 +87,6 @@ __all__ = [
     "SqliteStore",
     "SummaryStatistics",
     "WindowResult",
-    "ci99_halfwidth",
     "execute_shard",
     "figure2_grid",
     "population_grid",

@@ -7,7 +7,8 @@ user performed no work while the hoard was recomputed", and measures
 for each period the mean working set, the miss-free hoard size under
 SEER's clustering manager, and under strict LRU.  File sizes are real
 when available, otherwise drawn from the geometric distribution of
-section 5.1.2; several seeds are run and results carry 99 % CIs.
+section 5.1.2, one size seed per run (the paper's 99 % error bars over
+several seeds are not drawn).
 
 Every replay runs one record loop, :func:`replay`, which feeds the
 records to one Seer.  A :class:`MissFreeScorer` rides it and scores
@@ -25,7 +26,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.baselines.coda_priority import CodaPriorityManager, CodaVariant
+from repro.baselines.coda_priority import CodaPriorityManager
 from repro.baselines.lru import lru_miss_free_size
 from repro.baselines.spy_utility import SpyUtilityManager
 from repro.baselines.optimal import working_set_size
@@ -82,12 +83,6 @@ class WindowResult:
         if self.working_set_bytes == 0:
             return 1.0
         return self.seer_bytes / self.working_set_bytes
-
-    @property
-    def lru_overhead(self) -> float:
-        if self.working_set_bytes == 0:
-            return 1.0
-        return self.lru_bytes / self.working_set_bytes
 
 
 @dataclass
@@ -289,8 +284,7 @@ class MissFreeScorer:
         self._lru_recency: Dict[str, int] = {}
         self._lru_counter = 0
         self._spy = SpyUtilityManager() if include_spy else None
-        self._coda = (CodaPriorityManager(CodaVariant.BOUNDED)
-                      if include_coda else None)
+        self._coda = CodaPriorityManager() if include_coda else None
         self._fed = 0   # records fed to the baselines so far
 
     @property

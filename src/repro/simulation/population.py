@@ -29,7 +29,7 @@ cell equals the two separate passes it replaced, byte for byte
 ``tests/oracle/replay.py``).  The cell's ``metrics`` count the one
 ingest.
 
-CODA runs the BOUNDED variant with *no hoard profiles loaded*: the
+CODA runs its bounded-age reading with *no hoard profiles*: the
 paper's finding (section 6.2) is precisely that CODA's formula needs
 ongoing hand management nobody performs, so the fleet-scale comparison
 measures CODA the way a population would actually run it -- unmanaged.

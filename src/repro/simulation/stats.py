@@ -1,16 +1,14 @@
-"""Descriptive statistics and confidence intervals.
+"""Descriptive statistics.
 
-The paper reports means, medians, standard deviations, ranges, and
-99 % confidence intervals (Figure 2's error analysis, Tables 3 and 5).
+The paper reports means, medians, standard deviations and ranges
+(Tables 3 and 5).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
-
-from scipy import stats as scipy_stats
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -22,11 +20,6 @@ class SummaryStatistics:
     std: float
     minimum: float
     maximum: float
-
-    def format_row(self) -> str:
-        return (f"n={self.count} total={self.total:.2f} mean={self.mean:.2f} "
-                f"median={self.median:.2f} std={self.std:.2f} "
-                f"max={self.maximum:.2f}")
 
 
 def summarize(values: Sequence[float]) -> SummaryStatistics:
@@ -50,20 +43,3 @@ def summarize(values: Sequence[float]) -> SummaryStatistics:
     return SummaryStatistics(count=count, total=total, mean=mean,
                              median=median, std=std,
                              minimum=data[0], maximum=data[-1])
-
-
-def ci99_halfwidth(values: Sequence[float]) -> float:
-    """Half-width of the 99 % confidence interval about the mean,
-    using the t distribution (the paper quotes +/- bounds)."""
-    data = [float(v) for v in values]
-    if len(data) < 2:
-        return 0.0
-    summary = summarize(data)
-    t_critical = scipy_stats.t.ppf(0.995, df=len(data) - 1)
-    return float(t_critical * summary.std / math.sqrt(len(data)))
-
-
-def mean_with_ci(values: Sequence[float]) -> str:
-    """Render ``mean +/- ci99`` the way Figure 2's caption does."""
-    summary = summarize(values)
-    return f"{summary.mean:.2f} +/- {ci99_halfwidth(values):.2f}"

@@ -10,8 +10,7 @@ the observer to maintain its own per-process working-directory map.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 
 class Operation(enum.Enum):
@@ -36,25 +35,6 @@ class Operation(enum.Enum):
     CLOSEDIR = "closedir"
     CHDIR = "chdir"
     WRITE_CLOSE = "write_close"  # close of a file that was written
-
-    @property
-    def traced_before_execution(self) -> bool:
-        """exec and exit are traced before they run (section 4.11)."""
-        return self in (Operation.EXEC, Operation.EXIT)
-
-    @property
-    def is_point_reference(self) -> bool:
-        """Operations treated as an open immediately followed by a close."""
-        return self in (
-            Operation.STAT,
-            Operation.CHMOD,
-            Operation.UNLINK,
-            Operation.RENAME,
-            Operation.MKDIR,
-            Operation.SYMLINK,
-            Operation.READLINK,
-            Operation.CREATE,
-        )
 
 
 @dataclass

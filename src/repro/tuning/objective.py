@@ -3,14 +3,15 @@
 The quantity SEER's authors tuned for is hoarding quality: the hoard
 should be as close as possible to the working set while still
 covering it.  :func:`hoard_overhead_objective` scores a parameter set
-by SEER's mean miss-free overhead (hoard size / working set) averaged
-over the supplied machine traces -- lower is better, 1.0 is optimal.
+by SEER's mean miss-free overhead (hoard size / working set) on one
+machine's trace, and :func:`aggregate_scores` averages that over
+machines -- lower is better, 1.0 is optimal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict
 
 from repro.core.parameters import SeerParameters
 from repro.simulation.missfree import simulate_miss_free
@@ -26,9 +27,6 @@ class EvaluationResult:
     parameters: SeerParameters
     score: float                       # lower is better
     per_machine: Dict[str, float] = field(default_factory=dict)
-
-    def __lt__(self, other: "EvaluationResult") -> bool:
-        return self.score < other.score
 
 
 def hoard_overhead_objective(trace: GeneratedTrace,
@@ -47,21 +45,10 @@ def aggregate_scores(parameters: SeerParameters,
 
     The score is the unweighted mean (the paper tuned for "good
     results for all users", so no machine is allowed to dominate); an
-    empty mapping scores infinite.  Both the serial evaluator and the
-    parallel sweep aggregate through here, so their rankings agree.
+    empty mapping scores infinite.
     """
     values = list(per_machine.values())
     score = sum(values) / len(values) if values else float("inf")
     return EvaluationResult(parameters=parameters, score=score,
                             per_machine=per_machine)
 
-
-def evaluate_parameters(parameters: SeerParameters,
-                        traces: Sequence[GeneratedTrace],
-                        window_seconds: float = DAY) -> EvaluationResult:
-    """Score *parameters* over every trace (see :func:`aggregate_scores`)."""
-    per_machine: Dict[str, float] = {}
-    for trace in traces:
-        per_machine[trace.machine.name] = hoard_overhead_objective(
-            trace, parameters, window_seconds)
-    return aggregate_scores(parameters, per_machine)

@@ -54,9 +54,6 @@ class Schedule:
     def disconnections(self) -> List[Period]:
         return [p for p in self.periods if p.kind is PeriodKind.DISCONNECTED]
 
-    def connected_periods(self) -> List[Period]:
-        return [p for p in self.periods if p.kind is PeriodKind.CONNECTED]
-
     def suspensions(self) -> List[Period]:
         return [p for p in self.periods if p.kind is PeriodKind.SUSPENDED]
 

@@ -46,9 +46,6 @@ class FileSizeModel:
     def header_file(self) -> int:
         return self.sample_scaled(0.15)
 
-    def object_file(self) -> int:
-        return self.sample_scaled(0.8)
-
     def binary(self) -> int:
         return self.sample_scaled(2.0)
 

@@ -76,21 +76,6 @@ class TestTreeConstruction:
 
 
 class TestHoarding:
-    def test_whole_trees_within_budget(self, spy):
-        run_command(spy, 1, "cc", ["/p/a.c"])
-        run_command(spy, 2, "latex", ["/d/paper.tex"])
-        sizes = sizes_of({"/p/a.c": 10, "/bin/cc": 10,
-                          "/d/paper.tex": 10, "/bin/latex": 10})
-        hoard = spy.build(sizes, budget=20)
-        # Only the most recent tree (latex) fits.
-        assert hoard == {"/d/paper.tex", "/bin/latex"}
-
-    def test_always_hoard_first(self, spy):
-        run_command(spy, 1, "cc", ["/p/a.c"])
-        sizes = sizes_of({"/lib/libc.so": 15, "/p/a.c": 10, "/bin/cc": 10})
-        hoard = spy.build(sizes, budget=15, always_hoard=["/lib/libc.so"])
-        assert hoard == {"/lib/libc.so"}
-
     def test_miss_free_size_covers_needed(self, spy):
         run_command(spy, 1, "cc", ["/p/a.c"])
         run_command(spy, 2, "latex", ["/d/paper.tex"])

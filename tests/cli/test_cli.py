@@ -5,6 +5,12 @@ import pytest
 from repro.cli import _coerce, build_parser, main
 
 
+def _refuse(what):
+    def refuse(*args, **kwargs):
+        raise AssertionError(what)
+    return refuse
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -56,6 +62,23 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Table 3" in out and "Table 4" in out and "Table 5" in out
 
+    def test_live_same_with_and_without_checkpoint(self, tmp_path, capsys):
+        # One path: the live cell always runs on the runner, so a
+        # checkpoint, and a resume from it, change no table and no
+        # counter (timings aside).
+        def run(*extra):
+            assert main(["live", "E", "--days", "7", "--metrics",
+                         *extra]) == 0
+            captured = capsys.readouterr()
+            counters = [line for line in captured.err.splitlines()
+                        if "second" not in line]
+            return captured.out, counters
+
+        checkpoints = str(tmp_path / "ck")
+        plain = run()
+        assert run("--checkpoint-dir", checkpoints) == plain
+        assert run("--checkpoint-dir", checkpoints, "--resume") == plain
+
     def test_figure2(self, capsys):
         assert main(["figure2", "--machines", "E", "--days", "7"]) == 0
         out = capsys.readouterr().out
@@ -69,10 +92,9 @@ class TestCommands:
         assert "best:" in out
 
     def test_sweep_unknown_parameter_rejected(self, capsys, monkeypatch):
-        # Rejected before any trace is generated, with the valid names.
-        def no_trace(args):
-            raise AssertionError("trace generated for a bad parameter")
-        monkeypatch.setattr("repro.cli._trace_for", no_trace)
+        # Rejected before the sweep runs, with the valid names.
+        monkeypatch.setattr("repro.cli.sweep_parameter",
+                            _refuse("swept a bad parameter"))
         with pytest.raises(SystemExit) as excinfo:
             main(["sweep", "E", "--days", "1",
                   "--parameter", "no_such_param",
@@ -103,9 +125,8 @@ class TestCommands:
         assert "normalize_shared_counts=False" in capsys.readouterr().out
 
     def test_sweep_unparseable_value_exits_2(self, capsys, monkeypatch):
-        def no_trace(args):
-            raise AssertionError("trace generated for a bad value")
-        monkeypatch.setattr("repro.cli._trace_for", no_trace)
+        monkeypatch.setattr("repro.cli.sweep_parameter",
+                            _refuse("swept a bad value"))
         assert main(["sweep", "E", "--days", "1",
                      "--parameter", "normalize_shared_counts",
                      "--values", "True", "no"]) == 2
@@ -117,9 +138,8 @@ class TestCommands:
     def test_sweep_rejected_value_exits_2(self, capsys, monkeypatch):
         # SeerParameters rejects kn_fraction 0.1 (kf_fraction is 0.55):
         # the sweep once dropped that point without a word and exited 0.
-        def no_trace(args):
-            raise AssertionError("trace generated for a rejected value")
-        monkeypatch.setattr("repro.cli._trace_for", no_trace)
+        monkeypatch.setattr("repro.cli.sweep_parameter",
+                            _refuse("swept a rejected value"))
         assert main(["sweep", "E", "--days", "1",
                      "--parameter", "kn_fraction",
                      "--values", "0.1", "0.7"]) == 2
@@ -127,6 +147,22 @@ class TestCommands:
         assert captured.out == ""
         assert "kn_fraction=0.1" in captured.err
         assert "must exceed kf_fraction" in captured.err
+
+    @pytest.mark.parametrize("parameter, values", [
+        ("kf_fraction", ["nan", "0.5"]),
+        ("directory_distance_weight", ["1.0", "inf"]),
+    ])
+    def test_sweep_non_finite_value_exits_2(self, capsys, monkeypatch,
+                                            parameter, values):
+        # NaN passed every comparison in SeerParameters, so these once
+        # scored a NaN point (and named it best) and exited 0.
+        monkeypatch.setattr("repro.cli.sweep_parameter",
+                            _refuse("swept a non-finite value"))
+        assert main(["sweep", "E", "--days", "1", "--parameter", parameter,
+                     "--values", *values]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{parameter} must be finite" in captured.err
 
     @pytest.mark.parametrize("parameter, values, reason", [
         ("kn", ["4", "8"], "compares kn_fraction"),
@@ -138,9 +174,8 @@ class TestCommands:
     def test_sweep_inert_parameter_exits_2(self, capsys, monkeypatch,
                                            parameter, values, reason):
         # Each of these once printed the same score at every value.
-        def no_trace(args):
-            raise AssertionError("trace generated for an inert parameter")
-        monkeypatch.setattr("repro.cli._trace_for", no_trace)
+        monkeypatch.setattr("repro.cli.sweep_parameter",
+                            _refuse("swept an inert parameter"))
         assert main(["sweep", "E", "--days", "1", "--parameter", parameter,
                      "--values", *values]) == 2
         captured = capsys.readouterr()
@@ -330,12 +365,11 @@ class TestArgumentDomains:
 
     @pytest.fixture(autouse=True)
     def nothing_generated(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a handler ran for an argument out of "
-                                 "its domain")
+        refuse = _refuse("a handler ran for an argument out of its domain")
         for target in ("repro.cli.generate_machine_trace",
                        "repro.workload.generate_machine_trace",
-                       "repro.workload.sample_population"):
+                       "repro.workload.sample_population",
+                       "repro.service.daemon.run_service"):
             monkeypatch.setattr(target, refuse)
 
     @pytest.mark.parametrize("argv, message", [
@@ -366,6 +400,20 @@ class TestArgumentDomains:
          "live: --jobs must be at least 1, got 0"),
         (["population", "sample", "--machines", "-3"],
          "population: --machines must be at least 1, got -3"),
+        # These died with a ValueError or OverflowError traceback (exit
+        # 1), or started the daemon and drained it at once (exit 0).
+        (["service", "--queue-bound", "0"],
+         "service: --queue-bound must be at least 1, got 0"),
+        (["service", "--port", "70000"],
+         "service: --port must be between 0 and 65535, got 70000"),
+        (["service", "--port", "-1"],
+         "service: --port must be between 0 and 65535, got -1"),
+        (["service", "--max-runtime", "-1"],
+         "service: --max-runtime must be positive and finite, got -1"),
+        (["service", "--max-runtime", "nan"],
+         "service: --max-runtime must be positive and finite, got nan"),
+        (["service", "--max-runtime", "0"],
+         "service: --max-runtime must be positive and finite, got 0"),
     ])
     def test_out_of_domain_exits_2_before_any_work(self, capsys, argv,
                                                    message):
@@ -383,3 +431,13 @@ class TestArgumentDomains:
                      "--days", "0.001", "--jobs", "1",
                      "--resamples", "1"]) == 0
         assert [args.machines for args in reached] == [1]
+
+    def test_service_bounds_reach_the_handler(self, monkeypatch):
+        reached = []
+        monkeypatch.setattr("repro.cli.cmd_service",
+                            lambda args: reached.append(args) or 0)
+        assert main(["service", "--queue-bound", "1", "--port", "65535",
+                     "--max-runtime", "0.001"]) == 0
+        assert main(["service", "--port", "0"]) == 0
+        assert [(a.queue_bound, a.port, a.max_runtime) for a in reached] == \
+            [(1, 65535, 0.001), (1024, 0, None)]

@@ -1,8 +1,13 @@
 """Tests for parameter validation (paper section 4.9)."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.parameters import DEFAULT_PARAMETERS, SeerParameters
+
+FLOAT_FIELDS = [spec.name for spec in dataclasses.fields(SeerParameters)
+                if spec.type in ("float", float)]
 
 
 class TestDefaults:
@@ -43,6 +48,14 @@ class TestValidation:
             SeerParameters(frequent_file_fraction=0.0)
         with pytest.raises(ValueError):
             SeerParameters(frequent_file_fraction=1.5)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
+    def test_non_finite_rejected(self, name, value):
+        # NaN fails every comparison, so kf_fraction=nan once passed the
+        # kn_fraction > kf_fraction check; most fields had no check.
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            DEFAULT_PARAMETERS.with_changes(**{name: float(value)})
 
 
 class TestWithChanges:

@@ -241,37 +241,6 @@ class TestSizeFunction:
         assert seer.size_function()("/gone/away") == 0
 
 
-class TestPeriodicRefill:
-    def test_refill_happens_on_interval(self, world):
-        kernel, seer, user = world
-        seer.enable_periodic_refill(interval_seconds=300.0, budget=10**9)
-        work_on_code(kernel, user, repetitions=30)   # clock advances ~60s/rep
-        assert seer.refills_performed >= 1
-        assert seer.current_hoard is not None
-        assert "/home/u/code/main.c" in seer.current_hoard
-
-    def test_no_refill_while_disconnected(self, world):
-        kernel, seer, user = world
-        seer.enable_periodic_refill(interval_seconds=1.0, budget=10**9)
-        seer.disconnect()
-        before = seer.refills_performed
-        work_on_code(kernel, user, repetitions=5)
-        assert seer.refills_performed == before
-
-    def test_disable(self, world):
-        kernel, seer, user = world
-        seer.enable_periodic_refill(interval_seconds=1.0, budget=10**9)
-        seer.disable_periodic_refill()
-        work_on_code(kernel, user, repetitions=5)
-        assert seer.refills_performed == 0
-
-    def test_invalid_interval_rejected(self, world):
-        kernel, seer, user = world
-        import pytest as _pytest
-        with _pytest.raises(ValueError):
-            seer.enable_periodic_refill(interval_seconds=0, budget=1)
-
-
 class TestFinishedReplayFreesSeer:
     """A replay's SEER state goes when the replay returns, by reference
     counting alone: nothing waits for a cyclic collection."""

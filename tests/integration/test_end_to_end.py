@@ -45,7 +45,7 @@ class TestPipeline:
     def test_figures_render_from_simulation(self, trace):
         daily = simulate_miss_free(trace, DAY)
         weekly = simulate_miss_free(trace, 7 * DAY)
-        figure2 = render_figure2([daily, weekly], show_ci=False)
+        figure2 = render_figure2([daily, weekly])
         assert "D" in figure2
         figure3 = render_figure3(weekly)
         assert "machine D" in figure3

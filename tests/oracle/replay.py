@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Union
 
-from repro.baselines.coda_priority import CodaPriorityManager, CodaVariant
+from repro.baselines.coda_priority import CodaPriorityManager
 from repro.baselines.lru import lru_miss_free_size
 from repro.baselines.optimal import working_set_size
 from repro.baselines.spy_utility import SpyUtilityManager
@@ -103,7 +103,7 @@ def simulate_miss_free(trace: GeneratedTrace, window_seconds: float,
     lru_recency: Dict[str, int] = {}
     lru_counter = 0
     spy = SpyUtilityManager() if include_spy else None
-    coda = CodaPriorityManager(CodaVariant.BOUNDED) if include_coda else None
+    coda = CodaPriorityManager() if include_coda else None
 
     result = MissFreeResult(trace.machine.name, window_seconds,
                             use_investigators, seed)

@@ -1,11 +1,11 @@
-"""Tests for descriptive statistics and confidence intervals."""
+"""Tests for descriptive statistics."""
 
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.simulation.stats import ci99_halfwidth, mean_with_ci, summarize
+from repro.simulation.stats import summarize
 
 
 class TestSummarize:
@@ -37,9 +37,6 @@ class TestSummarize:
     def test_unsorted_input(self):
         assert summarize([9, 1, 5]).minimum == 1
 
-    def test_format_row(self):
-        assert "mean=" in summarize([1.0]).format_row()
-
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6,
                               allow_nan=False), min_size=1, max_size=100))
     def test_bounds_invariants(self, values):
@@ -52,25 +49,3 @@ class TestSummarize:
         assert stats.minimum - slack <= stats.mean <= stats.maximum + slack
         assert stats.std >= 0
 
-
-class TestConfidenceInterval:
-    def test_zero_for_single_sample(self):
-        assert ci99_halfwidth([5.0]) == 0.0
-
-    def test_zero_for_constant_data(self):
-        assert ci99_halfwidth([3.0] * 10) == pytest.approx(0.0)
-
-    def test_matches_t_distribution(self):
-        # Two points a distance 2 apart: std = sqrt(2), se = 1,
-        # t(0.995, df=1) = 63.657.
-        halfwidth = ci99_halfwidth([1.0, 3.0])
-        assert halfwidth == pytest.approx(63.657, rel=1e-3)
-
-    def test_shrinks_with_samples(self):
-        narrow = ci99_halfwidth([1.0, 2.0] * 50)
-        wide = ci99_halfwidth([1.0, 2.0])
-        assert narrow < wide
-
-    def test_mean_with_ci_format(self):
-        text = mean_with_ci([1.0, 2.0, 3.0])
-        assert "+/-" in text

@@ -67,7 +67,7 @@ def render_report_text(outcomes):
     missfree = [o.result for o in outcomes if o.spec.kind == "missfree"]
     live = [o.result for o in outcomes if o.spec.kind == "live"]
     if missfree:
-        parts.append(render_figure2(missfree, show_ci=False))
+        parts.append(render_figure2(missfree))
     if live:
         parts.append(render_table3(live))
     return "\n".join(parts)

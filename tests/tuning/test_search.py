@@ -2,23 +2,29 @@
 
 import pytest
 
-from repro.core.parameters import SeerParameters
 from repro.simulation import SIM_PARAMETERS
 from repro.tuning import (
-    EvaluationResult,
-    GridSearch,
-    RandomSearch,
     aggregate_scores,
-    evaluate_parameters,
     hoard_overhead_objective,
     sweep_parameter,
 )
 from repro.workload import generate_machine_trace, machine_profile
 
+#: The trace the ``traces`` fixture generates, named the way a sweep
+#: takes it: the runner's workers rebuild it from this identity.
+MACHINES, SEED, DAYS = ["E"], 3, 14
+
 
 @pytest.fixture(scope="module")
 def traces():
-    return [generate_machine_trace(machine_profile("E"), seed=3, days=14)]
+    return [generate_machine_trace(machine_profile(machine), seed=SEED,
+                                   days=DAYS)
+            for machine in MACHINES]
+
+
+def sweep(name, values, **kwargs):
+    return sweep_parameter(SIM_PARAMETERS, name, values, MACHINES, SEED,
+                           DAYS, **kwargs)
 
 
 class TestObjective:
@@ -33,86 +39,32 @@ class TestObjective:
         assert hoard_overhead_objective(empty, SIM_PARAMETERS) == float("inf")
 
     def test_evaluate_across_machines(self, traces):
-        result = evaluate_parameters(SIM_PARAMETERS, traces)
-        assert result.per_machine.keys() == {"E"}
-        assert result.score == pytest.approx(
-            sum(result.per_machine.values()) / len(result.per_machine))
-
-    def test_results_orderable(self):
-        a = EvaluationResult(SIM_PARAMETERS, score=1.0)
-        b = EvaluationResult(SIM_PARAMETERS, score=2.0)
-        assert a < b
-        assert min([b, a]) is a
-
-
-class TestGridSearch:
-    def test_point_count(self):
-        search = GridSearch(SIM_PARAMETERS,
-                            {"max_neighbors": [10, 20], "kf_fraction": [0.4, 0.5, 0.55]})
-        assert search.point_count() == 6
-
-    def test_runs_all_valid_points(self, traces):
-        search = GridSearch(SIM_PARAMETERS, {"max_neighbors": [10, 20]})
-        outcome = search.run(traces)
-        assert len(outcome.evaluations) == 2
-        assert outcome.best.score <= outcome.ranked()[-1].score
-
-    def test_invalid_combinations_skipped(self, traces):
-        # kn_fraction below kf_fraction is invalid and must be skipped.
-        search = GridSearch(SIM_PARAMETERS,
-                            {"kn_fraction": [0.3, 0.7], "kf_fraction": [0.5]})
-        outcome = search.run(traces)
-        assert outcome.skipped_invalid == 1
-        assert len(outcome.evaluations) == 1
-
-    def test_best_requires_evaluations(self):
-        from repro.tuning.search import SearchOutcome
-        with pytest.raises(ValueError):
-            SearchOutcome().best
-
-
-class TestRandomSearch:
-    def test_samples_count(self, traces):
-        search = RandomSearch(SIM_PARAMETERS,
-                              {"max_neighbors": [10, 20, 30]},
-                              samples=4, seed=1)
-        outcome = search.run(traces)
-        assert len(outcome.evaluations) + outcome.skipped_invalid == 4
-
-    def test_numeric_ranges(self, traces):
-        search = RandomSearch(SIM_PARAMETERS,
-                              {"kf_fraction": (0.30, 0.60)},
-                              samples=3, seed=2)
-        outcome = search.run(traces)
-        for evaluation in outcome.evaluations:
-            assert 0.30 <= evaluation.parameters.kf_fraction <= 0.60
-
-    def test_integer_ranges_stay_integers(self, traces):
-        search = RandomSearch(SIM_PARAMETERS, {"max_neighbors": (5, 30)},
-                              samples=3, seed=3)
-        outcome = search.run(traces)
-        for evaluation in outcome.evaluations:
-            assert isinstance(evaluation.parameters.max_neighbors, int)
-
-    def test_deterministic_for_seed(self, traces):
-        def run(seed):
-            return RandomSearch(SIM_PARAMETERS, {"max_neighbors": (5, 30)},
-                                samples=3, seed=seed).run(traces)
-        first, second = run(7), run(7)
-        assert [e.parameters.max_neighbors for e in first.evaluations] == \
-            [e.parameters.max_neighbors for e in second.evaluations]
+        # Each machine's score is the objective on that machine's trace;
+        # the point's score is their mean.
+        (point,) = sweep_parameter(SIM_PARAMETERS, "max_neighbors", [20],
+                                   ["C", "E"], SEED, 7)
+        assert point.result.per_machine.keys() == {"C", "E"}
+        assert point.result.score == pytest.approx(
+            sum(point.result.per_machine.values()) / 2)
+        trace = generate_machine_trace(machine_profile("C"), seed=SEED,
+                                       days=7)
+        assert point.result.per_machine["C"] == \
+            hoard_overhead_objective(trace, SIM_PARAMETERS)
 
 
 class TestSweep:
-    def test_sweep_returns_point_per_value(self, traces):
-        points = sweep_parameter(SIM_PARAMETERS, "max_neighbors",
-                                 [10, 20], traces)
+    def test_sweep_returns_point_per_value(self):
+        points = sweep("max_neighbors", [10, 20])
         assert [p.value for p in points] == [10, 20]
+        assert [p.result.parameters.max_neighbors for p in points] == [10, 20]
 
-    def test_sweep_skips_invalid(self, traces):
-        points = sweep_parameter(SIM_PARAMETERS, "kn_fraction",
-                                 [0.1, 0.7], traces)   # 0.1 < kf_fraction
+    def test_sweep_skips_invalid(self):
+        points = sweep("kn_fraction", [0.1, 0.7])   # 0.1 < kf_fraction
         assert [p.value for p in points] == [0.7]
+
+    def test_sweep_skips_non_finite(self):
+        points = sweep("kf_fraction", [float("nan"), float("inf"), 0.5])
+        assert [p.value for p in points] == [0.5]
 
 
 class TestAggregation:
@@ -129,42 +81,55 @@ class TestAggregation:
     def test_empty_is_infinite(self):
         assert aggregate_scores(SIM_PARAMETERS, {}).score == float("inf")
 
-    def test_evaluate_parameters_uses_same_aggregation(self, traces):
-        evaluated = evaluate_parameters(SIM_PARAMETERS, traces)
-        assert evaluated.score == \
-            aggregate_scores(SIM_PARAMETERS, evaluated.per_machine).score
+    def test_sweep_uses_same_aggregation(self):
+        (point,) = sweep("max_neighbors", [20])
+        assert point.result.score == \
+            aggregate_scores(SIM_PARAMETERS, point.result.per_machine).score
 
 
 class TestParallelSweep:
-    """The sweep satellite: sweep_parameter rides the experiment runner."""
+    """sweep_parameter runs on the experiment runner at every --jobs."""
 
-    def test_parallel_matches_serial(self, traces):
-        serial = sweep_parameter(SIM_PARAMETERS, "max_neighbors",
-                                 [10, 20], traces)
-        parallel = sweep_parameter(SIM_PARAMETERS, "max_neighbors",
-                                   [10, 20], traces, jobs=2)
+    def test_parallel_matches_serial(self):
+        serial = sweep("max_neighbors", [10, 20])
+        parallel = sweep("max_neighbors", [10, 20], jobs=2)
         assert [p.value for p in parallel] == [p.value for p in serial]
         for a, b in zip(serial, parallel):
-            assert b.result.score == pytest.approx(a.result.score)
+            assert b.result.score == a.result.score
             assert b.result.per_machine == a.result.per_machine
 
-    def test_parallel_skips_invalid(self, traces):
-        points = sweep_parameter(SIM_PARAMETERS, "kn_fraction",
-                                 [0.1, 0.7], traces, jobs=2)
+    def test_parallel_skips_invalid(self):
+        points = sweep("kn_fraction", [0.1, 0.7], jobs=2)
         assert [p.value for p in points] == [0.7]
 
-    def test_checkpointed_sweep_resumes(self, traces, tmp_path):
-        first = sweep_parameter(SIM_PARAMETERS, "max_neighbors", [10, 20],
-                                traces, checkpoint_dir=str(tmp_path))
-        resumed = sweep_parameter(SIM_PARAMETERS, "max_neighbors", [10, 20],
-                                  traces, checkpoint_dir=str(tmp_path),
-                                  resume=True)
+    def test_checkpointed_sweep_resumes(self, tmp_path):
+        first = sweep("max_neighbors", [10, 20],
+                      checkpoint_dir=str(tmp_path))
+        resumed = sweep("max_neighbors", [10, 20],
+                        checkpoint_dir=str(tmp_path), resume=True)
         assert [p.result.score for p in resumed] == \
             [p.result.score for p in first]
 
-    def test_duplicate_values_collapse_to_one_cell(self, traces, tmp_path):
-        points = sweep_parameter(SIM_PARAMETERS, "max_neighbors", [10, 10],
-                                 traces, jobs=2,
-                                 checkpoint_dir=str(tmp_path))
+    def test_duplicate_values_collapse_to_one_cell(self, tmp_path):
+        points = sweep("max_neighbors", [10, 10], jobs=2,
+                       checkpoint_dir=str(tmp_path))
         assert [p.value for p in points] == [10, 10]
         assert points[0].result.score == points[1].result.score
+
+    def test_serial_sweep_generates_each_trace_once(self, monkeypatch):
+        # One path: at jobs=1 the cells run in-process on the runner,
+        # whose trace cache serves every value of the same machine.
+        from repro.simulation import runner
+        from repro.workload import generator
+        made = []
+        real = generator.generate_machine_trace
+
+        def counted(*args, **kwargs):
+            made.append(args[0].name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(runner, "_TRACE_CACHE", {})
+        monkeypatch.setattr("repro.workload.generate_machine_trace", counted)
+        points = sweep_parameter(SIM_PARAMETERS, "max_neighbors",
+                                 [10, 20, 30], ["C"], SEED, 2)
+        assert len(points) == 3
+        assert made == ["C"]
