@@ -122,11 +122,37 @@ def aggregate_to_data(aggregate: PopulationAggregate) -> Dict:
 
 
 def aggregate_from_data(data: Dict) -> PopulationAggregate:
-    return PopulationAggregate(
-        population_seed=data["population_seed"],
-        days=data["days"],
-        cells=[result_from_data(cell) for cell in data["cells"]],
-    )
+    """Inverse of :func:`aggregate_to_data`.
+
+    Raises ``ValueError`` naming the field that is missing or has the
+    wrong type, so a file that is not a saved aggregate gets a reason
+    rather than a traceback.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"not a saved population aggregate: expected an "
+                         f"object, got {type(data).__name__}")
+    for name, types in (("population_seed", (int,)), ("days", (int, float)),
+                        ("cells", (list,))):
+        if name not in data:
+            raise ValueError(f"missing field {name!r}")
+        value = data[name]
+        if not isinstance(value, types) or isinstance(value, bool):
+            raise ValueError(f"field {name!r} has the wrong type "
+                             f"({type(value).__name__})")
+    cells: List[PopulationCellResult] = []
+    for index, cell in enumerate(data["cells"]):
+        result = None
+        if isinstance(cell, dict):
+            try:
+                result = result_from_data(cell)
+            except (KeyError, TypeError, ValueError) as error:
+                raise ValueError(f"cells[{index}] is not a population "
+                                 f"cell ({error!r})") from None
+        if not isinstance(result, PopulationCellResult):
+            raise ValueError(f"cells[{index}] is not a population cell")
+        cells.append(result)
+    return PopulationAggregate(population_seed=data["population_seed"],
+                               days=data["days"], cells=cells)
 
 
 # ----------------------------------------------------------------------

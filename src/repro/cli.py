@@ -86,6 +86,9 @@ def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
                         help="reload completed cells from "
                              "--checkpoint-dir and run only the missing "
                              "ones")
+    # Marks the commands whose --resume needs --checkpoint-dir (main
+    # checks it); service's --no-resume is a flag of its own.
+    parser.set_defaults(runner_flags=True)
 
 
 def _add_fault_arguments(parser: argparse.ArgumentParser) -> None:
@@ -138,8 +141,16 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _cannot_read(command: str, path: str, error: Exception) -> int:
+    print(f"{command}: cannot read {path}: {error}", file=sys.stderr)
+    return 2
+
+
 def cmd_stats(args) -> int:
-    records = read_trace_file(args.trace)
+    try:
+        records = read_trace_file(args.trace)
+    except (OSError, ValueError) as error:
+        return _cannot_read("stats", args.trace, error)
     print(summarize_trace(records).format())
     return 0
 
@@ -245,8 +256,11 @@ def cmd_population(args) -> int:
             print("population report requires --load FILE (the output of "
                   "population run --save)", file=sys.stderr)
             return 2
-        with open(args.load, "r", encoding="utf-8") as stream:
-            aggregate = aggregate_from_data(json.load(stream))
+        try:
+            with open(args.load, "r", encoding="utf-8") as stream:
+                aggregate = aggregate_from_data(json.load(stream))
+        except (OSError, ValueError) as error:
+            return _cannot_read("population", args.load, error)
         print(render_population_report(aggregate,
                                        bootstrap_seed=args.bootstrap_seed,
                                        resamples=args.resamples))
@@ -561,21 +575,27 @@ _DOMAINS = (
 
 
 def _domain_error(args: argparse.Namespace) -> Optional[str]:
-    """Why a parsed numeric argument is out of its domain, if one is."""
+    """Why a parsed numeric argument is out of its domain, or a flag is
+    missing the flag it needs, if either is so."""
     for name, test, requirement in _DOMAINS:
         value = getattr(args, name, None)
         if isinstance(value, (int, float)) and not test(value):
             shown = f"{value:g}" if isinstance(value, float) else value
             flag = "--" + name.replace("_", "-")
             return f"{flag} must be {requirement}, got {shown}"
+    # Without a store to read, --resume would silently recompute every
+    # cell (run_shards reads the store only when it has both).
+    if getattr(args, "runner_flags", False) and args.resume and \
+            args.checkpoint_dir is None:
+        return "--resume needs --checkpoint-dir"
     return None
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # Checked before any handler runs, so a bad value never generates a
-    # trace, runs a sweep or reads a file.
+    # Checked before any handler runs, so a bad value or a lone
+    # --resume never generates a trace, runs a sweep or reads a file.
     problem = _domain_error(args)
     if problem is not None:
         print(f"{args.command}: {problem}", file=sys.stderr)

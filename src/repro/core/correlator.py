@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set
 
 from repro.core.arena import ArenaStore, ColumnarEngine, NeighborArena
 from repro.core.clustering import ClusterSet, Relation, SharedNeighborPass
@@ -58,9 +58,13 @@ class Action(enum.Enum):
     FORK = "fork"
 
 
-@dataclass(frozen=True)
-class ObservedReference:
-    """One classified reference delivered by the observer."""
+class ObservedReference(NamedTuple):
+    """One classified reference delivered by the observer.
+
+    Immutable, and built once per forwarded reference: a named tuple
+    builds in less than half the time of a frozen dataclass, whose
+    ``__init__`` sets each field through ``object.__setattr__``.
+    """
 
     seq: int
     time: float
@@ -69,6 +73,13 @@ class ObservedReference:
     path: str = ""
     path2: str = ""
     ppid: int = 0
+
+
+# Members bound to module names for the per-record path (an
+# ``Action.OPEN`` load is slow on CPython 3.11; docs/hot-path.md).
+_OPEN, _CLOSE, _POINT, _STAT = Action.OPEN, Action.CLOSE, Action.POINT, Action.STAT
+_EXEC, _EXIT, _DELETE = Action.EXEC, Action.EXIT, Action.DELETE
+_RENAME, _FORK = Action.RENAME, Action.FORK
 
 
 @dataclass
@@ -169,38 +180,38 @@ class Correlator:
         self.references_processed += 1
         self.metrics.mark("correlator.ingest")
         action = reference.action
-        stream = self._stream_for(reference.pid)
+        stream = self._streams.get(reference.pid)
+        if stream is None:
+            stream = self._stream_for(reference.pid)
 
-        if action is Action.FORK:
-            self._handle_fork(reference)
-            return
-        if action is not Action.OPEN:
-            self._flush_pending_stat(stream)
-
-        if action is Action.OPEN:
+        if action is _OPEN:
             self._maybe_elide_stat(stream, reference.path)
             self._engine.open(stream.pid, reference.path,
                               self._reference_counter)
             self._touch(reference.path, reference.time)
-        elif action is Action.CLOSE:
+            return
+        if action is _FORK:
+            self._handle_fork(reference)
+            return
+        self._flush_pending_stat(stream)
+        if action is _CLOSE:
             self._engine.close(stream.pid, reference.path)
-        elif action is Action.POINT:
+        elif action is _POINT:
             self._engine.point(stream.pid, reference.path,
                                self._reference_counter)
             self._touch(reference.path, reference.time)
-        elif action is Action.STAT:
+        elif action is _STAT:
             # Deferred: discarded if immediately followed by an open of
             # the same file by the same process (section 4.8).
-            self._flush_pending_stat(stream)
             stream.pending_stat = reference.path
             stream.pending_stat_time = reference.time
-        elif action is Action.EXEC:
+        elif action is _EXEC:
             self._handle_exec(stream, reference)
-        elif action is Action.EXIT:
+        elif action is _EXIT:
             self._handle_exit(stream, reference)
-        elif action is Action.DELETE:
+        elif action is _DELETE:
             self._handle_delete(stream, reference)
-        elif action is Action.RENAME:
+        elif action is _RENAME:
             self._handle_rename(stream, reference)
 
     # ------------------------------------------------------------------

@@ -76,25 +76,26 @@ class Seer:
         self._disconnected = False
         filesystem = kernel.fs if kernel is not None else None
         process_table = kernel.processes if kernel is not None else None
-        # The observer calls back through weak references, so no cycle
-        # holds a finished Seer (and its correlator) until a cyclic
-        # collection: reference counting frees it at once.
+        correlator = self.correlator
+
+        def handle(reference: ObservedReference) -> None:
+            # Looked up per call rather than bound once, so a wrapped
+            # Correlator.handle (a traced run's ``correlator`` span)
+            # sees every reference.
+            correlator.handle(reference)
+
+        # Neither callback holds the Seer: the handler closes over the
+        # correlator, which holds nothing of it, and the failed-access
+        # callback is weak.  So no cycle holds a finished Seer (and its
+        # correlator) until a cyclic collection: reference counting
+        # frees it at once.
         self.observer = Observer(
-            handler=_weak(self._handle_reference), control=control,
+            handler=handle, control=control,
             parameters=parameters, filesystem=filesystem, strategy=strategy,
             on_failed_access=_weak(self._failed_access),
             process_table=process_table)
         if kernel is not None and attach:
             kernel.add_sink(self.observer.handle_record)
-
-    # ------------------------------------------------------------------
-    # reference handling
-    # ------------------------------------------------------------------
-    def _handle_reference(self, reference: ObservedReference) -> None:
-        # Looked up per call rather than bound once, so a wrapped
-        # Correlator.handle (a traced run's ``correlator`` span) sees
-        # every reference.
-        self.correlator.handle(reference)
 
     # ------------------------------------------------------------------
     # connectivity state (for automatic miss detection, section 4.4)

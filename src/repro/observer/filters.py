@@ -35,6 +35,14 @@ class MeaninglessStrategy(enum.Enum):
     THRESHOLD = 4           # potential-vs-actual heuristic (the keeper)
 
 
+# Members bound to module names for the per-record verdict (a
+# ``MeaninglessStrategy.X`` load is slow on CPython 3.11;
+# docs/hot-path.md).
+_CONTROL_LIST = MeaninglessStrategy.CONTROL_LIST
+_DIRECTORY_PERMANENT = MeaninglessStrategy.DIRECTORY_PERMANENT
+_THRESHOLD = MeaninglessStrategy.THRESHOLD
+
+
 @dataclass
 class _ProgramHistory:
     """Accumulated behaviour of one program across all its processes."""
@@ -67,11 +75,18 @@ class MeaninglessDetector:
     def __init__(self, strategy: MeaninglessStrategy = MeaninglessStrategy.THRESHOLD,
                  control_programs: Optional[Set[str]] = None,
                  parameters: SeerParameters = DEFAULT_PARAMETERS) -> None:
-        self.strategy = strategy
+        self._strategy = strategy
+        # The verdict's branch, chosen once: the strategy is fixed for
+        # the detector's lifetime.
+        self._threshold = strategy is _THRESHOLD
         self._control = set(control_programs or ())
         self._parameters = parameters
         self._programs: Dict[str, _ProgramHistory] = {}
         self._processes: Dict[int, _ProcessCounters] = {}
+
+    @property
+    def strategy(self) -> MeaninglessStrategy:
+        return self._strategy
 
     def _counters(self, pid: int) -> _ProcessCounters:
         counters = self._processes.get(pid)
@@ -130,12 +145,14 @@ class MeaninglessDetector:
     def is_meaningless(self, pid: int, program: str) -> bool:
         if program in self._control:
             return True  # the retained hand-specified list (sec. 4.1)
-        if self.strategy is MeaninglessStrategy.CONTROL_LIST:
-            return False
         counters = self._processes.get(pid)
-        if self.strategy is MeaninglessStrategy.DIRECTORY_PERMANENT:
-            return bool(counters and counters.marked)
-        if self.strategy is MeaninglessStrategy.DIRECTORY_WHILE_OPEN:
+        if not self._threshold:
+            strategy = self._strategy
+            if strategy is _CONTROL_LIST:
+                return False
+            if strategy is _DIRECTORY_PERMANENT:
+                return bool(counters and counters.marked)
+            # DIRECTORY_WHILE_OPEN
             return bool(counters and counters.directories_open > 0)
         # THRESHOLD: judge the program's history plus this process's
         # current counters.

@@ -39,6 +39,21 @@ if TYPE_CHECKING:
 ReferenceHandler = Callable[[ObservedReference], None]
 FailedAccessCallback = Callable[[str, float], None]
 
+# Enum members bound to module names.  On CPython 3.11 ``EnumType``
+# defines ``__getattr__``, so each ``Operation.STAT`` load takes the
+# slow attribute hook (about 0.1 us); a global load costs next to
+# nothing.  The per-record path names members only through these.
+_OP_STAT, _OP_OPEN, _OP_CREATE = Operation.STAT, Operation.OPEN, Operation.CREATE
+_OP_CLOSE, _OP_WRITE_CLOSE = Operation.CLOSE, Operation.WRITE_CLOSE
+_OP_OPENDIR, _OP_READDIR, _OP_CLOSEDIR = (
+    Operation.OPENDIR, Operation.READDIR, Operation.CLOSEDIR)
+_OP_FORK, _OP_EXEC, _OP_EXIT = Operation.FORK, Operation.EXEC, Operation.EXIT
+_OP_CHDIR, _OP_CHMOD, _OP_UNLINK = Operation.CHDIR, Operation.CHMOD, Operation.UNLINK
+_OP_RENAME, _OP_READLINK = Operation.RENAME, Operation.READLINK
+_ACT_STAT, _ACT_OPEN, _ACT_CLOSE = Action.STAT, Action.OPEN, Action.CLOSE
+_ACT_FORK, _ACT_EXEC, _ACT_EXIT = Action.FORK, Action.EXEC, Action.EXIT
+_ACT_POINT, _ACT_DELETE, _ACT_RENAME = Action.POINT, Action.DELETE, Action.RENAME
+
 
 class Observer:
     """Converts :class:`TraceRecord` streams into correlator references."""
@@ -70,6 +85,10 @@ class Observer:
 
         self._cwd: Dict[int, str] = {}
         self._verdicts: Dict[str, Tuple[bool, bool, bool]] = {}
+        # Path -> "an existing object that is not a plain file", valid
+        # while the filesystem's generation is _nonfile_generation.
+        self._nonfile: Dict[str, bool] = {}
+        self._nonfile_generation = -1
         self._forwarded_fds: Dict[Tuple[int, int], str] = {}
         self.critical_seen: Set[str] = set()
         self.nonfiles_seen: Set[str] = set()
@@ -89,44 +108,48 @@ class Observer:
     # record dispatch
     # ------------------------------------------------------------------
     def handle_record(self, record: TraceRecord) -> None:
-        """Entry point: process one traced system call."""
+        """Entry point: process one traced system call.
+
+        The operations are tested most frequent first (stats are 44% of
+        the reference traces' records), against the aliases above.
+        """
         self.records_processed += 1
         op = record.op
-        if op is Operation.FORK:
-            self._cwd[record.pid] = self._cwd.get(record.ppid, "/")
-            self._forward(record, Action.FORK)
-        elif op is Operation.EXIT:
-            self._forward(record, Action.EXIT)
-            self._cleanup(record.pid)
-        elif op is Operation.CHDIR:
-            if record.ok:
-                self._cwd[record.pid] = self._absolutize(record.pid, record.path)
-        elif op is Operation.OPENDIR:
-            self._handle_opendir(record)
-        elif op is Operation.READDIR:
-            if record.ok and not self.getcwd.is_in_getcwd(record.pid):
-                self.meaningless.on_readdir(record.pid, record.program, record.entries)
-        elif op is Operation.CLOSEDIR:
-            self.meaningless.on_directory_close(record.pid)
-        elif op in (Operation.OPEN, Operation.CREATE):
+        if op is _OP_STAT:
+            self._handle_reference(record, _ACT_STAT)
+        elif op is _OP_OPEN or op is _OP_CREATE:
             self._handle_open(record)
-        elif op in (Operation.CLOSE, Operation.WRITE_CLOSE):
-            if op is Operation.WRITE_CLOSE and record.ok:
+        elif op is _OP_CLOSE or op is _OP_WRITE_CLOSE:
+            if op is _OP_WRITE_CLOSE and record.ok:
                 # Fed before any filtering: a write marks the program
                 # as user-directed even if its opens were dropped.
                 self.meaningless.on_file_write(record.pid, record.program)
             self._handle_close(record)
-        elif op is Operation.STAT:
-            self._handle_reference(record, Action.STAT)
-        elif op is Operation.CHMOD:
-            self._handle_reference(record, Action.POINT)
-        elif op is Operation.EXEC:
+        elif op is _OP_OPENDIR:
+            self._handle_opendir(record)
+        elif op is _OP_READDIR:
+            if record.ok and not self.getcwd.is_in_getcwd(record.pid):
+                self.meaningless.on_readdir(record.pid, record.program, record.entries)
+        elif op is _OP_CLOSEDIR:
+            self.meaningless.on_directory_close(record.pid)
+        elif op is _OP_FORK:
+            self._cwd[record.pid] = self._cwd.get(record.ppid, "/")
+            self._forward(record, _ACT_FORK)
+        elif op is _OP_EXEC:
             self._handle_exec(record)
-        elif op is Operation.UNLINK:
-            self._handle_reference(record, Action.DELETE)
-        elif op is Operation.RENAME:
+        elif op is _OP_EXIT:
+            self._forward(record, _ACT_EXIT)
+            self._cleanup(record.pid)
+        elif op is _OP_CHDIR:
+            if record.ok:
+                self._cwd[record.pid] = self._absolutize(record.pid, record.path)
+        elif op is _OP_CHMOD:
+            self._handle_reference(record, _ACT_POINT)
+        elif op is _OP_UNLINK:
+            self._handle_reference(record, _ACT_DELETE)
+        elif op is _OP_RENAME:
             self._handle_rename(record)
-        elif op is Operation.READLINK:
+        elif op is _OP_READLINK:
             if record.ok:
                 self.nonfiles_seen.add(self._absolutize(record.pid, record.path))
         # MKDIR, RMDIR, SYMLINK: directory / non-file creation -- the
@@ -147,20 +170,20 @@ class Observer:
         path = self._passes_filters(record)
         if path is None:
             return
-        self._forward(record, Action.OPEN, path=path)
+        self._forward(record, _ACT_OPEN, path)
         if record.fd >= 0:
             self._forwarded_fds[(record.pid, record.fd)] = path
 
     def _handle_close(self, record: TraceRecord) -> None:
         path = self._forwarded_fds.pop((record.pid, record.fd), None)
         if path is not None:
-            self._forward(record, Action.CLOSE, path=path)
+            self._forward(record, _ACT_CLOSE, path)
 
     def _handle_reference(self, record: TraceRecord, action: Action) -> None:
         path = self._passes_filters(record)
         if path is None:
             return
-        self._forward(record, action, path=path)
+        self._forward(record, action, path)
 
     def _handle_exec(self, record: TraceRecord) -> None:
         """Program executions are launch events, not data accesses.
@@ -190,7 +213,7 @@ class Observer:
         if self.frequent.record(path):
             self.drops["frequent"] += 1
             return
-        self._forward(record, Action.EXEC, path=path)
+        self._forward(record, _ACT_EXEC, path)
 
     def _handle_rename(self, record: TraceRecord) -> None:
         if not record.ok:
@@ -203,7 +226,7 @@ class Observer:
             return
         if self._is_filtered_process(record):
             return
-        self._forward(record, Action.RENAME, path=old, path2=new)
+        self._forward(record, _ACT_RENAME, old, new)
 
     # ------------------------------------------------------------------
     # the filter pipeline
@@ -232,8 +255,7 @@ class Observer:
             self.critical_seen.add(path)
             self.drops["critical"] += 1
             return None
-        kind = self._kind_of(path)
-        if kind is not None and not kind.is_plain_file:
+        if self._is_nonfile(path):
             self.nonfiles_seen.add(path)
             self.drops["non-file"] += 1
             return None
@@ -278,6 +300,28 @@ class Observer:
                 control.is_critical(path))
         return verdicts
 
+    def _is_nonfile(self, path: str) -> bool:
+        """Does *path* name an existing object that is not a plain file?
+
+        Asked through :meth:`_kind_of` once per path while the
+        filesystem's ``generation`` holds: every change to the tree
+        raises it, and the answers are dropped when it has moved.  A
+        replay never changes its trace's tree, so it stats each path
+        once.
+        """
+        filesystem = self._fs
+        if filesystem is None:
+            return False
+        if filesystem.generation != self._nonfile_generation:
+            self._nonfile.clear()
+            self._nonfile_generation = filesystem.generation
+        verdict = self._nonfile.get(path)
+        if verdict is None:
+            kind = self._kind_of(path)
+            verdict = self._nonfile[path] = (
+                kind is not None and not kind.is_plain_file)
+        return verdict
+
     def _kind_of(self, path: str) -> Optional[FileKind]:
         if self._fs is None:
             return None
@@ -290,8 +334,8 @@ class Observer:
                  path: str = "", path2: str = "") -> None:
         self.references_forwarded += 1
         self._handler(ObservedReference(
-            seq=record.seq, time=record.time, pid=record.pid, action=action,
-            path=path, path2=path2, ppid=record.ppid))
+            record.seq, record.time, record.pid, action, path, path2,
+            record.ppid))
 
     def _cleanup(self, pid: int) -> None:
         self._cwd.pop(pid, None)

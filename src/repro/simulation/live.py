@@ -69,6 +69,10 @@ from repro.workload.sessions import (
 #: which reproduces its published ~13 % failed-disconnection rate.
 HOARD_SCALE_DIVISOR = 23.0
 
+# Bound to a module name for the per-record miss check (an
+# ``Operation.CREATE`` load is slow on CPython 3.11; docs/hot-path.md).
+_CREATE = Operation.CREATE
+
 _ROLE_SEVERITY = {
     FileRole.STARTUP: MissSeverity.COMPUTER_UNUSABLE,
     FileRole.PRIMARY: MissSeverity.TASK_CHANGED,
@@ -237,7 +241,7 @@ def _miss_check(trace: GeneratedTrace, seer: Seer,
     missed_files: Set[str] = set()
 
     def check(index: int, record: TraceRecord) -> None:
-        if record.op is Operation.CREATE and record.ok:
+        if record.op is _CREATE and record.ok:
             created_locally.add(record.path)
             return
         if not relevance[index] & _REFERENCED:

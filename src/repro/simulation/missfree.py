@@ -33,7 +33,7 @@ from repro.baselines.optimal import working_set_size
 from repro.core.hoard import HoardManager
 from repro.core.parameters import SeerParameters
 from repro.core.seer import Seer
-from repro.fs import FileSystemError
+from repro.fs import FileKind, FileSystemError
 from repro.investigators import (
     CIncludeInvestigator,
     Investigator,
@@ -60,6 +60,12 @@ _REFERENCE_OPS = (Operation.OPEN, Operation.CREATE, Operation.EXEC,
 # LRU-based systems such as CODA and LITTLE WORK."  SEER's protection
 # from this is its meaningless-process detection; strict LRU has none.
 _LRU_FEED_OPS = _REFERENCE_OPS + (Operation.STAT, Operation.CHMOD)
+
+# Members bound to module names for the per-record checks (an
+# ``Operation.FORK`` load is slow on CPython 3.11, and ``Enum.value``
+# is a Python-level property; docs/hot-path.md).
+_FORK, _EXEC, _EXIT = Operation.FORK, Operation.EXEC, Operation.EXIT
+_REGULAR = FileKind.REGULAR
 
 
 @dataclass(frozen=True)
@@ -172,7 +178,7 @@ def _is_relevant_reference(record: TraceRecord, trace: GeneratedTrace,
         node = trace.kernel.fs.stat(path, follow_symlinks=False)
     except FileSystemError:
         return True   # deleted since: still a real file reference
-    return node.kind.value == "regular"
+    return node.kind is _REGULAR
 
 
 def build_investigators(trace: GeneratedTrace) -> List[Investigator]:
@@ -439,11 +445,12 @@ def _feed_spy(spy: SpyUtilityManager, record: TraceRecord,
     SPY tracks process execution trees; it has no meaningless-process
     or frequent-file machinery, so it sees the raw stream like LRU.
     """
-    if record.op is Operation.FORK:
+    op = record.op
+    if op is _FORK:
         spy.on_fork(record.pid, record.ppid, program=record.program)
-    elif record.op is Operation.EXEC and record.ok:
+    elif op is _EXEC and record.ok:
         spy.on_exec(record.pid, record.path)
-    elif record.op is Operation.EXIT:
+    elif op is _EXIT:
         spy.on_exit(record.pid)
     elif flag & _REFERENCED:
         spy.on_access(record.pid, record.path)

@@ -422,6 +422,24 @@ class TestArgumentDomains:
         assert captured.out == ""
         assert captured.err.strip() == message
 
+    @pytest.mark.parametrize("argv", [
+        # Each of these exited 0 after recomputing every cell: the
+        # runner reads the store only when it has both flags.
+        ["figure2", "--machines", "C", "--days", "1", "--resume"],
+        ["report", "--machines", "C", "--days", "1", "--resume"],
+        ["sweep", "C", "--days", "1", "--parameter", "max_neighbors",
+         "--values", "10", "--resume"],
+        ["live", "C", "--days", "1", "--resume"],
+        ["population", "run", "--machines", "2", "--days", "1",
+         "--resume"],
+    ], ids=lambda argv: argv[0])
+    def test_resume_without_checkpoint_dir_exits_2(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == \
+            f"{argv[0]}: --resume needs --checkpoint-dir"
+
     def test_smallest_legal_values_reach_the_handler(self, monkeypatch):
         reached = []
         # build_parser binds the handler when main calls it.
@@ -441,3 +459,40 @@ class TestArgumentDomains:
         assert main(["service", "--port", "0"]) == 0
         assert [(a.queue_bound, a.port, a.max_runtime) for a in reached] == \
             [(1, 65535, 0.001), (1024, 0, None)]
+
+
+class TestUnreadableInput:
+    """A file that cannot be read, or is not what the command reads,
+    gets a reason and exit status 2, never a traceback."""
+
+    @pytest.mark.parametrize("name, content, reason", [
+        (None, None, "No such file or directory"),
+        ("x.txt", "x\n", "not a seer trace (bad header 'x\\n')"),
+    ], ids=["missing", "not-a-trace"])
+    def test_stats(self, tmp_path, capsys, name, content, reason):
+        path = tmp_path / (name or "absent.txt")
+        if content is not None:
+            path.write_text(content)
+        assert main(["stats", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"stats: cannot read {path}: ")
+        assert reason in captured.err
+
+    @pytest.mark.parametrize("content, reason", [
+        (None, "No such file or directory"),
+        ("not json", "Expecting value"),
+        ('{"bad": 1}', "missing field 'population_seed'"),
+        ("[1, 2]", "expected an object, got list"),
+    ], ids=["missing", "not-json", "missing-field", "not-an-object"])
+    def test_population_report_load(self, tmp_path, capsys, content,
+                                    reason):
+        path = tmp_path / "aggregate.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["population", "report", "--load", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"population: cannot read {path}: ")
+        assert reason in captured.err

@@ -302,3 +302,53 @@ class TestIngestMetrics:
         driver.send(1, Action.POINT, "/a")
         correlator.build_clusters()
         assert correlator.metrics.timer("correlator.cluster_build").calls == 1
+
+
+class TestObservedReferenceContract:
+    """A reference is an immutable value: the observer builds it by
+    position, the protocol, the client and the benchmarks by keyword."""
+
+    FIELDS = ("seq", "time", "pid", "action", "path", "path2", "ppid")
+
+    def test_positional_and_keyword_construction_agree(self):
+        positional = ObservedReference(5, 6.5, 7, Action.RENAME, "/a", "/b", 2)
+        keyword = ObservedReference(seq=5, time=6.5, pid=7,
+                                    action=Action.RENAME, path="/a",
+                                    path2="/b", ppid=2)
+        assert positional == keyword
+        assert [getattr(keyword, name) for name in self.FIELDS] == \
+            [5, 6.5, 7, Action.RENAME, "/a", "/b", 2]
+
+    def test_defaults(self):
+        reference = ObservedReference(seq=1, time=0.0, pid=3,
+                                      action=Action.EXIT)
+        assert (reference.path, reference.path2, reference.ppid) == \
+            ("", "", 0)
+        assert reference == ObservedReference(1, 0.0, 3, Action.EXIT)
+
+    def test_field_order(self):
+        assert ObservedReference._fields == self.FIELDS
+        assert tuple(ObservedReference(1, 2.0, 3, Action.OPEN, "/a")) == \
+            (1, 2.0, 3, Action.OPEN, "/a", "", 0)
+
+    @pytest.mark.parametrize("name", FIELDS + ("extra",))
+    def test_assignment_raises(self, name):
+        reference = ObservedReference(1, 2.0, 3, Action.OPEN, "/a")
+        with pytest.raises(AttributeError):
+            setattr(reference, name, 0)
+
+    def test_equal_references_hash_alike(self):
+        first = ObservedReference(1, 2.0, 3, Action.STAT, "/a", ppid=4)
+        second = ObservedReference(seq=1, time=2.0, pid=3,
+                                   action=Action.STAT, path="/a", ppid=4)
+        assert first == second and hash(first) == hash(second)
+        assert len({first, second}) == 1
+        assert first != ObservedReference(1, 2.0, 3, Action.POINT, "/a",
+                                          ppid=4)
+
+    @pytest.mark.parametrize("action", list(Action), ids=lambda a: a.name)
+    def test_wire_round_trip(self, action):
+        from repro.service import protocol
+        reference = ObservedReference(12, 34.5, 6, action, "/a", "/b", 2)
+        assert protocol.reference_from_wire(
+            protocol.reference_to_wire(reference)) == reference

@@ -4,9 +4,10 @@ import pytest
 
 from repro.core.correlator import Action, ObservedReference
 from repro.core.parameters import SeerParameters
-from repro.fs import FileKind
+from repro.fs import FileKind, FileSystem
 from repro.kernel import Kernel
 from repro.observer import ControlConfig, MeaninglessStrategy, Observer
+from repro.tracing.events import Operation, TraceRecord
 
 
 def build_kernel():
@@ -287,3 +288,181 @@ class TestControlReadOnce:
             (Action.EXEC, "/bin/cc"),
             (Action.RENAME, "/home/u/proj/util.c"),
         ]
+
+
+class TestKindFollowsFilesystem:
+    """The non-file verdict is computed once per path and dropped when
+    the filesystem's generation moves."""
+
+    PATH = "/home/u/proj/alias.c"
+
+    def test_symlink_replaced_by_a_regular_file_is_forwarded(self, setup):
+        kernel, observer, user, received = setup
+        kernel.symlink(user, "/home/u/proj/main.c", self.PATH)
+        kernel.stat(user, self.PATH)
+        assert received == []
+        assert observer.drops["non-file"] == 1
+        assert self.PATH in observer.nonfiles_seen
+        kernel.unlink(user, self.PATH)
+        kernel.fs.create(self.PATH, size=10)
+        kernel.stat(user, self.PATH)
+        assert actions(received) == [(Action.DELETE, self.PATH),
+                                     (Action.STAT, self.PATH)]
+        assert observer.drops["non-file"] == 1
+
+    def test_regular_file_replaced_by_a_symlink_is_dropped(self, setup):
+        kernel, observer, user, received = setup
+        kernel.fs.create(self.PATH, size=10)
+        kernel.stat(user, self.PATH)
+        kernel.unlink(user, self.PATH)
+        kernel.symlink(user, "/home/u/proj/main.c", self.PATH)
+        kernel.stat(user, self.PATH)
+        assert actions(received) == [(Action.STAT, self.PATH),
+                                     (Action.DELETE, self.PATH)]
+        assert observer.drops["non-file"] == 1
+        assert self.PATH in observer.nonfiles_seen
+
+    def test_an_unchanged_tree_is_asked_once_per_path(self, setup,
+                                                      monkeypatch):
+        kernel, observer, user, received = setup
+        asked = []
+        kind_of = observer._kind_of
+
+        def counting_kind_of(path):
+            asked.append(path)
+            return kind_of(path)
+
+        monkeypatch.setattr(observer, "_kind_of", counting_kind_of)
+        kernel.fs.symlink("/home/u/proj/main.c", self.PATH)
+        generation = kernel.fs.generation
+        for _ in range(3):
+            kernel.stat(user, "/home/u/proj/main.c")
+            fd = kernel.open(user, "/home/u/proj/util.c")
+            kernel.close(user, fd)
+            kernel.stat(user, self.PATH)
+        assert kernel.fs.generation == generation
+        assert sorted(asked) == ["/home/u/proj/alias.c",
+                                 "/home/u/proj/main.c",
+                                 "/home/u/proj/util.c"]
+        assert observer.drops["non-file"] == 3
+        assert len(received) == 9
+
+
+PROJ = "/home/u/proj"
+MAIN = PROJ + "/main.c"
+
+#: The record each operation is fed as, by pid 7 running vi in PROJ.
+PARITY_RECORDS = {
+    Operation.STAT: dict(path="main.c"),
+    Operation.OPEN: dict(path="main.c", fd=4),
+    Operation.CREATE: dict(path="new.c", fd=4),
+    Operation.CLOSE: dict(path="main.c", fd=3),
+    Operation.WRITE_CLOSE: dict(path="main.c", fd=3),
+    Operation.OPENDIR: dict(path="/home/u", fd=5),
+    Operation.READDIR: dict(path="/home/u", fd=5, entries=4),
+    Operation.CLOSEDIR: dict(path="/home/u", fd=5),
+    Operation.FORK: dict(pid=8, ppid=7),
+    Operation.EXEC: dict(path="/bin/cc"),
+    Operation.EXIT: dict(),
+    Operation.CHDIR: dict(path="/bin"),
+    Operation.CHMOD: dict(path="main.c"),
+    Operation.UNLINK: dict(path="main.c"),
+    Operation.RENAME: dict(path="main.c", path2="renamed.c"),
+    Operation.READLINK: dict(path="/home/u/link"),
+    Operation.MKDIR: dict(path="sub"),
+    Operation.RMDIR: dict(path="sub"),
+    Operation.SYMLINK: dict(path="l2", path2="main.c"),
+}
+
+#: The observer after the preamble: pid 7 in PROJ holds fd 3 on
+#: main.c, and vi has touched one file.  Per-process meaningless
+#: counters are (potential, touched, directories_open, marked), the
+#: program's (potential, touched, wrote).
+PARITY_BASE = dict(actions=[], drops={}, cwd={7: PROJ}, nonfiles=set(),
+                   processes={7: (0, 1, 0, False)},
+                   programs={"vi": (0, 1, 0)})
+_TOUCHED = dict(processes={7: (0, 2, 0, False)}, programs={"vi": (0, 2, 0)})
+_FAILED = dict(drops={"failed": 1})
+
+#: What each (operation, ok) changes from PARITY_BASE.  MKDIR, RMDIR,
+#: SYMLINK and CLOSEDIR change nothing either way.
+PARITY_EXPECTED = {
+    (Operation.STAT, True): dict(actions=[(Action.STAT, MAIN, "")],
+                                 **_TOUCHED),
+    (Operation.STAT, False): _FAILED,
+    (Operation.OPEN, True): dict(actions=[(Action.OPEN, MAIN, "")],
+                                 **_TOUCHED),
+    (Operation.OPEN, False): _FAILED,
+    (Operation.CREATE, True): dict(
+        actions=[(Action.OPEN, PROJ + "/new.c", "")], **_TOUCHED),
+    (Operation.CREATE, False): _FAILED,
+    (Operation.CLOSE, True): dict(actions=[(Action.CLOSE, MAIN, "")]),
+    (Operation.CLOSE, False): dict(actions=[(Action.CLOSE, MAIN, "")]),
+    (Operation.WRITE_CLOSE, True): dict(actions=[(Action.CLOSE, MAIN, "")],
+                                        programs={"vi": (0, 1, 1)}),
+    (Operation.WRITE_CLOSE, False): dict(actions=[(Action.CLOSE, MAIN, "")]),
+    (Operation.OPENDIR, True): dict(processes={7: (0, 1, 1, True)}),
+    (Operation.READDIR, True): dict(processes={7: (4, 1, 0, False)},
+                                    programs={"vi": (4, 1, 0)}),
+    (Operation.FORK, True): dict(actions=[(Action.FORK, "", "")],
+                                 cwd={7: PROJ, 8: PROJ}),
+    (Operation.FORK, False): dict(actions=[(Action.FORK, "", "")],
+                                  cwd={7: PROJ, 8: PROJ}),
+    (Operation.EXEC, True): dict(actions=[(Action.EXEC, "/bin/cc", "")],
+                                 processes={}),
+    (Operation.EXEC, False): _FAILED,
+    (Operation.EXIT, True): dict(actions=[(Action.EXIT, "", "")], cwd={},
+                                 processes={}),
+    (Operation.EXIT, False): dict(actions=[(Action.EXIT, "", "")], cwd={},
+                                  processes={}),
+    (Operation.CHDIR, True): dict(cwd={7: "/bin"}),
+    (Operation.CHMOD, True): dict(actions=[(Action.POINT, MAIN, "")],
+                                  **_TOUCHED),
+    (Operation.CHMOD, False): _FAILED,
+    (Operation.UNLINK, True): dict(actions=[(Action.DELETE, MAIN, "")],
+                                   **_TOUCHED),
+    (Operation.UNLINK, False): _FAILED,
+    (Operation.RENAME, True): dict(
+        actions=[(Action.RENAME, MAIN, PROJ + "/renamed.c")]),
+    (Operation.READLINK, True): dict(nonfiles={"/home/u/link"}),
+}
+
+
+class TestDispatchParity:
+    """Every operation, succeeding and failing, has the outcome the
+    observer gave it before its dispatch was reordered."""
+
+    @pytest.mark.parametrize("ok", [True, False], ids=["ok", "failed"])
+    @pytest.mark.parametrize("op", list(Operation), ids=lambda op: op.name)
+    def test_outcome(self, op, ok):
+        filesystem = FileSystem()
+        filesystem.mkdir(PROJ, parents=True)
+        filesystem.mkdir("/bin")
+        filesystem.create("/bin/cc", size=10)
+        filesystem.create(MAIN, size=10)
+        filesystem.symlink(MAIN, "/home/u/link")
+        received = []
+        observer = Observer(received.append, filesystem=filesystem)
+        observer.handle_record(TraceRecord(1, 1.0, 7, Operation.CHDIR,
+                                           path=PROJ, program="vi"))
+        observer.handle_record(TraceRecord(2, 2.0, 7, Operation.OPEN,
+                                           path="main.c", program="vi",
+                                           fd=3))
+        received.clear()
+        fields = dict(pid=7, program="vi")
+        fields.update(PARITY_RECORDS[op])
+        observer.handle_record(TraceRecord(seq=3, time=3.0, op=op, ok=ok,
+                                           **fields))
+        meaningless = observer.meaningless
+        outcome = dict(
+            actions=[(ref.action, ref.path, ref.path2) for ref in received],
+            drops=dict(observer.drops),
+            cwd=dict(observer._cwd),
+            nonfiles=observer.nonfiles_seen,
+            processes={pid: (c.potential, c.touched, c.directories_open,
+                             c.marked)
+                       for pid, c in meaningless._processes.items()},
+            programs={program: (h.potential, h.touched, h.wrote)
+                      for program, h in meaningless._programs.items()})
+        assert outcome == {**PARITY_BASE,
+                           **PARITY_EXPECTED.get((op, ok), {})}
