@@ -16,9 +16,9 @@ files older than the horizon all tie and rank by path.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
-SizeFunction = Callable[[str], int]
+from repro.core.hoard import SizeFunction, ranked_prefix_size
 
 #: References after which a file's age stops counting against it.
 AGE_HORIZON = 1000
@@ -40,14 +40,8 @@ class CodaPriorityManager:
         return sorted(self._recency, key=lambda path: (
             min(self._counter - self._recency[path], AGE_HORIZON), path))
 
-    def miss_free_size(self, needed: Set[str], sizes: SizeFunction) -> Tuple[int, Set[str]]:
-        """The generalization of section 5.1.2's recipe to any ranking."""
-        ranking = self.ranking()
-        known = set(ranking)
-        marked = needed & known
-        if not marked:
-            return 0, needed - known
-        last_index = max(index for index, path in enumerate(ranking)
-                         if path in marked)
-        return (sum(sizes(path) for path in ranking[:last_index + 1]),
-                needed - known)
+    def miss_free_size(self, needed: Set[str],
+                       sizes: SizeFunction) -> Tuple[int, Set[str]]:
+        """Section 5.1.2's recipe over :meth:`ranking`, one file at a
+        time, as LRU's is."""
+        return ranked_prefix_size(zip(self.ranking()), needed, sizes)

@@ -2,22 +2,24 @@
 
 Early disconnected-operation systems simply hoarded the most recently
 referenced files.  Section 5.1.2 gives the exact recipe for the LRU
-miss-free hoard size, implemented verbatim in
-:func:`lru_miss_free_size`:
+miss-free hoard size, computed by :func:`lru_miss_free_size`:
 
 1. sort all files by last reference time prior to the disconnection,
-   most recent first;
+   most recent first (:func:`lru_ranking`);
 2. mark each file that was referenced during the period;
 3. locate the last marked file in the list;
 4. sum the sizes of all files from the head of the list through that
    file.
+
+Steps 2-4 are :func:`repro.core.hoard.ranked_prefix_size` walking the
+ranking one file at a time, the walk every policy's size shares.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Mapping, Set, Tuple
+from typing import List, Mapping, Set, Tuple
 
-SizeFunction = Callable[[str], int]
+from repro.core.hoard import SizeFunction, ranked_prefix_size
 
 
 def lru_ranking(recency: Mapping[str, float]) -> List[str]:
@@ -35,12 +37,5 @@ def lru_miss_free_size(recency: Mapping[str, float], needed: Set[str],
     are needed files absent from the recency list (files no hoarding
     algorithm could have known about).
     """
-    ranking = lru_ranking(recency)
-    known = set(ranking)
-    marked = needed & known
-    if not marked:
-        return 0, needed - known
-    last_marked_index = max(index for index, path in enumerate(ranking)
-                            if path in marked)
-    prefix = ranking[:last_marked_index + 1]
-    return sum(sizes(path) for path in prefix), needed - known
+    # zip() hands the walk each file as a group of one.
+    return ranked_prefix_size(zip(lru_ranking(recency)), needed, sizes)

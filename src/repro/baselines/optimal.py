@@ -7,9 +7,9 @@ exactly the files the user will reference during the disconnection.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Set
+from typing import Iterable, Set
 
-SizeFunction = Callable[[str], int]
+from repro.core.hoard import SizeFunction
 
 
 def working_set(referenced: Iterable[str]) -> Set[str]:

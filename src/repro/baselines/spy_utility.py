@@ -25,9 +25,9 @@ calls out.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-SizeFunction = Callable[[str], int]
+from repro.core.hoard import SizeFunction, ranked_prefix_size
 
 #: Programs treated as interactive shells: their children root new
 #: trees rather than extending a shell-wide mega-tree.
@@ -134,19 +134,7 @@ class SpyUtilityManager:
     # ------------------------------------------------------------------
     def miss_free_size(self, needed: Set[str],
                        sizes: SizeFunction) -> Tuple[int, Set[str]]:
-        """The section 5.1.2 recipe generalized to tree ranking."""
-        covered: Set[str] = set()
-        total = 0
-        known: Set[str] = set()
-        for tree in self._trees.values():
-            known |= tree.files
-        uncoverable = needed - known
-        remaining = needed - uncoverable
-        for tree in self.ranked_trees():
-            if not remaining:
-                break
-            new_files = tree.files - covered
-            total += sum(sizes(path) for path in sorted(new_files))
-            covered |= new_files
-            remaining -= tree.files
-        return total, uncoverable
+        """Section 5.1.2's recipe over :meth:`ranked_trees`, each tree
+        hoarded whole."""
+        return ranked_prefix_size(
+            (tree.files for tree in self.ranked_trees()), needed, sizes)

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (AbstractSet, Callable, Collection, Iterable, List, Mapping,
+                    Optional, Set, Tuple)
 
 from repro.core.clustering import ClusterSet
 from repro.core.parameters import DEFAULT_PARAMETERS, SeerParameters
@@ -100,6 +101,32 @@ def rank_clusters(clusters: ClusterSet, recency: Mapping[str, float]) -> List[in
     return sorted(clusters.cluster_ids(), key=priority)
 
 
+def ranked_prefix_size(ranking: Iterable[Collection[str]],
+                       needed: AbstractSet[str], sizes: SizeFunction,
+                       charged: AbstractSet[str] = frozenset()
+                       ) -> Tuple[int, Set[str]]:
+    """Section 5.1.2's miss-free hoard size over any policy's ranking.
+
+    *ranking* is what the policy would hoard, highest priority first,
+    as groups it hoards whole (a project, an access tree, or one file).
+    Returns the bytes of *charged* plus those of the shortest prefix of
+    groups that covers *needed* -- a charged file costs nothing more --
+    and the needed files that neither holds.  Those are uncoverable:
+    no hoard the policy builds could contain them.
+    """
+    remaining = set(needed).difference(charged)
+    walked: List[Collection[str]] = []
+    prefix = 0   # groups through the last one that covered a needed file
+    for group in ranking:
+        if not remaining:
+            break
+        walked.append(group)
+        if not remaining.isdisjoint(group):
+            remaining.difference_update(group)
+            prefix = len(walked)
+    return sum(map(sizes, set(charged).union(*walked[:prefix]))), remaining
+
+
 class HoardManager:
     """Builds hoard selections from cluster assignments."""
 
@@ -141,33 +168,15 @@ class HoardManager:
                        always_hoard: Iterable[str] = ()) -> Tuple[int, Set[str]]:
         """The miss-free hoard size under SEER's policy (section 5.1.2).
 
-        Walk projects in priority order, accumulating their sizes,
-        until every file in *needed* that SEER knows about is covered;
-        the accumulated total is the hoard size SEER would have needed
-        to avoid all misses.  Files absent from every cluster (never
-        seen before the disconnection) are returned as uncoverable --
-        no hoarding algorithm could have hoarded them.
+        Always-hoard files are charged first; then projects are walked
+        in priority order until every file in *needed* that SEER knows
+        about is covered (:func:`ranked_prefix_size`).  Files absent
+        from every cluster and from the always-hoard set (never seen
+        before the disconnection) are returned as uncoverable.
         """
-        hoarded: Set[str] = set()
-        total = 0
-        for path in sorted(set(always_hoard)):
-            if path not in hoarded:
-                hoarded.add(path)
-                total += sizes(path)
-        coverable = {path for path in needed
-                     if clusters.clusters_of(path) or path in hoarded}
-        remaining = set(coverable) - hoarded
-        if not remaining:
-            return total, needed - coverable
-        for cluster_id in rank_clusters(clusters, recency):
-            members = clusters.members(cluster_id)
-            new_files = members - hoarded
-            total += sum(sizes(path) for path in sorted(new_files))
-            hoarded |= new_files
-            remaining -= members
-            if not remaining:
-                break
-        return total, needed - coverable
+        return ranked_prefix_size(
+            map(clusters.members, rank_clusters(clusters, recency)),
+            needed, sizes, charged=frozenset(always_hoard))
 
 
 class MissLog:

@@ -94,8 +94,6 @@ METRICS: Tuple[MetricSpec, ...] = (
                "per-shard compute time, miss-free simulation cells"),
     MetricSpec("runner.shard.live", "timer",
                "per-shard compute time, live replay cells"),
-    MetricSpec("runner.shard.objective", "timer",
-               "per-shard compute time, tuning-objective cells"),
     MetricSpec("runner.shard.population", "timer",
                "per-shard compute time, reduced population cells"),
     MetricSpec("runner.machine.*", "timer",

@@ -232,10 +232,10 @@ class MissFreeScorer:
     plan, the strict-LRU, SPY UTILITY and CODA baselines, and the
     scoring of each window.  SEER is the replay's :class:`Seer`: once
     the records before a window are ingested, :meth:`score_window`
-    clusters them (``Seer.build_clusters``) and sizes SEER's hoard
-    (``HoardManager.miss_free_size``).  The baselines read the raw
-    stream, not the Seer, so each is fed its records in order just
-    before a window is scored.
+    clusters them (``Seer.build_clusters``), sizes SEER's hoard
+    (``HoardManager.miss_free_size``), then each baseline's, once per
+    policy.  The baselines read the raw stream, not the Seer, so each
+    is fed its records in order just before a window is scored.
 
     SEER's always-hoard set here is the observer's alone.  A live
     replay driving the same Seer adds the misses it records to
@@ -309,28 +309,24 @@ class MissFreeScorer:
         self._feed(end)
         needed = self._needed[index + 1]
         sizes = self._sizes
-        hoard_manager = self._hoard_manager
-        lru_recency = self._lru_recency
         clusters = seer.build_clusters()
-        recency = seer.correlator.recency()
-        always = seer.observer.always_hoard_paths()
-        # First pass identifies files each algorithm could not have
-        # known about; both are then measured on the common coverable
-        # set, so neither is charged for the other's blind spots.
-        _, seer_uncoverable = hoard_manager.miss_free_size(
-            clusters, sizes, recency, set(needed), always_hoard=always)
-        _, lru_uncoverable = lru_miss_free_size(lru_recency, set(needed), sizes)
-        uncoverable = seer_uncoverable | lru_uncoverable
-        coverable = needed - uncoverable
-        seer_bytes, _ = hoard_manager.miss_free_size(
-            clusters, sizes, recency, set(coverable), always_hoard=always)
-        lru_bytes, _ = lru_miss_free_size(lru_recency, set(coverable), sizes)
+        # Each policy is measured on the needed files both SEER and LRU
+        # could have known about, so neither is charged for the other's
+        # blind spots.  SEER is sized on the files LRU has seen; what
+        # it could not have hoarded among them leaves the common set.
+        seen_by_lru = needed & self._lru_recency.keys()
+        seer_bytes, seer_uncoverable = self._hoard_manager.miss_free_size(
+            clusters, sizes, seer.correlator.recency(), seen_by_lru,
+            always_hoard=seer.observer.always_hoard_paths())
+        coverable = seen_by_lru - seer_uncoverable
+        uncoverable = needed - coverable
+        lru_bytes, _ = lru_miss_free_size(self._lru_recency, coverable, sizes)
         spy_bytes = 0
         if self._spy is not None:
-            spy_bytes, _ = self._spy.miss_free_size(set(coverable), sizes)
+            spy_bytes, _ = self._spy.miss_free_size(coverable, sizes)
         coda_bytes = 0
         if self._coda is not None:
-            coda_bytes, _ = self._coda.miss_free_size(set(coverable), sizes)
+            coda_bytes, _ = self._coda.miss_free_size(coverable, sizes)
         window_seconds = self.result.window_seconds
         self.result.windows.append(WindowResult(
             index=index,

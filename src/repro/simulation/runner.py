@@ -75,11 +75,11 @@ class ShardSpec:
     exact parameters without access to the caller's objects.
     """
 
-    kind: str   # "missfree" | "live" | "population" | "objective" | "service"
+    kind: str   # "missfree" | "live" | "population" | "service"
     machine: str
     trace_seed: int
     days: float
-    window_seconds: Optional[float] = None    # missfree/objective only
+    window_seconds: Optional[float] = None    # missfree/population only
     use_investigators: bool = False
     size_seed: int = 0
     parameter_overrides: Tuple[Tuple[str, ParamValue], ...] = ()
@@ -93,8 +93,7 @@ class ShardSpec:
         # "service" cells are never executed by this runner -- the
         # hoard daemon (repro.service) reuses ShardSpec purely as the
         # checkpoint-store key for a tenant's correlator state.
-        if self.kind not in ("missfree", "live", "population", "objective",
-                             "service"):
+        if self.kind not in ("missfree", "live", "population", "service"):
             raise ValueError(f"unknown shard kind: {self.kind!r}")
         if self.fault_profile is not None:
             if self.kind not in ("live", "population"):
@@ -169,18 +168,10 @@ def reproduction_grid(machines: Sequence[str], days: float, seed: int,
     Tables 3-5), in the same order the serial loop produced.  A
     *fault_profile* name applies fault injection to the live cells
     (the miss-free cells replay no disconnections to fault)."""
-    from repro.workload import machine_profile
     shards: List[ShardSpec] = []
     for machine in machines:
-        profile = machine_profile(machine)
-        for window in (DAY, WEEK):
-            shards.append(ShardSpec("missfree", machine, seed, days,
-                                    window_seconds=window))
-        if include_investigators and profile.uses_investigators:
-            for window in (DAY, WEEK):
-                shards.append(ShardSpec("missfree", machine, seed, days,
-                                        window_seconds=window,
-                                        use_investigators=True))
+        shards.extend(figure2_grid([machine], days, seed,
+                                   investigators=include_investigators))
         if include_live:
             shards.append(ShardSpec("live", machine, seed, days,
                                     fault_profile=fault_profile,
@@ -259,17 +250,13 @@ def execute_shard(spec: ShardSpec) -> ShardResult:
                                    size_seed=spec.size_seed,
                                    fault_profile=spec.fault_profile,
                                    fault_seed=spec.fault_seed)
-    if spec.kind == "population":
-        from repro.simulation.population import simulate_population_cell
-        return simulate_population_cell(
-            trace, spec.window_seconds or DAY, parameters=parameters,
-            use_investigators=spec.use_investigators,
-            size_seed=spec.size_seed, fault_profile=spec.fault_profile,
-            fault_seed=spec.fault_seed)
-    # "objective": the tuning score for this (parameters, machine) cell.
-    from repro.tuning.objective import hoard_overhead_objective
-    return hoard_overhead_objective(trace, parameters,
-                                    spec.window_seconds or DAY)
+    # "population": one fleet machine, one replay scored both ways.
+    from repro.simulation.population import simulate_population_cell
+    return simulate_population_cell(
+        trace, spec.window_seconds or DAY, parameters=parameters,
+        use_investigators=spec.use_investigators,
+        size_seed=spec.size_seed, fault_profile=spec.fault_profile,
+        fault_seed=spec.fault_seed)
 
 
 def _run_shard(spec: ShardSpec) -> Tuple[str, Dict, float]:
@@ -330,8 +317,8 @@ def run_shards(shards: Sequence[ShardSpec], jobs: int = 1,
                progress: Optional[Callable[[str], None]] = None,
                stats: Optional[RunStats] = None,
                store: str = "sqlite",
-               consume: Optional[Callable[[ShardOutcome], None]] = None,
-               compact: bool = False) -> List[ShardOutcome]:
+               consume: Optional[Callable[[ShardOutcome], None]] = None
+               ) -> List[ShardOutcome]:
     """Run every cell of *shards*, in parallel when ``jobs > 1``.
 
     Outcomes are produced in grid order regardless of completion
@@ -344,8 +331,7 @@ def run_shards(shards: Sequence[ShardSpec], jobs: int = 1,
     With a *checkpoint_dir*, completed cells are persisted in a
     :class:`~repro.simulation.store.SqliteStore` there, each committed
     as soon as it finishes.  *store* names that store and accepts only
-    ``"sqlite"``.  *compact* garbage collects corrupt and stale entries
-    after a successful sweep, keeping exactly this grid's cells.
+    ``"sqlite"``.
 
     With *consume*, each :class:`ShardOutcome` is streamed to the
     callback in grid order and an empty list is returned: combined
@@ -425,9 +411,6 @@ def run_shards(shards: Sequence[ShardSpec], jobs: int = 1,
                     for shard_id, data, elapsed in pool.imap_unordered(
                             _run_shard, pending):
                         finish(shard_id, data, elapsed)
-
-        if compact and state is not None:
-            state.compact(keep=ids)
 
         stats.wall_seconds = time.perf_counter() - start
         if state is not None:

@@ -15,11 +15,13 @@ list of fields to forget.  An annotation that would not survive JSON
 (``object``, a set, a dict keyed by anything but ``str``) raises
 ``TypeError`` naming the class and the field when that codec is
 built, which is the one place lossless round-tripping is enforced.
+Decoding is the one place a payload's scalar fields are checked: a
+value whose JSON type its annotation does not take raises
+``ValueError`` naming the class and the field.
 
 ``result_to_data``/``result_from_data`` dispatch on a ``"type"`` tag so
 the runner can checkpoint heterogeneous grids (miss-free cells, live
-cells, reduced population cells and tuning-objective cells) into one
-results directory.
+cells and reduced population cells) into one results directory.
 
 Persistence itself lives one layer up, in
 :mod:`repro.simulation.store`: this module only defines the payload
@@ -43,14 +45,19 @@ from repro.simulation.missfree import MissFreeResult
 from repro.simulation.population import PopulationCellResult
 
 #: Anything the runner knows how to checkpoint.
-ShardResult = Union[MissFreeResult, LiveResult, PopulationCellResult, float]
+ShardResult = Union[MissFreeResult, LiveResult, PopulationCellResult]
 
 _Convert = Callable[[Any], Any]
 #: (encode, decode) for one annotation; None when the value is already
 #: its own JSON form and passes through untouched.
 _Codec = Optional[Tuple[_Convert, _Convert]]
 
-_SCALARS = frozenset({int, float, str, bool, type(None)})
+#: The scalar annotations, each with the JSON types it takes on decode.
+#: A bool is an int to ``isinstance``, so it is refused where bool is
+#: not listed.
+_SCALARS: Dict[Any, Tuple[type, ...]] = {
+    int: (int,), float: (int, float), str: (str,), bool: (bool,),
+    type(None): (type(None),)}
 
 #: The ``"type"`` tag of each dataclass result.
 _TAGS: Dict[type, str] = {MissFreeResult: "missfree", LiveResult: "live",
@@ -144,6 +151,16 @@ def _codec(hint: Any, where: str) -> _Codec:
         f"Tuple[X, ...], Optional or str-keyed Dict of those)")
 
 
+def _takes(hint: Any) -> Optional[Tuple[type, ...]]:
+    """The JSON types a field annotated *hint* takes, or None when the
+    field is not a scalar (nor an Optional or Union of scalars)."""
+    members = typing.get_args(hint) if typing.get_origin(hint) is Union \
+        else (hint,)
+    if not all(member in _SCALARS for member in members):
+        return None
+    return tuple(kind for member in members for kind in _SCALARS[member])
+
+
 class DataclassCodec:
     """Encode/decode one dataclass, field by field, in field order."""
 
@@ -153,6 +170,12 @@ class DataclassCodec:
         self.fields: List[Tuple[str, _Codec]] = [
             (f.name, _codec(hints[f.name], f"{cls.__qualname__}.{f.name}"))
             for f in dataclasses.fields(cls)]
+        #: (name, JSON types taken) of each scalar field.
+        self.scalars: List[Tuple[str, Tuple[type, ...]]] = []
+        for f in dataclasses.fields(cls):
+            takes = _takes(hints[f.name])
+            if takes is not None:
+                self.scalars.append((f.name, takes))
 
     def encode(self, value: Any) -> Dict[str, Any]:
         return {name: getattr(value, name) if codec is None
@@ -160,6 +183,15 @@ class DataclassCodec:
                 for name, codec in self.fields}
 
     def decode(self, data: Dict[str, Any]) -> Any:
+        for name, takes in self.scalars:
+            if name not in data:
+                continue
+            value = data[name]
+            if not isinstance(value, takes) or (
+                    isinstance(value, bool) and bool not in takes):
+                raise ValueError(
+                    f"{self.cls.__qualname__}.{name} has the wrong type "
+                    f"({type(value).__name__})")
         # A key an older payload lacks takes the field's default.
         return self.cls(**{name: data[name] if codec is None
                            else codec[1](data[name])
@@ -184,11 +216,9 @@ def to_data(value: Any) -> Dict[str, Any]:
 def result_to_data(result: ShardResult) -> Dict:
     """Serialize any shard result to a JSON-safe tagged dictionary."""
     tag = _TAGS.get(type(result))
-    if tag is not None:
-        return {"type": tag, **to_data(result)}
-    if isinstance(result, (int, float)) and not isinstance(result, bool):
-        return {"type": "objective", "score": float(result)}
-    raise TypeError(f"cannot serialize shard result: {type(result)!r}")
+    if tag is None:
+        raise TypeError(f"cannot serialize shard result: {type(result)!r}")
+    return {"type": tag, **to_data(result)}
 
 
 def comparable_data(result: ShardResult) -> Dict:
@@ -207,9 +237,6 @@ def comparable_data(result: ShardResult) -> Dict:
 def result_from_data(data: Dict) -> ShardResult:
     """Inverse of :func:`result_to_data`."""
     kind = data.get("type")
-    if kind == "objective":
-        score: float = data["score"]
-        return score
     cls = _TAGGED.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ValueError(f"unknown shard result type: {kind!r}")

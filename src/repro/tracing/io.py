@@ -8,6 +8,7 @@ that round-trips every :class:`~repro.tracing.events.TraceRecord` field.
 
 from __future__ import annotations
 
+import zlib
 from typing import IO, Iterable, Iterator, List
 
 from repro.tracing.events import Operation, TraceRecord
@@ -114,6 +115,13 @@ def write_trace_file(records: Iterable[TraceRecord], path: str) -> int:
 
 
 def read_trace_file(path: str) -> List[TraceRecord]:
-    """Read all records from the file at *path* (gzipped if ``.gz``)."""
+    """Read all records from the file at *path* (gzipped if ``.gz``).
+
+    A truncated or corrupt gzip stream raises ``ValueError``, as a
+    malformed line does.
+    """
     with _open_for(path, "r") as stream:
-        return list(read_trace(stream))
+        try:
+            return list(read_trace(stream))
+        except (EOFError, zlib.error) as error:
+            raise ValueError(f"damaged gzip stream: {error}") from None

@@ -2,9 +2,9 @@
 
 The quantity SEER's authors tuned for is hoarding quality: the hoard
 should be as close as possible to the working set while still
-covering it.  :func:`hoard_overhead_objective` scores a parameter set
-by SEER's mean miss-free overhead (hoard size / working set) on one
-machine's trace, and :func:`aggregate_scores` averages that over
+covering it.  :func:`hoard_overhead_objective` scores one machine's
+miss-free replay under a parameter set by SEER's mean overhead (hoard
+size / working set), and :func:`aggregate_scores` averages that over
 machines -- lower is better, 1.0 is optimal.
 """
 
@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 from repro.core.parameters import SeerParameters
-from repro.simulation.missfree import simulate_miss_free
-from repro.workload.generator import GeneratedTrace
+from repro.simulation.missfree import MissFreeResult
 
 DAY = 86400.0
 
@@ -29,11 +28,9 @@ class EvaluationResult:
     per_machine: Dict[str, float] = field(default_factory=dict)
 
 
-def hoard_overhead_objective(trace: GeneratedTrace,
-                             parameters: SeerParameters,
-                             window_seconds: float = DAY) -> float:
-    """Mean SEER hoard size relative to the working set (>= ~1.0)."""
-    result = simulate_miss_free(trace, window_seconds, parameters=parameters)
+def hoard_overhead_objective(result: MissFreeResult) -> float:
+    """Mean SEER hoard size relative to the working set (>= ~1.0);
+    infinite for a replay with no scored window."""
     if not result.windows or result.mean_working_set == 0:
         return float("inf")
     return result.mean_seer / result.mean_working_set

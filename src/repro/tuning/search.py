@@ -12,7 +12,8 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.parameters import SeerParameters
 from repro.simulation.runner import ShardSpec, run_shards, spec_for_parameters
-from repro.tuning.objective import DAY, EvaluationResult, aggregate_scores
+from repro.tuning.objective import (DAY, EvaluationResult, aggregate_scores,
+                                   hoard_overhead_objective)
 
 
 @dataclass
@@ -40,10 +41,11 @@ def sweep_parameter(base: SeerParameters, name: str, values: Sequence,
 
     The (value x machine) grid runs on the experiment runner
     (:mod:`repro.simulation.runner`), in-process at ``jobs=1``: each
-    cell is an "objective" shard keyed by the full parameter set, whose
-    worker rebuilds the trace of (machine, *seed*, *days*).  With a
-    *checkpoint_dir* each cell is checkpointed in the sqlite store
-    (docs/state-store.md) and the sweep resumes like any other.
+    cell is a "missfree" shard keyed by the full parameter set, whose
+    worker rebuilds the trace of (machine, *seed*, *days*), and this
+    process scores each returned replay.  With a *checkpoint_dir* each
+    cell is checkpointed in the sqlite store (docs/state-store.md) and
+    the sweep resumes like any other.
     """
     specs: Dict[str, ShardSpec] = {}
     wanted = []   # (value, parameters, [(machine, shard_id), ...])
@@ -54,7 +56,7 @@ def sweep_parameter(base: SeerParameters, name: str, values: Sequence,
         cells = []
         for machine in machines:
             spec = spec_for_parameters(
-                ShardSpec("objective", machine, seed, days,
+                ShardSpec("missfree", machine, seed, days,
                           window_seconds=window_seconds),
                 parameters)
             specs[spec.shard_id] = spec
@@ -63,7 +65,8 @@ def sweep_parameter(base: SeerParameters, name: str, values: Sequence,
     outcomes = run_shards(list(specs.values()), jobs=jobs,
                           checkpoint_dir=checkpoint_dir, resume=resume,
                           metrics=metrics, progress=progress)
-    scores = {outcome.spec.shard_id: outcome.result for outcome in outcomes}
+    scores = {outcome.spec.shard_id: hoard_overhead_objective(outcome.result)
+              for outcome in outcomes}
     return [SweepPoint(value=value,
                        result=aggregate_scores(
                            parameters,

@@ -23,6 +23,7 @@ from repro.analysis.population import (
     percentile,
     render_population_report,
 )
+from repro.simulation.missfree import MissFreeResult
 from repro.simulation.population import PopulationCellResult
 from repro.simulation.runner import ShardOutcome, ShardSpec
 from tests.oracle import bootstrap as oracle
@@ -186,9 +187,10 @@ class TestAggregate:
 
     def test_consume_rejects_foreign_results(self):
         aggregate = PopulationAggregate(population_seed=7, days=3.0)
-        spec = ShardSpec("objective", "E", 1, 3.0, window_seconds=86400.0)
+        spec = ShardSpec("missfree", "E", 1, 3.0, window_seconds=86400.0)
+        result = MissFreeResult("E", 86400.0, False, 0)
         with pytest.raises(TypeError, match="population aggregate"):
-            aggregate.consume(ShardOutcome(spec=spec, result=1.5))
+            aggregate.consume(ShardOutcome(spec=spec, result=result))
 
     def test_persistence_round_trip(self):
         aggregate = make_aggregate(5)

@@ -1,8 +1,16 @@
 """Tests for the command-line interface."""
 
+import gzip
+import io
+import json
+
 import pytest
 
+from repro.analysis.population import PopulationAggregate, aggregate_to_data
 from repro.cli import _coerce, build_parser, main
+from repro.simulation.population import PopulationCellResult
+from repro.tracing.events import Operation, TraceRecord
+from repro.tracing.io import write_trace
 
 
 def _refuse(what):
@@ -461,6 +469,33 @@ class TestArgumentDomains:
             [(1, 65535, 0.001), (1024, 0, None)]
 
 
+def _gzipped_trace() -> bytes:
+    text = io.StringIO()
+    write_trace((TraceRecord(seq=i, time=float(i), pid=1, op=Operation.STAT,
+                             path=f"/home/u/f{i}") for i in range(200)),
+                text)
+    return gzip.compress(text.getvalue().encode("utf-8"), mtime=0)
+
+
+#: A gzip header, then a final deflate block of the reserved type 3.
+_CORRUPT_GZIP = b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x00\xff\x07" + bytes(16)
+
+
+def _saved_aggregate(**changes) -> str:
+    """A saved one-cell aggregate, its cell's fields edited."""
+    cell = PopulationCellResult(
+        machine="pop7-000000", activity=1.0, n_disconnections=3,
+        uses_investigators=False, hoard_budget=1000, window_seconds=86400.0,
+        windows=2, referenced_files=10, mean_working_set=100.0,
+        mean_seer=120.0, mean_lru=300.0, mean_spy=130.0, mean_coda=310.0,
+        disconnections=2, failed_disconnections=0, automatic_detections=0,
+        median_first_miss_hours=0.0)
+    data = aggregate_to_data(PopulationAggregate(population_seed=7, days=2.0,
+                                                 cells=[cell]))
+    data["cells"][0].update(changes)
+    return json.dumps(data)
+
+
 class TestUnreadableInput:
     """A file that cannot be read, or is not what the command reads,
     gets a reason and exit status 2, never a traceback."""
@@ -468,10 +503,16 @@ class TestUnreadableInput:
     @pytest.mark.parametrize("name, content, reason", [
         (None, None, "No such file or directory"),
         ("x.txt", "x\n", "not a seer trace (bad header 'x\\n')"),
-    ], ids=["missing", "not-a-trace"])
+        ("t.txt.gz", _gzipped_trace()[:400], "damaged gzip stream: "
+         "Compressed file ended before the end-of-stream marker"),
+        ("t.txt.gz", _CORRUPT_GZIP, "damaged gzip stream: Error -3 "
+         "while decompressing data: invalid block type"),
+    ], ids=["missing", "not-a-trace", "truncated-gz", "corrupt-gz"])
     def test_stats(self, tmp_path, capsys, name, content, reason):
         path = tmp_path / (name or "absent.txt")
-        if content is not None:
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        elif content is not None:
             path.write_text(content)
         assert main(["stats", str(path)]) == 2
         captured = capsys.readouterr()
@@ -484,7 +525,10 @@ class TestUnreadableInput:
         ("not json", "Expecting value"),
         ('{"bad": 1}', "missing field 'population_seed'"),
         ("[1, 2]", "expected an object, got list"),
-    ], ids=["missing", "not-json", "missing-field", "not-an-object"])
+        (_saved_aggregate(mean_seer="lots"),
+         "PopulationCellResult.mean_seer has the wrong type (str)"),
+    ], ids=["missing", "not-json", "missing-field", "not-an-object",
+            "mistyped-field"])
     def test_population_report_load(self, tmp_path, capsys, content,
                                     reason):
         path = tmp_path / "aggregate.json"

@@ -125,3 +125,38 @@ class TestSpyIntegration:
         # clustering (does not beat SEER decisively).
         assert result.mean_spy < result.mean_lru
         assert result.mean_spy >= 0.5 * result.mean_working_set
+
+
+class TestOneSizingPerWindow:
+    """Each policy is sized once per scored window, SEER first: the
+    fill interval the e2e benchmark times runs from the build to the
+    end of the first ``HoardManager.miss_free_size`` call after it."""
+
+    def test_each_policy_sized_once_per_window(self, monkeypatch):
+        from repro.baselines.coda_priority import CodaPriorityManager
+        from repro.baselines.spy_utility import SpyUtilityManager
+        from repro.core.hoard import HoardManager
+        from repro.core.seer import Seer
+        from repro.simulation import missfree
+        calls = []
+
+        def count(owner, name, label):
+            real = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls.append(label)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+
+        count(Seer, "build_clusters", "build")
+        count(HoardManager, "miss_free_size", "seer")
+        count(missfree, "lru_miss_free_size", "lru")
+        count(SpyUtilityManager, "miss_free_size", "spy")
+        count(CodaPriorityManager, "miss_free_size", "coda")
+        trace = generate_machine_trace(machine_profile("C"), seed=11,
+                                       days=4)
+        result = simulate_miss_free(trace, DAY, include_spy=True,
+                                    include_coda=True)
+        assert result.windows
+        assert calls == ["build", "seer", "lru", "spy", "coda"] * \
+            len(result.windows)

@@ -56,7 +56,7 @@ class TestShardSpec:
 
     def test_id_reflects_parameters(self):
         from repro.simulation import SIM_PARAMETERS
-        base = ShardSpec("objective", "C", 1, 28.0, window_seconds=DAY)
+        base = ShardSpec("missfree", "C", 1, 28.0, window_seconds=DAY)
         a = spec_for_parameters(base, SIM_PARAMETERS)
         b = spec_for_parameters(base,
                                 SIM_PARAMETERS.with_changes(max_neighbors=7))
@@ -66,7 +66,7 @@ class TestShardSpec:
     def test_parameters_rebuilt_exactly(self):
         from repro.simulation import SIM_PARAMETERS
         spec = spec_for_parameters(
-            ShardSpec("objective", "C", 1, 28.0, window_seconds=DAY),
+            ShardSpec("missfree", "C", 1, 28.0, window_seconds=DAY),
             SIM_PARAMETERS)
         assert spec.parameters() == SIM_PARAMETERS
 
@@ -76,6 +76,11 @@ class TestShardSpec:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             ShardSpec("mystery", "C", 1, 28.0)
+
+    def test_objective_kind_is_gone(self):
+        # A sweep point is a plain miss-free cell, scored by the caller.
+        with pytest.raises(ValueError, match="unknown shard kind"):
+            ShardSpec("objective", "C", 1, 28.0, window_seconds=DAY)
 
     def test_id_is_filesystem_safe(self):
         for spec in reproduction_grid(list("ABC"), 28.0, 1):
@@ -206,14 +211,17 @@ class TestRunShards:
         assert stats.shards_run == len(shards)
         assert stats.shards_from_checkpoint == 0
 
-    def test_objective_shards_run(self):
+    def test_parameterised_missfree_shard_runs(self):
+        # A sweep's cell carries the full parameter set; under the
+        # harness defaults it replays exactly as the plain cell does.
         from repro.simulation import SIM_PARAMETERS
-        spec = spec_for_parameters(
-            ShardSpec("objective", window_seconds=DAY, **SMALL),
-            SIM_PARAMETERS)
-        (outcome,) = run_shards([spec], jobs=1)
-        assert isinstance(outcome.result, float)
-        assert outcome.result >= 0.9
+        plain = ShardSpec("missfree", window_seconds=DAY, **SMALL)
+        keyed = spec_for_parameters(plain, SIM_PARAMETERS)
+        assert keyed.shard_id != plain.shard_id
+        first, second = run_shards([plain, keyed], jobs=1)
+        assert second.result.windows
+        assert comparable_data(second.result) == \
+            comparable_data(first.result)
 
     def test_metrics_threaded_through(self):
         metrics = Metrics()
@@ -349,8 +357,9 @@ class TestRunShardsStore:
 
     def test_compact_keeps_resume_working(self, tmp_path):
         shards = small_grid()
-        run_shards(shards, jobs=1, checkpoint_dir=str(tmp_path),
-                   compact=True)
+        run_shards(shards, jobs=1, checkpoint_dir=str(tmp_path))
+        with SqliteStore(str(tmp_path)) as store:
+            store.compact(keep=[s.shard_id for s in shards])
         assert os.listdir(tmp_path) == [SqliteStore.FILENAME]
         assert stored_ids(str(tmp_path)) == \
             sorted(s.shard_id for s in shards)
@@ -358,18 +367,3 @@ class TestRunShardsStore:
         run_shards(shards, jobs=1, checkpoint_dir=str(tmp_path),
                    resume=True, stats=stats)
         assert stats.shards_from_checkpoint == len(shards)
-
-    def test_objective_shard_round_trips_through_sqlite(self, tmp_path):
-        """The objective payload (a bare float) survives the sqlite
-        round-trip like the structured results do."""
-        from repro.simulation import SIM_PARAMETERS
-        spec = spec_for_parameters(
-            ShardSpec("objective", window_seconds=DAY, **SMALL),
-            SIM_PARAMETERS)
-        (first,) = run_shards([spec], jobs=1, checkpoint_dir=str(tmp_path))
-        stats = RunStats()
-        (second,) = run_shards([spec], jobs=1, checkpoint_dir=str(tmp_path),
-                               resume=True, stats=stats)
-        assert stats.shards_from_checkpoint == 1
-        assert second.result == first.result
-        assert isinstance(second.result, float)

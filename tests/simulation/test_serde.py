@@ -4,6 +4,7 @@ the codec's refusal to build for a field type JSON cannot round-trip."""
 import dataclasses
 import enum
 import json
+import typing
 from dataclasses import dataclass
 from typing import Dict, Optional, Set, Tuple
 
@@ -19,6 +20,7 @@ from repro.simulation.missfree import MissFreeResult, WindowResult
 from repro.simulation.population import PopulationCellResult
 from repro.simulation.runner import ShardSpec
 from repro.simulation.serde import (
+    ShardResult,
     codec_for,
     comparable_data,
     result_from_data,
@@ -69,12 +71,9 @@ class TestRoundTrip:
         restored = result_from_data(result_to_data(original))
         assert restored == original
 
-    def test_objective_exact(self):
-        assert result_from_data(result_to_data(1.0625)) == 1.0625
-
     def test_survives_json_text(self):
         """The checkpoint file path: dict -> JSON text -> dict."""
-        for original in (make_missfree(), make_live(), 2.5):
+        for original in (make_missfree(), make_live()):
             text = json.dumps(result_to_data(original))
             assert result_from_data(json.loads(text)) == original
 
@@ -101,6 +100,16 @@ class TestDispatch:
     def test_unserializable_rejected(self):
         with pytest.raises(TypeError):
             result_to_data(object())
+
+    def test_a_bare_score_is_no_shard_result(self):
+        # A sweep scores its miss-free cells itself: no cell returns a
+        # float, and the "objective" tag is unknown.
+        assert typing.get_args(ShardResult) == \
+            (MissFreeResult, LiveResult, PopulationCellResult)
+        with pytest.raises(TypeError):
+            result_to_data(1.5)
+        with pytest.raises(ValueError, match="objective"):
+            result_from_data({"type": "objective", "score": 1.5})
 
     def test_comparable_data_strips_metrics(self):
         data = comparable_data(make_missfree())
@@ -133,6 +142,19 @@ class Root:
 class Painted:
     colour: Colour
     shades: Tuple[Colour, ...]
+
+
+@dataclass(frozen=True)
+class Scalars:
+    count: int
+    weight: float
+    name: str
+    flag: bool
+    label: Optional[str]
+
+
+SCALARS = {"count": 1, "weight": 0.5, "name": "n", "flag": True,
+           "label": "l"}
 
 
 @dataclass(frozen=True)
@@ -180,6 +202,25 @@ class TestCodec:
         data = json.loads(json.dumps(codec_for(Painted).encode(painted)))
         assert data == {"colour": "RED", "shades": ["BLUE", "RED"]}
         assert codec_for(Painted).decode(data) == painted
+
+    @pytest.mark.parametrize("field, value", [
+        ("count", True), ("count", 1.5), ("count", "1"), ("count", None),
+        ("weight", True), ("weight", "0.5"), ("weight", None),
+        ("name", 3), ("name", None), ("flag", 1), ("flag", "true"),
+        ("label", 3),
+    ])
+    def test_scalar_field_of_another_json_type_is_refused(self, field,
+                                                          value):
+        with pytest.raises(ValueError, match=f"Scalars.{field} has the "
+                           f"wrong type"):
+            codec_for(Scalars).decode({**SCALARS, field: value})
+
+    def test_scalar_field_takes_its_own_json_types(self):
+        # An int is a float's JSON form too; None only where Optional.
+        decoded = codec_for(Scalars).decode(
+            {**SCALARS, "weight": 2, "label": None})
+        assert decoded == Scalars(count=1, weight=2, name="n", flag=True,
+                                  label=None)
 
     @pytest.mark.parametrize("cls, field, detail", [
         (HoldsObject, "HoldsObject.value", "object"),

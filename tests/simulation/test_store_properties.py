@@ -247,7 +247,9 @@ def test_compact_then_resume_restores_every_cell(baseline):
     restores the whole grid from one O(1)-file store."""
     root = tempfile.mkdtemp(prefix="store-prop-")
     try:
-        run_shards(GRID, jobs=2, checkpoint_dir=root, compact=True)
+        run_shards(GRID, jobs=2, checkpoint_dir=root)
+        with SqliteStore(root) as store:
+            store.compact(keep=[spec.shard_id for spec in GRID])
         assert sorted(os.listdir(root)) == [SqliteStore.FILENAME]
         stats = RunStats()
         resumed = run_shards(GRID, jobs=1, checkpoint_dir=root,

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.simulation import SIM_PARAMETERS
+from repro.simulation.missfree import simulate_miss_free
 from repro.tuning import (
     aggregate_scores,
     hoard_overhead_objective,
@@ -13,6 +14,13 @@ from repro.workload import generate_machine_trace, machine_profile
 #: The trace the ``traces`` fixture generates, named the way a sweep
 #: takes it: the runner's workers rebuild it from this identity.
 MACHINES, SEED, DAYS = ["E"], 3, 14
+DAY = 86400.0
+
+
+def objective(trace):
+    """The score a sweep gives one machine's cell."""
+    return hoard_overhead_objective(
+        simulate_miss_free(trace, DAY, parameters=SIM_PARAMETERS))
 
 
 @pytest.fixture(scope="module")
@@ -29,14 +37,13 @@ def sweep(name, values, **kwargs):
 
 class TestObjective:
     def test_overhead_at_least_near_one(self, traces):
-        score = hoard_overhead_objective(traces[0], SIM_PARAMETERS)
-        assert score >= 0.9
+        assert objective(traces[0]) >= 0.9
 
     def test_empty_trace_infinite(self, traces):
         import copy
         empty = copy.copy(traces[0])
         empty.records = []
-        assert hoard_overhead_objective(empty, SIM_PARAMETERS) == float("inf")
+        assert objective(empty) == float("inf")
 
     def test_evaluate_across_machines(self, traces):
         # Each machine's score is the objective on that machine's trace;
@@ -48,8 +55,7 @@ class TestObjective:
             sum(point.result.per_machine.values()) / 2)
         trace = generate_machine_trace(machine_profile("C"), seed=SEED,
                                        days=7)
-        assert point.result.per_machine["C"] == \
-            hoard_overhead_objective(trace, SIM_PARAMETERS)
+        assert point.result.per_machine["C"] == objective(trace)
 
 
 class TestSweep:
