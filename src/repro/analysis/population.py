@@ -24,6 +24,7 @@ window-level data.
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 import zlib
 from dataclasses import dataclass, field
@@ -139,6 +140,8 @@ def aggregate_from_data(data: Dict) -> PopulationAggregate:
         if not isinstance(value, types) or isinstance(value, bool):
             raise ValueError(f"field {name!r} has the wrong type "
                              f"({type(value).__name__})")
+    if not math.isfinite(data["days"]):
+        raise ValueError(f"field 'days' is not finite ({data['days']})")
     cells: List[PopulationCellResult] = []
     for index, cell in enumerate(data["cells"]):
         result = None

@@ -23,7 +23,6 @@ from typing import (AbstractSet, Callable, Collection, Iterable, List, Mapping,
                     Optional, Set, Tuple)
 
 from repro.core.clustering import ClusterSet
-from repro.core.parameters import DEFAULT_PARAMETERS, SeerParameters
 
 SizeFunction = Callable[[str], int]
 
@@ -129,9 +128,6 @@ def ranked_prefix_size(ranking: Iterable[Collection[str]],
 
 class HoardManager:
     """Builds hoard selections from cluster assignments."""
-
-    def __init__(self, parameters: SeerParameters = DEFAULT_PARAMETERS) -> None:
-        self._parameters = parameters
 
     def build(self, clusters: ClusterSet, sizes: SizeFunction,
               recency: Mapping[str, float], budget: int,

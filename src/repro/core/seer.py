@@ -71,7 +71,7 @@ class Seer:
         self._investigators = list(investigators)
         self._relations: List[Relation] = []
         self._relations_key: List[Tuple[FileSystem, int]] = []
-        self._hoard_manager = HoardManager(parameters)
+        self._hoard_manager = HoardManager()
         self.current_hoard: Optional[HoardSelection] = None
         self._disconnected = False
         filesystem = kernel.fs if kernel is not None else None

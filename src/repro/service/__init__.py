@@ -4,7 +4,7 @@ Everything before this package replayed traces in batch.  Here the
 same pipeline runs *online*: a :class:`~repro.service.daemon.HoardDaemon`
 accepts classified trace references from many concurrent clients over
 a newline-delimited-JSON protocol (``docs/service.md``), maintains one
-correlator + clustering state per tenant behind an actor-per-tenant
+:class:`~repro.core.seer.Seer` per tenant behind an actor-per-tenant
 model with one drain task per tenant, and answers ``hoard_fill`` and
 ``stats`` requests against the live state.
 

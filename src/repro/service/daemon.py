@@ -91,7 +91,7 @@ def _percentile(samples: List[float], fraction: float) -> float:
 
 
 class HoardDaemon:
-    """The serving layer over per-tenant correlator + clustering state."""
+    """The serving layer over one ``Seer`` per tenant."""
 
     def __init__(self, parameters: SeerParameters = DEFAULT_PARAMETERS,
                  queue_bound: int = 1024,
@@ -555,7 +555,7 @@ class HoardDaemon:
         merged.absorb_counters(self.metrics.snapshot())
         for tenant in sorted(self._actors):
             merged.absorb_counters(
-                self._actors[tenant].pipeline_metrics.snapshot())
+                self._actors[tenant].seer.metrics.snapshot())
         return dict(merged.counters)
 
 

@@ -1,12 +1,13 @@
 """Per-tenant actor state and the shared online==batch replay core.
 
 One :class:`TenantActor` owns one tenant's entire pipeline: a
-:class:`~repro.core.correlator.Correlator` (the PR 7 columnar engine
-under default parameters), a :class:`~repro.core.hoard.HoardManager`,
-the at-least-once dedupe cursor, and the inbox queue the actor's one
-daemon drain task serves.  Actors never share mutable state -- tenant
-isolation is structural, which is what
-``tests/service/test_concurrency.py`` pins.
+:class:`~repro.core.seer.Seer`, the at-least-once dedupe cursor, and
+the inbox queue the actor's one daemon drain task serves.  The client's
+observer classifies references before they reach the wire (section 2),
+so the Seer is fed through its correlator alone: its own observer is
+never fed and holds no frequent, critical or non-file designations.
+Actors never share mutable state -- tenant isolation is structural,
+which is what ``tests/service/test_concurrency.py`` pins.
 
 The functions :func:`replay_references` and :func:`hoard_fill_payload`
 are the *entire* decision core, used verbatim by both the live daemon
@@ -23,11 +24,10 @@ import asyncio
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
 
-from repro.core.correlator import Correlator, ObservedReference
-from repro.core.hoard import HoardManager
+from repro.core.correlator import ObservedReference
 from repro.core.parameters import DEFAULT_PARAMETERS, SeerParameters
-from repro.core.persistence import dump_correlator, load_correlator
-from repro.observability import Metrics
+from repro.core.persistence import dump_correlator, restore_correlator
+from repro.core.seer import Seer
 from repro.service import protocol
 
 #: Serialization format of one tenant checkpoint payload.
@@ -37,20 +37,30 @@ TENANT_STATE_VERSION = 1
 # ----------------------------------------------------------------------
 # the shared decision core (used online and in batch)
 # ----------------------------------------------------------------------
+def tenant_seer(parameters: SeerParameters,
+                state: Optional[Dict[str, Any]] = None) -> Seer:
+    """A tenant's Seer, holding the correlator dump *state* if given."""
+    seer = Seer(parameters=parameters, attach=False)
+    if state is not None:
+        restore_correlator(seer.correlator, state)
+    return seer
+
+
 def replay_references(references: Sequence[ObservedReference],
                       parameters: SeerParameters = DEFAULT_PARAMETERS,
-                      correlator: Optional[Correlator] = None) -> Correlator:
-    """Feed *references* through a correlator (creating one if needed).
+                      seer: Optional[Seer] = None) -> Seer:
+    """Feed *references* to a tenant Seer (creating one if needed).
 
     This is the batch half of the differential gate: the daemon applies
     events through exactly this loop, so an online session and a batch
     replay of the same stream land on identical state.
     """
-    if correlator is None:
-        correlator = Correlator(parameters)
+    if seer is None:
+        seer = tenant_seer(parameters)
+    handle = seer.correlator.handle
     for reference in references:
-        correlator.handle(reference)
-    return correlator
+        handle(reference)
+    return seer
 
 
 def size_function_from(sizes: Optional[Mapping[str, int]],
@@ -69,19 +79,18 @@ def size_function_from(sizes: Optional[Mapping[str, int]],
     return lookup
 
 
-def hoard_fill_payload(correlator: Correlator, hoard: HoardManager,
-                       budget: int,
+def hoard_fill_payload(seer: Seer, budget: int,
                        sizes: Optional[Mapping[str, int]] = None,
                        default_size: int = 0) -> Dict[str, Any]:
     """Cluster, rank and fill; returns the canonical response payload.
 
     Both the tenant actor (online) and :func:`batch_hoard_fill` (batch)
     answer through this one function, so the two sides cannot diverge
-    except through the state their correlators hold.
+    except through the state their Seers hold.
     """
-    clusters = correlator.build_clusters()
-    selection = hoard.build(clusters, size_function_from(sizes, default_size),
-                            correlator.recency(), budget)
+    clusters = seer.build_clusters()
+    selection = seer.build_hoard(
+        budget, size_function_from(sizes, default_size), clusters)
     return protocol.selection_to_data(selection, clusters)
 
 
@@ -91,9 +100,15 @@ def batch_hoard_fill(references: Sequence[ObservedReference],
                      sizes: Optional[Mapping[str, int]] = None,
                      default_size: int = 0) -> Dict[str, Any]:
     """The batch replay a single-tenant online session must match."""
-    correlator = replay_references(references, parameters)
-    return hoard_fill_payload(correlator, HoardManager(parameters),
+    return hoard_fill_payload(replay_references(references, parameters),
                               budget, sizes, default_size)
+
+
+def restart_batch_seer(seer: Seer) -> Seer:
+    """The batch-side equivalent of a daemon kill + checkpoint restore:
+    *seer*'s correlator dumped into a fresh Seer, which loses per-process
+    streams and pending deletions exactly as a restarted daemon does."""
+    return tenant_seer(seer.parameters, dump_correlator(seer.correlator))
 
 
 # ----------------------------------------------------------------------
@@ -135,11 +150,11 @@ class TenantActor:
 
     The daemon serves an actor's inbox from exactly one drain task,
     one item at a time, so the methods below never run concurrently
-    for one tenant and need no internal locking.  The correlator
-    records into a *tenant-local*
-    :class:`~repro.observability.Metrics`; the daemon absorbs those
-    counters into its service-wide registry on demand, which is why
-    ``Metrics.absorb_counters`` had to become thread/task-safe.
+    for one tenant and need no internal locking.  The Seer records
+    into a *tenant-local* :class:`~repro.observability.Metrics`; the
+    daemon absorbs those counters into its service-wide registry on
+    demand, which is why ``Metrics.absorb_counters`` had to become
+    thread/task-safe.
     """
 
     def __init__(self, tenant: str,
@@ -147,10 +162,7 @@ class TenantActor:
                  queue_bound: int = 1024) -> None:
         self.tenant = tenant
         self.parameters = parameters
-        self.pipeline_metrics = Metrics()
-        self.correlator = Correlator(parameters,
-                                     metrics=self.pipeline_metrics)
-        self.hoard = HoardManager(parameters)
+        self.seer = tenant_seer(parameters)
         self.inbox: "asyncio.Queue[InboxItem]" = \
             asyncio.Queue(maxsize=queue_bound)
         self.last_seq = 0
@@ -174,13 +186,14 @@ class TenantActor:
                 if reference.seq > self.last_seq]
 
     def apply(self, batch: EventBatch) -> int:
-        """Apply one inbox batch to the correlator; returns the count."""
+        """Apply one inbox batch to the Seer; returns the count."""
+        handle = self.seer.correlator.handle
         applied = 0
         for reference in batch.references:
             if reference.seq <= self.last_seq:
                 self.duplicates_dropped += 1
                 continue
-            self.correlator.handle(reference)
+            handle(reference)
             self.last_seq = reference.seq
             applied += 1
         self.events_ingested += applied
@@ -189,8 +202,7 @@ class TenantActor:
     # -- requests ------------------------------------------------------
     def hoard_fill(self, request: FillRequest) -> Dict[str, Any]:
         self.fills_answered += 1
-        return hoard_fill_payload(self.correlator, self.hoard,
-                                  request.budget, request.sizes,
+        return hoard_fill_payload(self.seer, request.budget, request.sizes,
                                   request.default_size)
 
     def stats(self) -> Dict[str, Any]:
@@ -200,8 +212,8 @@ class TenantActor:
             "duplicates_dropped": self.duplicates_dropped,
             "fills_answered": self.fills_answered,
             "last_seq": self.last_seq,
-            "references_processed": self.correlator.references_processed,
-            "known_files": len(self.correlator.known_files()),
+            "references_processed": self.seer.correlator.references_processed,
+            "known_files": len(self.seer.correlator.known_files()),
             "queue_depth": self.inbox.qsize(),
             "restored_from_checkpoint": self.restored_from_checkpoint,
         }
@@ -221,7 +233,7 @@ class TenantActor:
             "tenant": self.tenant,
             "last_seq": self.last_seq,
             "events_ingested": self.events_ingested,
-            "correlator": dump_correlator(self.correlator),
+            "correlator": dump_correlator(self.seer.correlator),
         }
 
     def load_state(self, data: Dict[str, Any]) -> None:
@@ -231,25 +243,9 @@ class TenantActor:
         if data.get("tenant") != self.tenant:
             raise ValueError(f"checkpoint for tenant {data.get('tenant')!r} "
                              f"offered to tenant {self.tenant!r}")
-        self.correlator = load_correlator(data["correlator"],
-                                          parameters=self.parameters)
-        # The loaded correlator's engine is wired to its own registry;
-        # adopt it.  In-memory counters do not survive a restart, by
-        # the same reasoning as process streams.
-        self.pipeline_metrics = self.correlator.metrics
+        # A fresh Seer: in-memory counters do not survive a restart,
+        # by the same reasoning as process streams.
+        self.seer = tenant_seer(self.parameters, data["correlator"])
         self.last_seq = int(data["last_seq"])
         self.events_ingested = int(data["events_ingested"])
         self.restored_from_checkpoint = True
-
-
-def restart_batch_correlator(correlator: Correlator,
-                             parameters: SeerParameters) -> Correlator:
-    """The batch-side equivalent of a daemon kill + checkpoint restore.
-
-    Round-trips the correlator through its persistence dump, losing
-    per-process streams and pending deletions exactly as a restarted
-    daemon does, so a batch replay interrupted at the same event index
-    stays byte-comparable to the online session.
-    """
-    return load_correlator(dump_correlator(correlator),
-                           parameters=parameters)

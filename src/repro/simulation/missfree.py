@@ -244,19 +244,15 @@ class MissFreeScorer:
     """
 
     def __init__(self, trace: GeneratedTrace, window_seconds: float,
-                 parameters: Optional[SeerParameters] = None,
                  use_investigators: bool = False,
                  seed: int = 0,
                  include_spy: bool = False,
                  include_coda: bool = False) -> None:
-        if parameters is None:
-            from repro.simulation import SIM_PARAMETERS
-            parameters = SIM_PARAMETERS
         self.result = MissFreeResult(trace.machine.name, window_seconds,
                                      use_investigators, seed)
         self._trace = trace
         self._sizes = make_size_function(trace, seed)
-        self._hoard_manager = HoardManager(parameters)
+        self._hoard_manager = HoardManager()
         records = trace.records
         #: Every record's relevance flags, read by a live replay too.
         self.relevance = bytearray(len(records))
@@ -424,7 +420,7 @@ def simulate_miss_free(trace: GeneratedTrace, window_seconds: float,
         return MissFreeResult(trace.machine.name, window_seconds,
                               use_investigators, seed)
     seer = replay_seer(trace, parameters, use_investigators)
-    scorer = MissFreeScorer(trace, window_seconds, parameters=parameters,
+    scorer = MissFreeScorer(trace, window_seconds,
                             use_investigators=use_investigators, seed=seed,
                             include_spy=include_spy,
                             include_coda=include_coda)

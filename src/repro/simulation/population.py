@@ -120,7 +120,7 @@ def simulate_population_cell(trace: GeneratedTrace,
     only seeded randomness, so the same cell computed serially, in a
     worker process, or restored from a checkpoint is byte-identical.
     """
-    scorer = MissFreeScorer(trace, window_seconds, parameters=parameters,
+    scorer = MissFreeScorer(trace, window_seconds,
                             use_investigators=use_investigators,
                             seed=size_seed, include_spy=True,
                             include_coda=True)

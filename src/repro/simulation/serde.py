@@ -16,7 +16,8 @@ list of fields to forget.  An annotation that would not survive JSON
 ``TypeError`` naming the class and the field when that codec is
 built, which is the one place lossless round-tripping is enforced.
 Decoding is the one place a payload's scalar fields are checked: a
-value whose JSON type its annotation does not take raises
+value whose JSON type its annotation does not take, or a float that
+is not finite (``json`` reads ``NaN`` and ``Infinity``), raises
 ``ValueError`` naming the class and the field.
 
 ``result_to_data``/``result_from_data`` dispatch on a ``"type"`` tag so
@@ -36,6 +37,7 @@ import dataclasses
 import enum
 import functools
 import json
+import math
 import typing
 import zlib
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
@@ -192,6 +194,9 @@ class DataclassCodec:
                 raise ValueError(
                     f"{self.cls.__qualname__}.{name} has the wrong type "
                     f"({type(value).__name__})")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(
+                    f"{self.cls.__qualname__}.{name} is not finite ({value})")
         # A key an older payload lacks takes the field's default.
         return self.cls(**{name: data[name] if codec is None
                            else codec[1](data[name])

@@ -481,7 +481,7 @@ def _gzipped_trace() -> bytes:
 _CORRUPT_GZIP = b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x00\xff\x07" + bytes(16)
 
 
-def _saved_aggregate(**changes) -> str:
+def _saved_aggregate(days: float = 2.0, **changes) -> str:
     """A saved one-cell aggregate, its cell's fields edited."""
     cell = PopulationCellResult(
         machine="pop7-000000", activity=1.0, n_disconnections=3,
@@ -490,7 +490,7 @@ def _saved_aggregate(**changes) -> str:
         mean_seer=120.0, mean_lru=300.0, mean_spy=130.0, mean_coda=310.0,
         disconnections=2, failed_disconnections=0, automatic_detections=0,
         median_first_miss_hours=0.0)
-    data = aggregate_to_data(PopulationAggregate(population_seed=7, days=2.0,
+    data = aggregate_to_data(PopulationAggregate(population_seed=7, days=days,
                                                  cells=[cell]))
     data["cells"][0].update(changes)
     return json.dumps(data)
@@ -527,8 +527,14 @@ class TestUnreadableInput:
         ("[1, 2]", "expected an object, got list"),
         (_saved_aggregate(mean_seer="lots"),
          "PopulationCellResult.mean_seer has the wrong type (str)"),
+        (_saved_aggregate(mean_seer=float("nan")),
+         "PopulationCellResult.mean_seer is not finite (nan)"),
+        (_saved_aggregate(mean_seer=float("inf")),
+         "PopulationCellResult.mean_seer is not finite (inf)"),
+        (_saved_aggregate(days=float("nan")),
+         "field 'days' is not finite (nan)"),
     ], ids=["missing", "not-json", "missing-field", "not-an-object",
-            "mistyped-field"])
+            "mistyped-field", "nan-mean", "inf-mean", "nan-days"])
     def test_population_report_load(self, tmp_path, capsys, content,
                                     reason):
         path = tmp_path / "aggregate.json"

@@ -217,9 +217,9 @@ def test_clusters_and_hoard_match(stream, exclude, knobs):
     size_map = {path: 100 + 13 * index
                 for index, path in enumerate(sorted(PATHS))}
     budget = sum(size_map.values()) // 2
-    selection_fast = HoardManager(parameters).build(
+    selection_fast = HoardManager().build(
         ours, size_map.__getitem__, recency_fast, budget)
-    selection_reference = HoardManager(parameters).build(
+    selection_reference = HoardManager().build(
         theirs, size_map.__getitem__, recency_reference, budget)
     assert selection_fast.files == selection_reference.files
     assert selection_fast.total_bytes == selection_reference.total_bytes

@@ -27,7 +27,11 @@ replaced, so each can be checked against it:
 * :mod:`tests.oracle.bootstrap` -- the population report's
   percentile-bootstrap loop, one ``random.choices`` call per resample,
   which the numpy resampler
-  :func:`~repro.analysis.population.bootstrap_band` replaced.
+  :func:`~repro.analysis.population.bootstrap_band` replaced;
+* :mod:`tests.oracle.service` -- the service daemon's reduced
+  assembly, a bare correlator and hoard manager, which a tenant's
+  :class:`~repro.core.seer.Seer` replaced
+  (``tests/service/test_tenant_seer.py``).
 
 The differential suite ``tests/core/test_equivalence.py`` compares the
 shipped engine and pass with these, and

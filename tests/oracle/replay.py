@@ -79,7 +79,7 @@ def simulate_miss_free(trace: GeneratedTrace, window_seconds: float,
     seer = Seer(kernel=trace.kernel, parameters=parameters,
                 control=simulation_control(),
                 investigators=investigators, attach=False)
-    hoard_manager = HoardManager(parameters)
+    hoard_manager = HoardManager()
 
     # Pre-slice the trace into windows.
     start_time = trace.records[0].time

@@ -19,13 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.correlator import ObservedReference
-from repro.core.hoard import HoardManager
-from repro.core.parameters import DEFAULT_PARAMETERS
 from repro.service.tenant import (
     batch_hoard_fill,
     hoard_fill_payload,
     replay_references,
-    restart_batch_correlator,
+    restart_batch_seer,
 )
 from repro.simulation.serde import canonical_bytes
 from repro.workload import generate_machine_trace, machine_profile
@@ -121,14 +119,12 @@ def test_kill_restart_with_checkpoint_matches_batch(stream, split):
     with tempfile.TemporaryDirectory() as tmp:
         online = run_async(online_with_restart(Path(tmp), references, cut))
 
-    # Batch equivalent: replay to the cut, round-trip through the
-    # persistence dump (shedding per-process streams exactly as the
-    # daemon's checkpoint does), replay the rest.
-    correlator = replay_references(references[:cut])
-    correlator = restart_batch_correlator(correlator, DEFAULT_PARAMETERS)
-    replay_references(references[cut:], correlator=correlator)
-    batch = hoard_fill_payload(correlator, HoardManager(DEFAULT_PARAMETERS),
-                               BUDGET, sizes=SIZES)
+    # Batch equivalent: replay to the cut, round-trip the tenant Seer
+    # through the persistence dump (shedding per-process streams
+    # exactly as the daemon's checkpoint does), replay the rest.
+    seer = restart_batch_seer(replay_references(references[:cut]))
+    replay_references(references[cut:], seer=seer)
+    batch = hoard_fill_payload(seer, BUDGET, sizes=SIZES)
     assert canonical_bytes(online) == canonical_bytes(batch)
 
 
